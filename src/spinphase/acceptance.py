@@ -22,9 +22,9 @@ from .models import (ModelSpec, build_hamiltonian, ground_state, rotation_z,
                      ti_thermo_energy, ti_thermo_mz, total_sz, xy_factorization_angle,
                      xy_factorization_point)
 from .qcore import kron_all, partial_trace, pure_density
-from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, equal_angle_point,
-                     kernel_multi, kernel_single, reconstruct_density, reference_state,
-                     sphere_field, wigner_value)
+from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
+                     equal_angle_point, kernel_single, pauli_contract, pauli_expectations,
+                     reconstruct_density, reference_state, sphere_field, wigner_value)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -69,24 +69,18 @@ def check_kernel_identities(rng):
     return ok, f"max trace dev {worst_tr:.2e}, max eigenvalue dev {worst_eig:.2e}"
 
 
-def _quadrature_marginal(rho, retained_points, n, nodes=64):
+def _quadrature_marginal(rho, retained_points, nodes=64):
     """Integrate the full Wigner function over the last sphere:
     (1/2pi) int W(retained..., (theta_n, phi_n)) sin(theta_n) dtheta dphi,
     via Gauss-Legendre in cos(theta) x uniform phi (nodes x nodes)."""
-    from .wigner import _kernel_batch
-
     glx, glw = np.polynomial.legendre.leggauss(nodes)
     phis = np.arange(nodes) * (2 * np.pi / nodes)
     tt, pp = np.meshgrid(np.arccos(glx), phis, indexing="ij")
     ww = np.repeat(glw, nodes) / nodes  # glw[i] * (2pi/nodes) / (2pi)
-    kb = _kernel_batch(tt.ravel(), pp.ravel())
-
-    k_ret = kernel_multi(retained_points)
-    half = 2 ** (n - 1)
-    rho_r = rho.reshape(half, 2, half, 2)
-    c = np.einsum("ikjl,ji->kl", rho_r, k_ret)
-    vals = np.einsum("kl,glk->g", c, kb)
-    return float(np.real(np.dot(ww, vals)))
+    factors = [bloch_factors([t], [p]) for t, p in retained_points]
+    factors.append(bloch_factors(tt.ravel(), pp.ravel()))
+    vals = pauli_contract(pauli_expectations(rho), factors)
+    return float(np.dot(ww, vals))
 
 
 def check_marginal_consistency(rng):
@@ -97,7 +91,7 @@ def check_marginal_consistency(rng):
         reduced = partial_trace(rho, tuple(range(1, n)), n)
         for _ in range(10):
             retained = [_rand_point(rng) for _ in range(n - 1)]
-            by_quad = _quadrature_marginal(rho, retained, n)
+            by_quad = _quadrature_marginal(rho, retained)
             direct = wigner_value(reduced, retained)
             worst = max(worst, abs(by_quad - direct))
     return worst < 1e-8, f"max |quadrature - partial trace| = {worst:.2e}"
@@ -235,7 +229,7 @@ def check_xy_factorization_value(rng):
 
     rows = factorization_value_check(gamma, CANONICAL_LABELS_6, n=n)
     dev_product = dev_limit = 0.0
-    for (_, expected, _), sites in zip(rows, CANONICAL_LABELS_6):
+    for (_, expected), sites in zip(rows, CANONICAL_LABELS_6):
         for v in products:
             value = equal_angle_point(pure_density(v), sites, 0.0, 0.0, n=n)
             dev_product = max(dev_product, abs(value - expected))

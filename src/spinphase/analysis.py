@@ -26,6 +26,12 @@ JUMP_FACTOR_DEFAULT = 50.0
 EXTREMUM_NOISE_FLOOR = 1e-8
 
 
+def grid_values(start, stop, step):
+    """Sweep grid start + k * step for k = 0, 1, ... up to stop (1e-9 step slack)."""
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return [start + k * step for k in range(count)]
+
+
 def canonical_labels(n):
     """Default correlation subsets for an n-site ring."""
     if n == 6:
@@ -62,8 +68,7 @@ class SweepConfig:
 
     @property
     def params(self):
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return np.array([self.start + k * self.step for k in range(count)])
+        return np.array(grid_values(self.start, self.stop, self.step))
 
 
 @dataclass
@@ -247,43 +252,26 @@ def find_parity_crossings(cfg, bisect_tol=1e-8):
     return out
 
 
-def factorization_value_check(gamma, labels, n=6, h=1.0, offset=0.005):
-    """Compare correlation values straddling the xy factorization point with
-    the product-state prediction.
+def factorization_value_check(gamma, labels, n=6):
+    """Product-state prediction of the correlation values at the xy
+    factorization point.
 
     expected = 2^-k (1 + sqrt(3) cos angle)^k for a label of k sites: the
     (0,0) value of either factorized product state |+-angle>^n, each an exact
-    ground-energy eigenvector at the factorization coupling;
-    measured = mean of the equal-angle (0,0) values one `offset` below and one
-    above the factorization coupling.
-    At finite n the two straddling ground states are the definite-parity
-    combinations of the two product states, whose overlap cos(angle)^n is
-    nonzero. As offset -> 0, measured therefore tends to the mean of the two
+    ground-energy eigenvector at the factorization coupling. At finite n the
+    ground states on either side are the definite-parity combinations of the
+    two product states, whose overlap cos(angle)^n is nonzero, so the mean of
+    the values straddling the coupling tends to the mean of the two
     parity-state values (see `acceptance.parity_state_values`), not to
     expected: at gamma = 0.5, n = 6 the limit for the full ring is 0.91346
-    while expected is 1.0. At a finite offset it carries an O(offset) bias.
-    Returns a list of (label_name, expected, measured) rows.
+    while expected is 1.0.
+    Returns a list of (label_name, expected) rows.
     """
-    lam_f = xy_factorization_point(gamma)
-    if np.isinf(lam_f):
+    if np.isinf(xy_factorization_point(gamma)):
         raise ValueError("factorization point is infinite at gamma = 1")
-    angle = xy_factorization_angle(gamma)
-    labels = [validate_label(l, n) for l in labels]
-
-    states = []
-    for lam in (lam_f - offset, lam_f + offset):
-        spec = ModelSpec(family="xy", n=n, lam=lam, h=h, gamma=gamma)
-        states.append(ground_state(spec).state)
-
-    rows = []
-    base = 1.0 + SQRT3 * np.cos(angle)
-    for sites in labels:
-        k = len(sites)
-        expected = (base / 2.0) ** k
-        below = equal_angle_point(states[0], sites, 0.0, 0.0, n=n)
-        above = equal_angle_point(states[1], sites, 0.0, 0.0, n=n)
-        rows.append((label_name(sites, n), expected, 0.5 * (below + above)))
-    return rows
+    base = 1.0 + SQRT3 * np.cos(xy_factorization_angle(gamma))
+    return [(label_name(sites, n), (base / 2.0) ** len(sites))
+            for sites in (validate_label(l, n) for l in labels)]
 
 
 def count_sign_changes(values, zero_atol=0.0):

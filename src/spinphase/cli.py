@@ -22,7 +22,7 @@ from .models import (ModelSpec, ground_state, ti_classical_energy, ti_classical_
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, parse_label
 from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema, find_jumps,
-                       find_parity_crossings, first_derivative, sweep)
+                       find_parity_crossings, first_derivative, grid_values, sweep)
 from .wigner import SphereGrid, sphere_field
 
 EXIT_OK = 0
@@ -160,6 +160,7 @@ def resolve_config(args):
         value = getattr(args, attr, None)
         if value is not None:
             cfg[key] = value
+    cfg["policy"] = cfg["policy"].replace("-", "_")
     cfg["subcommand"] = args.subcommand
     return cfg
 
@@ -186,10 +187,9 @@ def _labels(cfg, n):
 def _sweep_config(cfg):
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("--param-start and --param-stop are required for this command")
-    policy = cfg["policy"].replace("-", "_")
     return SweepConfig(spec=_model_spec(cfg), start=cfg["param-start"], stop=cfg["param-stop"],
                        step=cfg["param-step"], labels=tuple(_labels(cfg, cfg["n"])),
-                       policy=policy, theta=cfg["phase-theta"], phi=cfg["phase-phi"])
+                       policy=cfg["policy"], theta=cfg["phase-theta"], phi=cfg["phase-phi"])
 
 
 def _ensure_outdir(cfg):
@@ -284,8 +284,7 @@ for path in sorted(glob.glob("sphere_*.csv")):
 '''
 
 
-def _write_plot_stub(outdir, stub):
-    name = "plot_phaseline.py" if stub is PHASELINE_PLOT_STUB else "plot_sphere.py"
+def _write_plot_stub(outdir, name, stub):
     path = os.path.join(outdir, name)
     _atomic_write(path, stub.encode("utf-8"))
     return path
@@ -325,16 +324,13 @@ def cmd_phaseline(cfg):
         points.extend(find_jumps(line, sites, jump_factor=cfg["jump-factor"]))
         if len(line.params) >= 5:  # extremum refinement needs interior points
             points.extend(find_derivative_extrema(line, sites))
-    try:
-        points.extend(find_parity_crossings(sweep_cfg))
-    except ConfigError:
-        pass  # model without spin-parity symmetry: no crossing scan
+    points.extend(find_parity_crossings(sweep_cfg))
     payload = _critical_point_payload(points)
     critical_path = os.path.join(outdir, "criticalpoints.json")
     write_json(critical_path, {"critical_points": payload})
 
     files = [phaseline_path, derivative_path, critical_path,
-             _write_plot_stub(outdir, PHASELINE_PLOT_STUB)]
+             _write_plot_stub(outdir, "plot_phaseline.py", PHASELINE_PLOT_STUB)]
     write_manifest(outdir, cfg, files, critical_points=payload, started=started)
     return files
 
@@ -361,10 +357,9 @@ def cmd_sphere(cfg):
     spec = _model_spec(cfg, cfg["param-value"])
     labels = _labels(cfg, spec.n)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
-    policy = cfg["policy"].replace("-", "_")
-    gs = ground_state(spec, policy=policy)
+    gs = ground_state(spec, policy=cfg["policy"])
     files = _write_sphere_files(outdir, gs.state, labels, grid, spec.n)
-    files.append(_write_plot_stub(outdir, SPHERE_PLOT_STUB))
+    files.append(_write_plot_stub(outdir, "plot_sphere.py", SPHERE_PLOT_STUB))
     write_manifest(outdir, cfg, files, started=started)
     return files
 
@@ -374,20 +369,19 @@ def cmd_animate(cfg):
     outdir = _ensure_outdir(cfg)
     sweep_cfg = _sweep_config(cfg)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
-    policy = cfg["policy"].replace("-", "_")
     files = []
     index_rows = []
     for idx, value in enumerate(sweep_cfg.params):
         frame_dir = os.path.join(outdir, f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
         spec = sweep_cfg.spec.with_param(value)
-        gs = ground_state(spec, policy=policy)
+        gs = ground_state(spec, policy=cfg["policy"])
         files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid, spec.n))
         index_rows.append((str(idx), fmt(value)))
     index_path = os.path.join(outdir, "frames.csv")
     write_csv(index_path, ("frame", "param"), index_rows)
     files.append(index_path)
-    files.append(_write_plot_stub(outdir, SPHERE_PLOT_STUB))
+    files.append(_write_plot_stub(outdir, "plot_sphere.py", SPHERE_PLOT_STUB))
     write_manifest(outdir, cfg, files, started=started)
     return files
 
@@ -400,8 +394,7 @@ def _formula_values(cfg):
             raise ConfigError(f"bad --values list: {cfg['values']!r}") from exc
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("formulas needs --values or --param-start/--param-stop")
-    count = int(math.floor((cfg["param-stop"] - cfg["param-start"]) / cfg["param-step"] + 1e-9))
-    return [cfg["param-start"] + k * cfg["param-step"] for k in range(count + 1)]
+    return grid_values(cfg["param-start"], cfg["param-stop"], cfg["param-step"])
 
 
 def cmd_formulas(cfg):

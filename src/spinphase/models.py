@@ -10,6 +10,7 @@ the relative sign of J and delta (staggered-flip similarity).
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,11 @@ class ModelSpec:
             raise ConfigError(f"unknown model family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 2:
             raise ConfigError("chain length n must be at least 2")
+        need, have = dense_working_set(self.n), physical_memory()
+        if need > have:
+            raise ConfigError(f"chain length n={self.n} needs about {need / 2**30:.1f} GiB for "
+                              f"the dense Hamiltonian, more than the {have / 2**30:.1f} GiB "
+                              f"of physical memory")
         for name in ("lam", "h", "gamma", "j", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"parameter {name} must be finite")
@@ -61,6 +67,17 @@ class ModelSpec:
     @property
     def sweep_param(self):
         return "delta" if self.family == "xxz" else "lambda"
+
+
+def dense_working_set(n):
+    """Bytes held while the kron build of an n-site Hamiltonian runs: the
+    3n embedded Pauli operators, H and two temporaries, 16 * 4^n bytes each."""
+    return (3 * n + 3) * 16 * 4**n
+
+
+def physical_memory():
+    """Physical memory of the machine in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _bond_pairs(n):
@@ -306,5 +323,5 @@ __all__ = [
     "total_sz_diagonal", "rotation_z", "symmetry_diagonal", "ground_state",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
-    "DEGENERACY_TOL_FACTOR",
+    "DEGENERACY_TOL_FACTOR", "dense_working_set", "physical_memory",
 ]

@@ -1,10 +1,14 @@
-"""Displaced-parity Wigner kernel, equal-angle evaluation and sphere sampling.
+"""Displaced-parity Wigner kernel, its Pauli-basis evaluator and sphere sampling.
 
-The single-qubit kernel is the rotated parity-like operator
-R(theta, phi) * (1 + sqrt(3) sigma_z)/2 * R(theta, phi)^dagger with
-R = exp(-i sigma_z phi/2) exp(-i sigma_y theta/2); the third Euler angle
-commutes with the parity operator and is dropped. Multi-qubit kernels are
-plain tensor products, and the Wigner value of a state is Tr[rho * kernel].
+The single-qubit kernel at phase point (theta, phi) is the Bloch form
+K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
+cos theta); `bloch_factors` gives its Pauli components Tr[sigma_b K]. The
+Wigner value of a k-qubit state is W = Tr[rho K_1 x ... x K_k]
+= 2^-k sum_a c_a prod_i f_i[a_i], with c_a = Tr[rho sigma_a1 x ... x sigma_ak]
+from `pauli_expectations` and f_i the Bloch factors of site i; every value
+in the package goes through that one contraction, `pauli_contract`. The
+same kernel written as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger
+is the independent oracle of the tests.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_down_vector, all_
                     validate_label)
 
 SQRT3 = np.sqrt(3.0)
-PARITY_POINT_OP = 0.5 * (IDENTITY_2 + SQRT3 * SIGMA_Z)
+PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # eigenvalues of the single-qubit kernel at every phase point
 KERNEL_EIG_HI = 0.5 * (1.0 + SQRT3)
@@ -37,20 +41,27 @@ def _check_point(theta, phi):
         raise ValueError(f"phi={phi} outside [0, 2*pi)")
 
 
-def rotation_single(theta, phi, third_euler=0.0):
-    """SU(2) rotation exp(-i sz phi/2) exp(-i sy theta/2) exp(-i sz Phi/2)."""
-    rz = np.array([[np.exp(-0.5j * phi), 0.0], [0.0, np.exp(0.5j * phi)]])
-    ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)],
-                   [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
-    rz2 = np.array([[np.exp(-0.5j * third_euler), 0.0], [0.0, np.exp(0.5j * third_euler)]])
-    return rz @ ry @ rz2
+def bloch_factors(theta, phi):
+    """Pauli components Tr[sigma_b K] = (1, sqrt3 nx, sqrt3 ny, sqrt3 nz) of the
+    kernel at (theta, phi); array angles give one row of four per point."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    return np.stack([np.ones_like(theta), SQRT3 * st * np.cos(phi), SQRT3 * st * np.sin(phi),
+                     SQRT3 * np.cos(theta)], axis=-1)
+
+
+def _pauli_operator(coeffs):
+    """2^-k sum_a coeffs[a] sigma_a1 x ... x sigma_ak for a tensor with k Pauli axes."""
+    coeffs = np.asarray(coeffs)
+    strings = itertools.product(range(4), repeat=coeffs.ndim)
+    return sum(c * kron_all(PAULI_BASIS[list(a)])
+               for c, a in zip(coeffs.ravel(), strings)) / 2**coeffs.ndim
 
 
 def kernel_single(theta, phi):
-    """Single-qubit displaced parity kernel at phase point (theta, phi)."""
+    """Single-qubit displaced parity kernel (1/2) sum_b bloch_factors[b] sigma_b."""
     _check_point(theta, phi)
-    r = rotation_single(theta, phi)
-    return r @ PARITY_POINT_OP @ r.conj().T
+    return _pauli_operator(bloch_factors(theta, phi))
 
 
 def kernel_multi(points, n=None):
@@ -61,26 +72,38 @@ def kernel_multi(points, n=None):
     return kron_all([kernel_single(t, p) for (t, p) in points])
 
 
-def _kernel_batch(thetas, phis):
-    """Kernels for many points at once, shape (npoints, 2, 2).
+def pauli_expectations(rho):
+    """Real tensor c[a1, ..., ak] = Tr[rho sigma_a1 x ... x sigma_ak] of a k-qubit
+    state, with sigma_0 the identity.
 
-    Uses the closed form (1 + sqrt(3) n.sigma)/2 with n the Bloch direction,
-    which equals the rotated-parity construction (tested property).
+    Raises NumericalError when an entry has an imaginary part above
+    IMAG_RESIDUE_ATOL, i.e. when rho is not Hermitian.
     """
-    st, ct = np.sin(thetas), np.cos(thetas)
-    sp, cp = np.sin(phis), np.cos(phis)
-    k = np.empty((len(thetas), 2, 2), dtype=complex)
-    k[:, 0, 0] = 0.5 * (1.0 + SQRT3 * ct)
-    k[:, 1, 1] = 0.5 * (1.0 - SQRT3 * ct)
-    k[:, 0, 1] = 0.5 * SQRT3 * st * (cp - 1j * sp)
-    k[:, 1, 0] = 0.5 * SQRT3 * st * (cp + 1j * sp)
-    return k
+    rho = np.asarray(rho, dtype=complex)
+    k = n_sites(rho.shape[0])
+    t = rho.reshape((2,) * (2 * k))
+    for i in range(k):
+        # row index r of the next site leads, its column index c sits k - i
+        # axes later; Tr[rho sigma] pairs rho[r, c] with sigma[c, r]
+        t = np.tensordot(t, PAULI_BASIS, axes=([0, k - i], [2, 1]))
+    residue = float(np.max(np.abs(t.imag)))
+    if residue > IMAG_RESIDUE_ATOL:
+        raise NumericalError(f"Pauli expectations have imaginary residue {residue:.3e}")
+    return t.real
 
 
-def _real_trace(value):
-    if abs(value.imag) > IMAG_RESIDUE_ATOL:
-        raise NumericalError(f"Wigner value has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def pauli_contract(coeffs, site_factors):
+    """Wigner values 2^-k sum_a coeffs[..., a] prod_i site_factors[i][:, a_i].
+
+    `coeffs` ends in k Pauli axes (leading axes are kept); `site_factors` holds
+    one (g, 4) array of Bloch factors per site, rows broadcast against each
+    other. Returns the values of the g points, shape (..., g).
+    """
+    *rest, last = np.broadcast_arrays(*site_factors)
+    out = coeffs @ last.T
+    for f in reversed(rest):
+        out = np.einsum("...ag,ga->...g", out, f)
+    return out / 2 ** len(site_factors)
 
 
 def wigner_value(rho, points):
@@ -88,10 +111,18 @@ def wigner_value(rho, points):
 
     `points` is a sequence of (theta, phi), one entry per qubit.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_sites(rho.shape[0])
-    kernel = kernel_multi(points, n)
-    return _real_trace(np.trace(rho @ kernel))
+    points = list(points)
+    coeffs = pauli_expectations(rho)
+    if len(points) != coeffs.ndim:
+        raise ValueError(f"expected {coeffs.ndim} phase points, got {len(points)}")
+    for t, p in points:
+        _check_point(t, p)
+    return float(pauli_contract(coeffs, [bloch_factors([t], [p]) for t, p in points])[0])
+
+
+def _equal_angle(coeffs, thetas, phis):
+    """Values at every (theta, phi) pair with all k sites at the same point."""
+    return pauli_contract(coeffs, [bloch_factors(thetas, phis)] * coeffs.ndim)
 
 
 def equal_angle_point(rho, sites, theta, phi, n=None):
@@ -100,28 +131,9 @@ def equal_angle_point(rho, sites, theta, phi, n=None):
     Reduces the state by partial trace over the non-selected sites, then
     evaluates the Wigner value with every retained sphere at (theta, phi).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = n_sites(rho.shape[0])
-    sites = validate_label(sites, n)
-    reduced = partial_trace(rho, sites, n)
-    return wigner_value(reduced, [(theta, phi)] * len(sites))
-
-
-def _equal_angle_row(rho_reduced, k, thetas, phis):
-    """Vectorized equal-angle values of a k-qubit state over a batch of points."""
-    kernels = _kernel_batch(thetas, phis)
-    # interleave row/column axes per site: (r1, c1, r2, c2, ...)
-    t = rho_reduced.reshape((2,) * (2 * k))
-    order = [ax for i in range(k) for ax in (i, i + k)]
-    t = np.transpose(t, order)
-    # contract the trailing (r_i, c_i) pair with each kernel in turn
-    out = np.einsum("...ab,gba->g...", t, kernels)
-    for _ in range(k - 1):
-        out = np.einsum("g...ab,gba->g...", out, kernels)
-    if np.max(np.abs(out.imag)) > IMAG_RESIDUE_ATOL:
-        raise NumericalError("equal-angle field has non-negligible imaginary residue")
-    return out.real
+    _check_point(theta, phi)
+    coeffs = pauli_expectations(partial_trace(rho, sites, n))
+    return float(_equal_angle(coeffs, [theta], [phi])[0])
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,9 @@ class SphereField:
 def sphere_field(rho, sites, grid=None, n=None):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
-    values[i, j] corresponds to (thetas[i], phis[j]); rows are evaluated
-    theta-major so the output layout is independent of evaluation order.
+    values[i, j] corresponds to (thetas[i], phis[j]). The Pauli expectations
+    are taken once; the field is then evaluated one theta row at a time, so
+    the working memory stays that of a single row.
     """
     if grid is None:
         grid = SphereGrid()
@@ -169,12 +182,10 @@ def sphere_field(rho, sites, grid=None, n=None):
     if n is None:
         n = n_sites(rho.shape[0])
     sites = validate_label(sites, n)
-    reduced = partial_trace(rho, sites, n)
-    k = len(sites)
+    coeffs = pauli_expectations(partial_trace(rho, sites, n))
     phis = grid.phis
-    values = np.empty((grid.n_theta, grid.n_phi))
-    for i, theta in enumerate(grid.thetas):
-        values[i] = _equal_angle_row(reduced, k, np.full(grid.n_phi, theta), phis)
+    values = np.array([_equal_angle(coeffs, np.full(grid.n_phi, theta), phis)
+                       for theta in grid.thetas])
     return SphereField(sites=sites, grid=grid, values=values)
 
 
@@ -237,22 +248,13 @@ def reference_state(kind, n=None):
 # ---------------------------------------------------------------------------
 # informational-completeness reconstruction
 
-_PAULI_BASIS_1 = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-def _kernel_pauli_factors(theta, phi):
-    """Tr[b * kernel] for b in (I, sx, sy, sz): (1, sqrt3*nx, sqrt3*ny, sqrt3*nz)."""
-    st = np.sin(theta)
-    return np.array([1.0, SQRT3 * st * np.cos(phi), SQRT3 * st * np.sin(phi),
-                     SQRT3 * np.cos(theta)])
-
 
 def reconstruct_density(samples, n):
     """Least-squares state reconstruction from Wigner samples.
 
     `samples` is a sequence of (points, value) pairs where `points` lists one
-    (theta, phi) per qubit. The state is parametrized in the Hermitian Pauli
-    product basis with the unit-trace coefficient fixed, so the solution is
+    (theta, phi) per qubit. The state is parametrized by its Pauli
+    expectations with the identity coefficient fixed to 1, so the solution is
     Hermitian with trace 1 by construction. Returns (rho, residual) where
     residual is the root-sum-square misfit of the sampled values.
 
@@ -260,27 +262,21 @@ def reconstruct_density(samples, n):
     induced linear system is rank deficient.
     """
     samples = list(samples)
-    dim = 2**n
     n_params = 4**n
     if len(samples) < n_params:
         raise NumericalError(
             f"reconstruction for n={n} needs at least {n_params} samples, got {len(samples)}")
+    points = [list(pts) for pts, _ in samples]
+    for s, pts in enumerate(points):
+        if len(pts) != n:
+            raise ValueError(f"sample {s} has {len(pts)} points, expected {n}")
+    angles = np.array(points, dtype=float)
+    values = np.array([value for _, value in samples], dtype=float)
 
-    combos = list(itertools.product(range(4), repeat=n))
-    design = np.empty((len(samples), n_params))
-    values = np.empty(len(samples))
-    for s, (points, value) in enumerate(samples):
-        points = list(points)
-        if len(points) != n:
-            raise ValueError(f"sample {s} has {len(points)} points, expected {n}")
-        factors = [_kernel_pauli_factors(t, p) for (t, p) in points]
-        for k, combo in enumerate(combos):
-            prod = 1.0
-            for i, c in enumerate(combo):
-                prod *= factors[i][c]
-            design[s, k] = prod / dim
-        values[s] = value
-
+    # design[s, a]: value of sample s for unit Pauli expectation on string a alone
+    unit = np.eye(n_params).reshape((n_params,) + (4,) * n)
+    design = pauli_contract(unit, [bloch_factors(angles[:, i, 0], angles[:, i, 1])
+                                   for i in range(n)]).T
     rank = np.linalg.matrix_rank(design)
     if rank < n_params:
         raise NumericalError(
@@ -289,10 +285,6 @@ def reconstruct_density(samples, n):
     # unit trace fixes the identity coefficient to 1
     rhs = values - design[:, 0]
     coeffs, _, _, _ = np.linalg.lstsq(design[:, 1:], rhs, rcond=None)
-
-    rho = np.eye(dim, dtype=complex) / dim
-    for k, combo in enumerate(combos[1:]):
-        op = kron_all([_PAULI_BASIS_1[c] for c in combo])
-        rho += coeffs[k] * op / dim
+    rho = _pauli_operator(np.concatenate(([1.0], coeffs)).reshape((4,) * n))
     residual = float(np.linalg.norm(design[:, 1:] @ coeffs - rhs))
     return rho, residual

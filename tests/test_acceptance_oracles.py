@@ -74,9 +74,13 @@ def test_parity_sector_ground_states_match_closed_form(gamma):
 def test_straddling_mean_tends_to_parity_mean_not_product_value():
     tot = tuple(range(1, N + 1))
     limit = 0.5 * sum(closed_form_parity_values(0.5, N))
+    (_, expected), = factorization_value_check(0.5, [tot])
+    lam_f = xy_factorization_point(0.5)
     bias = {}
     for offset in (1e-3, 1e-4):
-        (_, expected, measured), = factorization_value_check(0.5, [tot], offset=offset)
+        states = [ground_state(ModelSpec(family="xy", n=N, lam=lam, gamma=0.5)).state
+                  for lam in (lam_f - offset, lam_f + offset)]
+        measured = np.mean([equal_angle_point(state, tot, 0.0, 0.0, n=N) for state in states])
         bias[offset] = abs(measured - limit)
         assert abs(measured - expected) > 0.08
     # O(offset): a tenfold smaller offset leaves about a tenth of the bias

@@ -174,28 +174,15 @@ class TestParityCrossings:
 
 class TestFactorizationValueCheck:
     def test_expected_column_gamma_half_is_unity(self):
-        rows = factorization_value_check(0.5, CANONICAL_LABELS_6, offset=0.005)
+        rows = factorization_value_check(0.5, CANONICAL_LABELS_6)
         assert len(rows) == 12
-        for _, expected, _ in rows:
+        for _, expected in rows:
             assert expected == pytest.approx(1.0, abs=1e-14)
 
     def test_expected_single_site_gamma_08(self):
-        rows = factorization_value_check(0.8, [(1,)], offset=0.005)
+        rows = factorization_value_check(0.8, [(1,)])
         # 0.5 * (1 + sqrt(3)/3), frozen by direct arithmetic
-        assert rows[0][1] == pytest.approx(0.7886751345948129, abs=1e-14)
-
-    def test_measured_is_mean_of_straddling_values(self):
-        from spinphase.models import ground_state, xy_factorization_point
-        from spinphase.wigner import equal_angle_point
-
-        offset = 0.01
-        lam_f = xy_factorization_point(0.5)
-        rows = factorization_value_check(0.5, [(1, 2)], offset=offset)
-        lo = ground_state(ModelSpec(family="xy", n=6, lam=lam_f - offset, gamma=0.5)).state
-        hi = ground_state(ModelSpec(family="xy", n=6, lam=lam_f + offset, gamma=0.5)).state
-        mean = 0.5 * (equal_angle_point(lo, (1, 2), 0.0, 0.0, n=6)
-                      + equal_angle_point(hi, (1, 2), 0.0, 0.0, n=6))
-        assert rows[0][2] == pytest.approx(mean, abs=1e-12)
+        assert rows[0] == ("1", pytest.approx(0.7886751345948129, abs=1e-14))
 
     def test_ising_limit_rejected(self):
         with pytest.raises(ValueError):

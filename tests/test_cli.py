@@ -212,6 +212,21 @@ class TestConfigHandling:
         rows = read_csv(out / "phaseline.csv")
         assert {float(r["param"]) for r in rows} == {0.0, 0.1}
 
+    def test_policy_spellings_agree(self, tmp_path):
+        # the flag spells aligned-up, a config file may spell aligned_up
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policy = aligned_up\n")
+        common = ["--model", "xxz", "--labels", "1,12", "--out"]
+        sweep = ["--param-start", "-2", "--param-stop", "-1.5", "--param-step", "0.25"]
+        assert run_cli(["phaseline", *sweep, "--policy", "aligned-up",
+                        *common, str(tmp_path / "flag")]) == 0
+        assert run_cli(["phaseline", *sweep, "--config", str(cfg),
+                        *common, str(tmp_path / "file")]) == 0
+        assert file_sha(tmp_path / "flag" / "phaseline.csv") == \
+            file_sha(tmp_path / "file" / "phaseline.csv")
+        assert run_cli(["sphere", "--param-value", "-2", "--grid-theta", "3", "--grid-phi", "4",
+                        "--policy", "aligned-up", *common, str(tmp_path / "sphere")]) == 0
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
-from spinphase.models import (ModelSpec, build_hamiltonian, ground_state, rotation_z,
-                              spin_parity_operator, staggered_flip_operator,
+from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
+                              rotation_z, spin_parity_operator, staggered_flip_operator,
                               ti_classical_energy, ti_classical_mx, ti_classical_mz,
                               ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz,
                               xy_factorization_angle, xy_factorization_point)
@@ -226,3 +227,26 @@ class TestFactorization:
         lam_f = xy_factorization_point(gamma)
         gs = ground_state(ModelSpec(family="xy", n=6, lam=lam_f, gamma=gamma))
         assert gs.degeneracy == 2
+
+
+class TestMemoryGuard:
+    """Chain lengths whose dense build cannot fit in memory are rejected up front.
+    The memory figure is monkeypatched; nothing large is allocated."""
+
+    def test_working_set_formula(self):
+        assert dense_working_set(6) == 21 * 16 * 4**6
+
+    def test_too_long_chain_is_config_error(self, monkeypatch):
+        monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(6) - 1)
+        with pytest.raises(ConfigError, match="physical memory"):
+            ModelSpec(family="ti", n=6)
+        ModelSpec(family="ti", n=5)
+
+    def test_cli_exits_2(self, monkeypatch, tmp_path):
+        from spinphase.cli import main
+
+        monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(4))
+        args = ["phaseline", "--model", "ti", "--n", "5", "--param-start", "0",
+                "--param-stop", "0.1", "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        assert not (tmp_path / "x" / "phaseline.csv").exists()

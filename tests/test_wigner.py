@@ -3,16 +3,44 @@ import pytest
 
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
-from spinphase.qcore import basis_vector, check_density_matrix, kron_all, partial_trace, \
-    pure_density
-from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, equal_angle_point,
-                              kernel_multi, kernel_single, reconstruct_density,
-                              reference_state, rotation_single, sphere_field, wigner_value)
-from spinphase.wigner import PARITY_POINT_OP, _kernel_batch
+from spinphase.qcore import (SIGMA_Z, basis_vector, check_density_matrix, kron_all,
+                             partial_trace, pure_density)
+from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
+                              equal_angle_point, kernel_multi, kernel_single,
+                              pauli_expectations, reconstruct_density, reference_state,
+                              sphere_field, wigner_value)
 
 SQ3 = np.sqrt(3.0)
 HI = 0.5 * (1 + SQ3)
 LO = 0.5 * (1 - SQ3)
+
+# Oracle: the kernel as the rotated parity R (1 + sqrt3 sz)/2 R^dagger with
+# R = exp(-i sz phi/2) exp(-i sy theta/2) exp(-i sz Phi/2); the third Euler
+# angle Phi commutes with the parity operator and drops out.
+PARITY_POINT_OP = 0.5 * (np.eye(2) + SQ3 * SIGMA_Z)
+
+
+def rotation(theta, phi, third_euler=0.0):
+    rz = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+    ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)],
+                   [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
+    rz2 = np.diag([np.exp(-0.5j * third_euler), np.exp(0.5j * third_euler)])
+    return rz @ ry @ rz2
+
+
+def rotated_parity(theta, phi, third_euler=0.0):
+    r = rotation(theta, phi, third_euler)
+    return r @ PARITY_POINT_OP @ r.conj().T
+
+
+def oracle_value(rho, points, sites=None):
+    """Tr[rho K] with K the kron of rotated-parity kernels, identity off `sites`."""
+    n = int(np.log2(rho.shape[0]))
+    sites = tuple(range(1, n + 1)) if sites is None else sites
+    points = iter(points)
+    ops = [rotated_parity(*next(points)) if i in sites else np.eye(2)
+           for i in range(1, n + 1)]
+    return float(np.real(np.trace(rho @ kron_all(ops))))
 
 
 def rand_point(rng):
@@ -51,17 +79,19 @@ class TestKernelSingle:
         for _ in range(10):
             theta, phi = rand_point(rng)
             extra = rng.uniform(0, 2 * np.pi)
-            r = rotation_single(theta, phi, third_euler=extra)
-            with_euler = r @ PARITY_POINT_OP @ r.conj().T
+            with_euler = rotated_parity(theta, phi, third_euler=extra)
             assert np.max(np.abs(with_euler - kernel_single(theta, phi))) < 1e-13
 
     def test_batch_matches_rotated_construction(self):
         rng = np.random.default_rng(3)
         thetas = rng.uniform(0, np.pi, 40)
         phis = rng.uniform(0, 2 * np.pi, 40)
-        batch = _kernel_batch(thetas, phis)
+        batch = bloch_factors(thetas, phis)
         for i in range(40):
-            assert np.max(np.abs(batch[i] - kernel_single(thetas[i], phis[i]))) < 1e-13
+            oracle = rotated_parity(thetas[i], phis[i])
+            assert np.max(np.abs(kernel_single(thetas[i], phis[i]) - oracle)) < 1e-13
+            # factors[b] = Tr[sigma_b K]
+            assert np.max(np.abs(batch[i] - pauli_expectations(oracle))) < 1e-13
 
     def test_rejects_bad_angles(self):
         with pytest.raises(ValueError):
@@ -154,9 +184,7 @@ class TestEqualAngle:
         rho = rand_pure(rng, 2**4)
         for sites in [(1,), (2, 4), (1, 3, 4)]:
             t, p = rand_point(rng)
-            ops = [kernel_single(t, p) if (i + 1) in sites else np.eye(2, dtype=complex)
-                   for i in range(4)]
-            direct = float(np.real(np.trace(rho @ kron_all(ops))))
+            direct = oracle_value(rho, [(t, p)] * len(sites), sites)
             assert equal_angle_point(rho, sites, t, p, n=4) == pytest.approx(direct, abs=1e-12)
 
     def test_cyclic_relabeling_invariance_for_ring_ground_state(self):
@@ -166,6 +194,70 @@ class TestEqualAngle:
         a = equal_angle_point(gs.state, (1, 2), t, p, n=6)
         b = equal_angle_point(gs.state, (2, 3), t, p, n=6)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def rand_mixed(rng, dim, rank=3):
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestPauliEvaluator:
+    """The Pauli-coefficient evaluator against the rotated-parity kron oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_wigner_value_distinct_points_per_site(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(5):
+            rho = rand_mixed(rng, 2**k)
+            pts = [rand_point(rng) for _ in range(k)]
+            assert wigner_value(rho, pts) == pytest.approx(oracle_value(rho, pts), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(family="ti", n=6, lam=0.9),
+        ModelSpec(family="xy", n=6, lam=1.3, gamma=0.5),
+        ModelSpec(family="xxz", n=6, delta=1.0),
+    ])
+    def test_equal_angle_point_on_ring_ground_states(self, spec):
+        rho = ground_state(spec).state
+        rng = np.random.default_rng(101)
+        for sites in [(1,), (1, 3), (1, 2, 4), (1, 2, 3, 5), tuple(range(1, 7))]:
+            t, p = rand_point(rng)
+            oracle = oracle_value(rho, [(t, p)] * len(sites), sites)
+            assert equal_angle_point(rho, sites, t, p, n=6) == pytest.approx(oracle, abs=1e-12)
+
+    def test_sphere_field_row(self):
+        rho = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
+        grid = SphereGrid(7, 24)
+        sites = (1, 2, 4)
+        row = sphere_field(rho, sites, grid, n=6).values[2]
+        theta = grid.thetas[2]
+        oracle = [oracle_value(rho, [(theta, p)] * 3, sites) for p in grid.phis]
+        assert np.max(np.abs(row - oracle)) < 1e-12
+
+    def test_expectations_are_pauli_traces(self):
+        rng = np.random.default_rng(102)
+        rho = rand_mixed(rng, 4)
+        c = pauli_expectations(rho)
+        assert c.shape == (4, 4) and c.dtype == float
+        assert c[0, 0] == pytest.approx(1.0, abs=1e-14)
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  SIGMA_Z]
+        for a in range(4):
+            for b in range(4):
+                direct = np.trace(rho @ np.kron(paulis[a], paulis[b])).real
+                assert c[a, b] == pytest.approx(direct, abs=1e-14)
+
+    def test_non_hermitian_state_raises(self):
+        rng = np.random.default_rng(103)
+        rho = rand_mixed(rng, 8)
+        rho[0, 2] += 1e-3  # |000><010|: breaks Hermiticity, also of the (1, 2) reduction
+        with pytest.raises(NumericalError):
+            wigner_value(rho, [(0.3, 0.4)] * 3)
+        with pytest.raises(NumericalError):
+            equal_angle_point(rho, (1, 2), 0.3, 0.4)
+        with pytest.raises(NumericalError):
+            sphere_field(rho, (1, 2, 3), SphereGrid(3, 4))
 
 
 class TestSphereField:
