@@ -182,14 +182,18 @@ def find_derivative_extrema(line, label, noise_floor=EXTREMUM_NOISE_FLOOR,
 
 def find_jumps(line, label, jump_factor=JUMP_FACTOR_DEFAULT):
     """Discontinuity candidates: successive differences whose magnitude exceeds
-    jump_factor times the median absolute successive difference. Locations are
-    interval midpoints. An all-equal series yields no jumps."""
+    jump_factor times the median of the non-zero absolute successive
+    differences, and the numerical noise floor. Exact plateaus therefore do
+    not shrink the threshold. Locations are interval midpoints. An all-equal
+    series yields no jumps."""
     y = line.series(label)
     x = line.params
     diffs = np.diff(y)
-    if len(diffs) == 0 or np.all(diffs == 0.0):
+    moving = np.abs(diffs[diffs != 0.0])
+    if len(moving) == 0:
         return []
-    threshold = jump_factor * float(np.median(np.abs(diffs)))
+    floor = EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y))))
+    threshold = max(jump_factor * float(np.median(moving)), floor)
     name = label_name(validate_label(label, line.config.spec.n), line.config.spec.n)
     out = []
     for i, dv in enumerate(diffs):
@@ -206,7 +210,11 @@ def _sector_ground_energies(spec):
     energies = {}
     for sector in (+1, -1):
         idx = np.where(d == sector)[0]
-        energies[sector] = float(np.linalg.eigvalsh(H[np.ix_(idx, idx)])[0])
+        # solved as a complex block: where a grid point sits exactly on a
+        # crossing (xxz at delta = -1) the gap is rounding noise whose sign
+        # picks the bracket, so the solver's rounding is part of the result
+        block = H[np.ix_(idx, idx)].astype(complex)
+        energies[sector] = float(np.linalg.eigvalsh(block)[0])
     return energies
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, embed, herm_eig, kron_all,
-                    pure_density)
+from .qcore import SIGMA_Z, all_up_vector, embed, herm_eig, kron_all, pure_density
 
 FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
@@ -28,6 +27,7 @@ QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
 _PARITY_DEFINITE_ATOL = 1e-6
 _ALIGNED_OVERLAP_ATOL = 1e-8
+_LIBRARY_BUFFERS = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class ModelSpec:
         need, have = dense_working_set(self.n), physical_memory()
         if need > have:
             raise ConfigError(f"chain length n={self.n} needs about {need / 2**30:.1f} GiB for "
-                              f"the dense Hamiltonian, more than the {have / 2**30:.1f} GiB "
-                              f"of physical memory")
+                              f"the dense ground-state solve, more than the "
+                              f"{have / 2**30:.1f} GiB of physical memory")
         for name in ("lam", "h", "gamma", "j", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"parameter {name} must be finite")
@@ -70,9 +70,12 @@ class ModelSpec:
 
 
 def dense_working_set(n):
-    """Bytes held while the kron build of an n-site Hamiltonian runs: the
-    3n embedded Pauli operators, H and two temporaries, 16 * 4^n bytes each."""
-    return (3 * n + 3) * 16 * 4**n
+    """Bytes held while an n-site ground state is solved, in units of 4^n
+    bytes: the real H (8), its complex copy in `herm_eig` (16), the copy that
+    `eigh` overwrites with eigenvectors (16), the returned eigenvectors (16),
+    the `eigh` workspace (32) and `pure_density` (16); plus a fixed
+    allowance for the buffers of the BLAS and LAPACK libraries."""
+    return 104 * 4**n + _LIBRARY_BUFFERS
 
 
 def physical_memory():
@@ -85,28 +88,37 @@ def _bond_pairs(n):
 
 
 def build_hamiltonian(spec):
-    """Dense Hamiltonian of the chain described by `spec`."""
+    """Dense real Hamiltonian of the chain described by `spec`.
+
+    Built on the basis index: site i (1-based, site 1 the leftmost tensor
+    factor) is bit n - i, set for a down spin. Bond (i, j) maps row b to
+    column b ^ (1 << (n-i) | 1 << (n-j)); sigma_x sigma_x is +1 there, and
+    sigma_y sigma_y is -1 when the two bits are equal and +1 when they differ.
+    Every entry gets the same float operations, in the same bond order, as
+    the Kronecker-product construction, so the result equals that matrix's
+    real part bit for bit (its imaginary part is zero).
+    """
     n = spec.n
     dim = 2**n
-    H = np.zeros((dim, dim), dtype=complex)
-    sx = [embed(SIGMA_X, i, n) for i in range(1, n + 1)]
-    sy = [embed(SIGMA_Y, i, n) for i in range(1, n + 1)]
-    sz = [embed(SIGMA_Z, i, n) for i in range(1, n + 1)]
-    if spec.family == "ti":
-        for i, j in _bond_pairs(n):
-            H -= spec.lam * sx[i - 1] @ sx[j - 1]
-        for i in range(n):
-            H -= spec.h * sz[i]
-    elif spec.family == "xy":
-        for i, j in _bond_pairs(n):
-            H -= spec.lam / 2 * (1 + spec.gamma) * sx[i - 1] @ sx[j - 1]
-            H -= spec.lam / 2 * (1 - spec.gamma) * sy[i - 1] @ sy[j - 1]
-        for i in range(n):
-            H -= spec.h * sz[i]
-    else:
-        for i, j in _bond_pairs(n):
-            H += spec.j / 4 * (sx[i - 1] @ sx[j - 1] + sy[i - 1] @ sy[j - 1]
-                               + spec.delta * sz[i - 1] @ sz[j - 1])
+    rows = np.arange(dim)
+    z = [1.0 - 2.0 * ((rows >> (n - i)) & 1) for i in range(1, n + 1)]
+    H = np.zeros((dim, dim))
+    diag = np.zeros(dim)
+    for i, j in _bond_pairs(n):
+        cols = rows ^ (1 << (n - i) | 1 << (n - j))
+        zz = z[i - 1] * z[j - 1]
+        if spec.family == "ti":
+            H[rows, cols] -= spec.lam
+        elif spec.family == "xy":
+            H[rows, cols] -= spec.lam / 2 * (1 + spec.gamma)
+            H[rows, cols] -= spec.lam / 2 * (1 - spec.gamma) * -zz
+        else:
+            H[rows, cols] += spec.j / 4 * (1.0 - zz)
+            diag += spec.j / 4 * (0.0 + spec.delta * zz)
+    if spec.family != "xxz":
+        for zi in z:
+            diag -= spec.h * zi
+    H[rows, rows] = diag
     return H
 
 

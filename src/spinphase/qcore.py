@@ -1,9 +1,10 @@
-"""Dense complex operator algebra for small qubit registers.
+"""Dense operator algebra for small qubit registers.
 
 Conventions used throughout the package:
   * site indices are 1-based; site 1 is the leftmost tensor factor,
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
-  * all operators are dense complex numpy arrays of dimension 2^n.
+  * operators are dense numpy arrays of dimension 2^n: complex, except the
+    chain Hamiltonians, which are real (see `models.build_hamiltonian`).
 """
 
 import numpy as np
@@ -81,12 +82,10 @@ def herm_eig(a, check=True):
     if check:
         assert_hermitian(a)
     w, v = np.linalg.eigh(a)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        ph = col[idx]
-        if abs(ph) > 0:
-            v[:, k] = col * (ph.conjugate() / abs(ph))
+    ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mag = np.hypot(ph.real, ph.imag)  # as abs() of one scalar; np.abs on arrays rounds otherwise
+    keep = mag > 0
+    np.multiply(v, ph.conj() / np.where(keep, mag, 1.0), out=v, where=keep)
     return w, v
 
 

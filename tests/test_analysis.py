@@ -142,6 +142,17 @@ class TestJumps:
             locations = [p.location for p in find_jumps(line, label)]
             assert any(abs(l + 1.0) <= 0.01 for l in locations)
 
+    def test_exact_plateau_does_not_lower_threshold(self):
+        # below delta = -1 every label sits on the all-up value; only the
+        # transition at delta = -1 is a jump
+        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0), start=-5.0,
+                          stop=-0.5, step=0.05, labels=CANONICAL_LABELS_6,
+                          policy="aligned_up")
+        line = sweep(cfg)
+        locations = [p.location for label in cfg.labels for p in find_jumps(line, label)]
+        assert locations
+        assert locations == pytest.approx([-0.975] * len(locations), abs=1e-12)
+
     def test_all_equal_series_returns_empty(self):
         line = sweep(SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0),
                                  start=-2.0, stop=-1.5, step=0.1, labels=((1,),),

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
@@ -10,13 +15,89 @@ from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, g
                               ti_classical_energy, ti_classical_mx, ti_classical_mz,
                               ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz,
                               xy_factorization_angle, xy_factorization_point)
-from spinphase.qcore import all_up_vector, basis_vector, pure_density
+from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, embed,
+                             pure_density)
 
 SQ3 = math.sqrt(3.0)
 
 
 def max_norm(a):
     return float(np.max(np.abs(a)))
+
+
+def kron_hamiltonian(spec):
+    """Oracle: the chain Hamiltonian summed from Kronecker-embedded complex
+    Pauli matrices, one matrix product per bond."""
+    n = spec.n
+    dim = 2**n
+    H = np.zeros((dim, dim), dtype=complex)
+    sx = [embed(SIGMA_X, i, n) for i in range(1, n + 1)]
+    sy = [embed(SIGMA_Y, i, n) for i in range(1, n + 1)]
+    sz = [embed(SIGMA_Z, i, n) for i in range(1, n + 1)]
+    bonds = [(i, i % n + 1) for i in range(1, n + 1)]
+    if spec.family == "ti":
+        for i, j in bonds:
+            H -= spec.lam * sx[i - 1] @ sx[j - 1]
+        for i in range(n):
+            H -= spec.h * sz[i]
+    elif spec.family == "xy":
+        for i, j in bonds:
+            H -= spec.lam / 2 * (1 + spec.gamma) * sx[i - 1] @ sx[j - 1]
+            H -= spec.lam / 2 * (1 - spec.gamma) * sy[i - 1] @ sy[j - 1]
+        for i in range(n):
+            H -= spec.h * sz[i]
+    else:
+        for i, j in bonds:
+            H += spec.j / 4 * (sx[i - 1] @ sx[j - 1] + sy[i - 1] @ sy[j - 1]
+                               + spec.delta * sz[i - 1] @ sz[j - 1])
+    return H
+
+
+def assert_matches_kron_bitwise(spec):
+    h = build_hamiltonian(spec)
+    oracle = kron_hamiltonian(spec)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, oracle.real)
+    assert not oracle.imag.any()
+    # the complex matrix that herm_eig solves is the oracle, signed zeros included
+    assert np.asarray(h, dtype=complex).tobytes() == oracle.tobytes()
+
+
+unit = st.floats(-1.0, 1.0)
+coupling = st.floats(-2.0, 2.0) | st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def chain_specs(draw):
+    family = draw(st.sampled_from(models.FAMILIES))
+    n = draw(st.integers(2, 8))
+    if family == "xxz":
+        return ModelSpec(family="xxz", n=n, j=draw(coupling), delta=draw(st.floats(-10.0, 10.0)))
+    return ModelSpec(family=family, n=n, lam=draw(unit), h=draw(coupling), gamma=draw(unit))
+
+
+class TestBitBuild:
+    """The bit-operation build against the Kronecker-product oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_specs())
+    def test_matches_kron_oracle(self, spec):
+        assert_matches_kron_bitwise(spec)
+
+    def test_matches_kron_oracle_on_xxz_benchmark_grid(self):
+        for k in range(241):
+            assert_matches_kron_bitwise(ModelSpec(family="xxz", n=6, delta=-2 + 0.05 * k))
+
+    def test_real_and_kron_free(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_hamiltonian must not build Kronecker products")
+
+        monkeypatch.setattr(models, "embed", forbidden)
+        monkeypatch.setattr(models, "kron_all", forbidden)
+        for family in models.FAMILIES:
+            h = build_hamiltonian(ModelSpec(family=family, n=5, lam=0.7, gamma=0.3, delta=0.4))
+            assert h.dtype == np.float64
+            assert h.shape == (32, 32)
 
 
 class TestHamiltonians:
@@ -234,7 +315,23 @@ class TestMemoryGuard:
     The memory figure is monkeypatched; nothing large is allocated."""
 
     def test_working_set_formula(self):
-        assert dense_working_set(6) == 21 * 16 * 4**6
+        assert dense_working_set(6) == 104 * 4**6 + 16 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_working_set_bounds_measured_peak(self):
+        # VmHWM is the child's own peak RSS in KiB; its ru_maxrss would also
+        # carry the peak of the process that spawned it
+        code = ("from spinphase.models import ModelSpec, ground_state\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
+                "before = peak()\n"
+                "ground_state(ModelSpec(family='xxz', n=8, delta=0.5))\n"
+                "print(peak() - before)\n")
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert 0 < int(out.stdout) * 1024 <= dense_working_set(8)
 
     def test_too_long_chain_is_config_error(self, monkeypatch):
         monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(6) - 1)

@@ -109,6 +109,32 @@ class TestHermEig:
         with pytest.raises(NumericalError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def phase_fixed_by_loop(a):
+        """Reference: fix each eigenvector column's phase one column at a time."""
+        w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+        for k in range(v.shape[1]):
+            col = v[:, k]
+            idx = int(np.argmax(np.abs(col)))
+            ph = col[idx]
+            if abs(ph) > 0:
+                v[:, k] = col * (ph.conjugate() / abs(ph))
+        return w, v
+
+    def test_phase_fix_matches_column_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        mats = [rand_hermitian(rng, dim) for dim in (2, 16, 64, 200)]
+        for dim in (8, 64):  # four-fold degenerate levels, and the identity
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            mats.append((q * np.repeat(np.arange(dim // 4.0), 4)) @ q.conj().T)
+            mats.append(np.eye(dim))
+        for a in mats:
+            a = (a + a.conj().T) / 2
+            w, v = herm_eig(a, check=False)
+            w_ref, v_ref = self.phase_fixed_by_loop(a)
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
