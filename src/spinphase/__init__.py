@@ -9,8 +9,8 @@ lines, and detects jumps, derivative extrema and parity-level crossings.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, PolicyError, SpinPhaseError
-from .qcore import (embed, herm_eig, label_name, parse_label, partial_trace, pauli,
-                    pure_density, validate_label)
+from .qcore import (embed, herm_eig, label_name, parse_label, partial_trace, pure_density,
+                    validate_label)
 from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_state,
                      rotation_z, spin_parity_operator, staggered_flip_operator,
                      ti_classical_energy, ti_classical_mx, ti_classical_mz,
@@ -27,7 +27,7 @@ from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
 __all__ = [
     "__version__",
     "ConfigError", "NumericalError", "PolicyError", "SpinPhaseError",
-    "pauli", "embed", "herm_eig", "partial_trace", "pure_density",
+    "embed", "herm_eig", "partial_trace", "pure_density",
     "validate_label", "label_name", "parse_label",
     "ModelSpec", "GroundStateResult", "build_hamiltonian", "ground_state",
     "spin_parity_operator", "staggered_flip_operator", "total_sz", "rotation_z",

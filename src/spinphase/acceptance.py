@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import (CANONICAL_LABELS_6, DEFAULT_EPSILON, SweepConfig, count_sign_changes,
                        factorization_value_check, find_derivative_extrema, find_jumps,
                        find_parity_crossings, sweep)
-from .cli import cmd_phaseline, cmd_sphere
+from .cli import build_parser, cmd_phaseline, cmd_sphere, resolve_config
 from .models import (ModelSpec, build_hamiltonian, ground_state, rotation_z,
                      spin_parity_operator, staggered_flip_operator, ti_classical_energy,
                      ti_thermo_energy, ti_thermo_mz, total_sz, xy_factorization_angle,
@@ -363,24 +363,21 @@ def check_ghz_equator(rng):
 
 def check_determinism(rng):
     """13. Re-running phaseline and sphere with identical configs is byte-identical."""
-    parser_cfg = {
-        "model": "ti", "n": 6, "h": 1.0, "gamma": 1.0, "j": 1.0,
-        "param-start": 0.0, "param-stop": 0.5, "param-step": 0.05,
-        "param-value": 0.7, "values": None, "labels": "1,12,tot",
-        "policy": "symmetric", "phase-theta": 0.0, "phase-phi": 0.0,
-        "grid-theta": 7, "grid-phi": 12, "seed": 0, "jump-factor": 50.0,
-        "subcommand": None,
+    argvs = {
+        "phaseline": ["--param-start", "0", "--param-stop", "0.5", "--param-step", "0.05"],
+        "sphere": ["--param-value", "0.7", "--grid-theta", "7", "--grid-phi", "12"],
     }
+    parser = build_parser()
     identical = True
     compared = []
     with tempfile.TemporaryDirectory() as tmp:
         for command, runner in (("phaseline", cmd_phaseline), ("sphere", cmd_sphere)):
             paths = {}
             for run in ("a", "b"):
-                cfg = dict(parser_cfg)
-                cfg["subcommand"] = command
-                cfg["out"] = os.path.join(tmp, f"{command}_{run}")
-                paths[run] = [p for p in runner(cfg) if p.endswith(".csv")]
+                args = parser.parse_args([command, "--model", "ti", "--labels", "1,12,tot",
+                                          *argvs[command],
+                                          "--out", os.path.join(tmp, f"{command}_{run}")])
+                paths[run] = [p for p in runner(resolve_config(args)) if p.endswith(".csv")]
             for pa, pb in zip(sorted(paths["a"]), sorted(paths["b"])):
                 same = filecmp.cmp(pa, pb, shallow=False)
                 identical = identical and same

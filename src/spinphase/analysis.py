@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .models import (ModelSpec, build_hamiltonian, ground_state, spin_parity_diagonal,
-                     xy_factorization_angle, xy_factorization_point)
+from .models import (TIE_TOL_FACTOR, ModelSpec, build_hamiltonian, ground_state,
+                     spin_parity_diagonal, xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, validate_label
 from .wigner import SQRT3, equal_angle_point
 
@@ -27,7 +27,14 @@ EXTREMUM_NOISE_FLOOR = 1e-8
 
 
 def grid_values(start, stop, step):
-    """Sweep grid start + k * step for k = 0, 1, ... up to stop (1e-9 step slack)."""
+    """Sweep grid start + k * step for k = 0, 1, ... up to stop (1e-9 step slack).
+
+    The one rule for every sweep grid: start, stop and step must be finite,
+    step > 0 and stop >= start, else ConfigError.
+    """
+    if not np.all(np.isfinite((start, stop, step))) or step <= 0 or stop < start:
+        raise ConfigError(f"sweep grid needs finite start <= stop and step > 0, got "
+                          f"start {start}, stop {stop}, step {step}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + k * step for k in range(count)]
 
@@ -58,10 +65,8 @@ class SweepConfig:
     degeneracy_tol: float | None = None
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigError("sweep step must be positive")
-        if self.stop <= self.start:
-            raise ConfigError("sweep stop must exceed start")
+        if len(self.params) < 2:  # the derivative needs two points
+            raise ConfigError("a sweep needs at least two grid points")
         labels = tuple(validate_label(l, self.spec.n) for l in self.labels) or \
             tuple(canonical_labels(self.spec.n))
         object.__setattr__(self, "labels", labels)
@@ -203,32 +208,25 @@ def find_jumps(line, label, jump_factor=JUMP_FACTOR_DEFAULT):
     return out
 
 
-def _sector_ground_energies(spec):
-    """Lowest eigenvalue in each spin-parity sector (parity is diagonal)."""
-    H = build_hamiltonian(spec)
-    d = spin_parity_diagonal(spec.n)
-    energies = {}
-    for sector in (+1, -1):
-        idx = np.where(d == sector)[0]
-        # solved as a complex block: where a grid point sits exactly on a
-        # crossing (xxz at delta = -1) the gap is rounding noise whose sign
-        # picks the bracket, so the solver's rounding is part of the result
-        block = H[np.ix_(idx, idx)].astype(complex)
-        energies[sector] = float(np.linalg.eigvalsh(block)[0])
-    return energies
-
-
 def _parity_gap(spec, value):
-    e = _sector_ground_energies(spec.with_param(value))
-    return e[-1] - e[+1]
+    """Lowest odd-parity minus lowest even-parity energy at `value` (parity is
+    diagonal), and the tie tolerance there: TIE_TOL_FACTOR x max(spectral
+    range, 1), as in `ground_state`."""
+    H = build_hamiltonian(spec.with_param(value))
+    d = spin_parity_diagonal(spec.n)
+    even, odd = (np.linalg.eigvalsh(H[np.ix_(d == s, d == s)]) for s in (1.0, -1.0))
+    spread = max(even[-1], odd[-1]) - min(even[0], odd[0])
+    return float(odd[0] - even[0]), TIE_TOL_FACTOR * max(float(spread), 1.0)
 
 
 def find_parity_crossings(cfg, bisect_tol=1e-8):
     """Crossings of the two lowest opposite-parity levels along the sweep.
 
     Scans the grid for sign changes of the sector gap and refines each
-    bracket by bisection to `bisect_tol` in the parameter. Requires the model
-    to commute with the spin parity operator.
+    bracket by bisection to `bisect_tol` in the parameter. A gap within the
+    tie tolerance is an exact hit: it is reported once, at that grid point,
+    by the bracket that ends there, so the sign of rounding noise cannot move
+    it. Requires the model to commute with the spin parity operator.
     """
     spec = cfg.spec
     probe = build_hamiltonian(spec.with_param(cfg.start))
@@ -238,25 +236,26 @@ def find_parity_crossings(cfg, bisect_tol=1e-8):
         raise ConfigError("model does not commute with the spin parity operator")
 
     params = cfg.params
-    gaps = np.array([_parity_gap(spec, p) for p in params])
+    gaps, tols = np.array([_parity_gap(spec, p) for p in params]).T
+    gaps[np.abs(gaps) <= tols] = 0.0
     out = []
     for i in range(len(params) - 1):
-        if gaps[i] == 0.0:
-            continue  # exact grid hit; handled by the preceding bracket
-        if gaps[i] * gaps[i + 1] <= 0:
-            a, b = params[i], params[i + 1]
-            fa = gaps[i]
+        if gaps[i] == 0.0 or gaps[i] * gaps[i + 1] > 0:
+            continue  # no sign change, or an exact hit the preceding bracket reported
+        loc = params[i + 1]  # an exact hit needs no bisection
+        if gaps[i + 1] != 0.0:
+            a, b, fa = params[i], params[i + 1], gaps[i]
             while b - a > bisect_tol:
                 m = 0.5 * (a + b)
-                fm = _parity_gap(spec, m)
+                fm = _parity_gap(spec, m)[0]
                 if fa * fm <= 0:
                     b = m
                 else:
                     a, fa = m, fm
             loc = 0.5 * (a + b)
-            slope = (gaps[i + 1] - gaps[i]) / cfg.step
-            out.append(CriticalPoint(kind="parity_crossing", location=float(loc),
-                                     magnitude=float(abs(slope)), label="global"))
+        slope = (gaps[i + 1] - gaps[i]) / cfg.step
+        out.append(CriticalPoint(kind="parity_crossing", location=float(loc),
+                                 magnitude=float(abs(slope)), label="global"))
     return out
 
 

@@ -21,8 +21,9 @@ from .models import (ModelSpec, ground_state, ti_classical_energy, ti_classical_
                      ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, parse_label
-from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema, find_jumps,
-                       find_parity_crossings, first_derivative, grid_values, sweep)
+from .analysis import (JUMP_FACTOR_DEFAULT, SweepConfig, canonical_labels,
+                       find_derivative_extrema, find_jumps, find_parity_crossings,
+                       first_derivative, grid_values, sweep)
 from .wigner import SphereGrid, sphere_field
 
 EXIT_OK = 0
@@ -88,35 +89,46 @@ def _utcnow():
 # ---------------------------------------------------------------------------
 # configuration handling
 
-DEFAULTS = {
-    "model": None,
-    "n": 6,
-    "h": 1.0,
-    "gamma": 1.0,
-    "j": 1.0,
-    "param-start": None,
-    "param-stop": None,
-    "param-step": 0.01,
-    "param-value": None,
-    "values": None,
-    "labels": None,
-    "policy": "symmetric",
-    "phase-theta": 0.0,
-    "phase-phi": 0.0,
-    "grid-theta": 181,
-    "grid-phi": 360,
-    "out": ".",
-    "seed": 0,
-    "jump-factor": 50.0,
+_MODEL = ("phaseline", "sphere", "animate")
+_SWEEP = ("phaseline", "animate", "formulas")
+
+# Every option once: key (the long flag without its dashes, and the config
+# file key) -> (default, subcommands that read it, argparse keywords). Each
+# subcommand offers only the flags it reads; a config file may set any key, so
+# that one file can serve every subcommand.
+OPTIONS = {
+    "model": (None, _MODEL + ("formulas",), {"choices": ("ti", "xy", "xxz"),
+                                             "help": "chain family"}),
+    "n": (6, _MODEL, {"type": int, "help": "number of sites"}),
+    "h": (1.0, _MODEL, {"type": float, "help": "transverse field strength"}),
+    "gamma": (1.0, _MODEL, {"type": float, "help": "xy anisotropy"}),
+    "j": (1.0, _MODEL, {"type": float, "help": "xxz coupling strength"}),
+    "param-start": (None, _SWEEP, {"type": float, "help": "sweep start value"}),
+    "param-stop": (None, _SWEEP, {"type": float, "help": "sweep stop value"}),
+    "param-step": (0.01, _SWEEP, {"type": float, "help": "sweep step"}),
+    "param-value": (None, ("sphere",), {"type": float,
+                                        "help": "parameter value (lambda or delta)"}),
+    "values": (None, ("formulas",), {"help": "comma list of parameter values"}),
+    "labels": (None, _MODEL, {"help": "comma list of site subsets, e.g. 1,12,135,tot"}),
+    "policy": ("symmetric", _MODEL, {"choices": ("symmetric", "mixture", "aligned-up"),
+                                     "help": "degenerate ground-space policy"}),
+    "phase-theta": (0.0, ("phaseline",), {"type": float, "help": "phase point theta"}),
+    "phase-phi": (0.0, ("phaseline",), {"type": float, "help": "phase point phi"}),
+    "grid-theta": (181, ("sphere", "animate"), {"type": int,
+                                                "help": "sphere grid theta samples"}),
+    "grid-phi": (360, ("sphere", "animate"), {"type": int, "help": "sphere grid phi samples"}),
+    "out": (".", _MODEL + ("formulas",), {"help": "output directory"}),
+    "seed": (0, ("verify",), {"type": int, "help": "random seed for verification draws"}),
+    "jump-factor": (JUMP_FACTOR_DEFAULT, ("phaseline",),
+                    {"type": float, "help": "jump detection factor"}),
 }
 
-_FLOAT_KEYS = {"h", "gamma", "j", "param-start", "param-stop", "param-step", "param-value",
-               "phase-theta", "phase-phi", "jump-factor"}
-_INT_KEYS = {"n", "grid-theta", "grid-phi", "seed"}
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
 def read_config_file(path):
-    """Flat `key = value` file; keys match the long flag names without dashes."""
+    """Flat `key = value` file; keys match the long flag names without dashes.
+    Values are converted to the option's type."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -128,36 +140,24 @@ def read_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.replace("_", "-")
-                if key not in DEFAULTS:
+                if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value
+                try:
+                    values[key] = OPTIONS[key][2].get("type", str)(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-def _coerce(key, value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def resolve_config(args):
     """Merge precedence: command line > config file > defaults."""
     cfg = dict(DEFAULTS)
     if args.config:
-        for key, value in read_config_file(args.config).items():
-            cfg[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
+        cfg.update(read_config_file(args.config))
+    for key in OPTIONS:
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             cfg[key] = value
     cfg["policy"] = cfg["policy"].replace("-", "_")
@@ -440,51 +440,28 @@ def cmd_verify(cfg):
 # argument parsing
 
 
+COMMANDS = {
+    "phaseline": "sweep a parameter and export phase lines",
+    "sphere": "export sphere-sampled Wigner fields at one parameter",
+    "animate": "sphere fields at every sweep value (frame directories)",
+    "formulas": "evaluate closed-form reference formulas",
+    "verify": "run the acceptance checks",
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinphase",
         description="Equal-angle spin Wigner phase lines, sphere fields and "
                     "critical-point detection for cyclic spin-1/2 chains.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_shared(p):
-        p.add_argument("--model", choices=("ti", "xy", "xxz"), help="chain family")
-        p.add_argument("--n", type=int, help="number of sites (default 6)")
-        p.add_argument("--h", type=float, help="transverse field strength (default 1)")
-        p.add_argument("--gamma", type=float, help="xy anisotropy")
-        p.add_argument("--j", type=float, help="xxz coupling strength (default 1)")
-        p.add_argument("--param-start", type=float, help="sweep start value")
-        p.add_argument("--param-stop", type=float, help="sweep stop value")
-        p.add_argument("--param-step", type=float, help="sweep step (default 0.01)")
-        p.add_argument("--labels", help="comma list of site subsets, e.g. 1,12,135,tot")
-        p.add_argument("--policy", choices=("symmetric", "mixture", "aligned-up"),
-                       help="degenerate ground-space policy (default symmetric)")
-        p.add_argument("--phase-theta", type=float, help="phase point theta (default 0)")
-        p.add_argument("--phase-phi", type=float, help="phase point phi (default 0)")
-        p.add_argument("--grid-theta", type=int, help="sphere grid theta samples (default 181)")
-        p.add_argument("--grid-phi", type=int, help="sphere grid phi samples (default 360)")
-        p.add_argument("--out", help="output directory (default .)")
+    for command, help_text in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (default, commands, kwargs) in OPTIONS.items():
+            if command in commands:
+                shown = "" if default is None else f" (default {default})"
+                p.add_argument(f"--{key}", **{**kwargs, "help": kwargs["help"] + shown})
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="random seed for verification draws")
-
-    p = sub.add_parser("phaseline", help="sweep a parameter and export phase lines")
-    add_shared(p)
-    p.add_argument("--jump-factor", type=float, help="jump detection factor (default 50)")
-
-    p = sub.add_parser("sphere", help="export sphere-sampled Wigner fields at one parameter")
-    add_shared(p)
-    p.add_argument("--param-value", type=float, help="parameter value (lambda or delta)")
-
-    p = sub.add_parser("animate", help="sphere fields at every sweep value (frame directories)")
-    add_shared(p)
-
-    p = sub.add_parser("formulas", help="evaluate closed-form reference formulas")
-    add_shared(p)
-    p.add_argument("--values", help="comma list of parameter values")
-
-    p = sub.add_parser("verify", help="run the acceptance checks")
-    add_shared(p)
-
     return parser
 
 
@@ -493,17 +470,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.subcommand == "phaseline":
-            cmd_phaseline(cfg)
-        elif args.subcommand == "sphere":
-            cmd_sphere(cfg)
-        elif args.subcommand == "animate":
-            cmd_animate(cfg)
-        elif args.subcommand == "formulas":
-            cmd_formulas(cfg)
-        elif args.subcommand == "verify":
-            if not cmd_verify(cfg):
-                return EXIT_NUMERICAL
+        if args.subcommand == "verify":
+            return EXIT_OK if cmd_verify(cfg) else EXIT_NUMERICAL
+        # looked up at call time, so a wrapper rebound to the module-level name runs
+        globals()[f"cmd_{args.subcommand}"](cfg)
         return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,6 +23,8 @@ FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
 
 DEGENERACY_TOL_FACTOR = 1e-9
+# two energies within TIE_TOL_FACTOR x max(spectral range, 1) count as equal
+TIE_TOL_FACTOR = 1e-12
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
 _PARITY_DEFINITE_ATOL = 1e-6
@@ -201,7 +203,7 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
     H = build_hamiltonian(spec)
-    w, v = herm_eig(H, check=False)
+    w, v = herm_eig(H)
     spread = float(w[-1] - w[0])
     if degeneracy_tol is None:
         degeneracy_tol = DEGENERACY_TOL_FACTOR * max(spread, 1.0)
@@ -233,8 +235,8 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
     # symmetric: resolve the ground space into symmetry sectors
     sym = symmetry_diagonal(spec)
     block = V.conj().T @ (sym[:, None] * V)
-    _, rot = herm_eig(0.5 * (block + block.conj().T), check=False)
-    tie_tol = 1e-12 * max(spread, 1.0)
+    _, rot = herm_eig(0.5 * (block + block.conj().T))
+    tie_tol = TIE_TOL_FACTOR * max(spread, 1.0)
     best = None
     for k in range(g):
         vec = V @ rot[:, k]
@@ -335,5 +337,5 @@ __all__ = [
     "total_sz_diagonal", "rotation_z", "symmetry_diagonal", "ground_state",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
-    "DEGENERACY_TOL_FACTOR", "dense_working_set", "physical_memory",
+    "DEGENERACY_TOL_FACTOR", "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",
 ]

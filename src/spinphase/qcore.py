@@ -9,26 +9,10 @@ Conventions used throughout the package:
 
 import numpy as np
 
-from .errors import NumericalError
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-PSD_ATOL = 1e-10
-
-
-def pauli(axis):
-    """Return a copy of the Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'") from None
 
 
 def kron_all(ops):
@@ -60,56 +44,21 @@ def embed(op, site, n):
     return kron_all([op if i == site else IDENTITY_2 for i in range(1, n + 1)])
 
 
-def is_hermitian(a, atol=HERMITICITY_ATOL):
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) < atol
-
-
-def assert_hermitian(a, atol=HERMITICITY_ATOL, name="operator"):
-    if not is_hermitian(a, atol):
-        raise NumericalError(f"{name} is not Hermitian within {atol:g}")
-
-
-def herm_eig(a, check=True):
+def herm_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and the
     eigenvector columns orthonormal. Each column's phase is fixed by making
     its largest-magnitude component real and positive, so results are
-    deterministic across runs.
+    deterministic across runs. Hermiticity is not checked: `eigh` reads only
+    the lower triangle.
     """
-    a = np.asarray(a, dtype=complex)
-    if check:
-        assert_hermitian(a)
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
     ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     mag = np.hypot(ph.real, ph.imag)  # as abs() of one scalar; np.abs on arrays rounds otherwise
     keep = mag > 0
     np.multiply(v, ph.conj() / np.where(keep, mag, 1.0), out=v, where=keep)
     return w, v
-
-
-def check_density_matrix(rho, atol_trace=TRACE_ATOL, atol_psd=PSD_ATOL, name="state"):
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho)
-    assert_hermitian(rho, name=name)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > atol_trace:
-        raise NumericalError(f"{name} trace {tr} deviates from 1 by more than {atol_trace:g}")
-    wmin = np.linalg.eigvalsh(rho)[0]
-    if wmin < -atol_psd:
-        raise NumericalError(f"{name} has negative eigenvalue {wmin:.3e}")
-
-
-def clip_negative_eigenvalues(rho):
-    """Project tiny negative eigenvalues to 0 and renormalize.
-
-    Only meant for export boundaries; in-library numerics keep the raw matrix.
-    """
-    w, v = herm_eig(np.asarray(rho, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.conj().T
-    return out / np.trace(out).real
 
 
 def pure_density(vec):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinphase import analysis
 from spinphase.analysis import (CANONICAL_LABELS_6, SweepConfig, canonical_labels,
                                 count_sign_changes, factorization_value_check,
                                 find_derivative_extrema, find_jumps, find_parity_crossings,
@@ -176,6 +177,31 @@ class TestParityCrossings:
         points = find_parity_crossings(cfg)
         assert len(points) == 1
         assert points[0].location == pytest.approx(5.0 / 3.0, abs=1e-6)
+
+    # both parities share the ground level at xxz delta = -1, grid point 10 here
+    XXZ_HIT = dict(spec=ModelSpec(family="xxz", n=6), start=-1.5, stop=-0.5, step=0.05,
+                   labels=((1,),))
+
+    def test_exact_grid_hit_reported_at_the_grid_point(self):
+        cfg = SweepConfig(**self.XXZ_HIT)
+        assert cfg.params[10] == -1.0
+        points = find_parity_crossings(cfg)
+        assert [p.location for p in points] == [-1.0]
+        gap_before, _ = analysis._parity_gap(cfg.spec, cfg.params[9])
+        assert points[0].magnitude == pytest.approx(abs(gap_before) / cfg.step, rel=1e-12)
+
+    def test_sign_of_a_tied_gap_does_not_move_the_hit(self, monkeypatch):
+        cfg = SweepConfig(**self.XXZ_HIT)
+        exact = analysis._parity_gap
+        found = []
+        for sign in (1.0, -1.0):
+            def tied(spec, value, sign=sign):
+                gap, tol = exact(spec, value)
+                return (sign * tol / 10, tol) if value == -1.0 else (gap, tol)
+            monkeypatch.setattr(analysis, "_parity_gap", tied)
+            found.append(find_parity_crossings(cfg))
+        assert found[0] == found[1]
+        assert [p.location for p in found[0]] == [-1.0]
 
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),

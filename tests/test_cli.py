@@ -1,13 +1,16 @@
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinphase.cli import main
+from spinphase.cli import COMMANDS, OPTIONS, build_parser, main
 
 
 def run_cli(args):
@@ -244,6 +247,76 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         args = ["phaseline", "--config", str(tmp_path / "nope.cfg")]
         assert run_cli(args) == 2
+
+    def test_config_keys_of_other_subcommands_are_accepted(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("model = ti\nlabels = 1\nseed = 3\nvalues = 1,2\ngrid-theta = 3\n"
+                       "grid-phi = 4\nparam-value = 0.5\njump-factor = 20\n")
+        args = ["phaseline", "--config", str(cfg), "--param-start", "0", "--param-stop", "0.1",
+                "--param-step", "0.05", "--out", str(tmp_path / "out")]
+        assert run_cli(args) == 0
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert config["seed"] == 3 and config["jump-factor"] == 20.0
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--model", "ti", "--param-value", "0", "--phase-theta", "1"],
+        ["sphere", "--model", "ti", "--param-value", "0", "--param-start", "5"],
+        ["verify", "--model", "ti"],
+        ["formulas", "--model", "ti", "--values", "1", "--n", "8"],
+        ["animate", "--model", "ti", "--phase-phi", "1"],
+        ["phaseline", "--model", "ti", "--seed", "9"],
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "inf"],
+        ["phaseline", "--model", "ti", "--param-start", "nan", "--param-stop", "1"],
+        ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "0.05",
+         "--param-step", "0.1"],
+        ["animate", "--model", "ti", "--param-start", "0", "--param-stop", "1",
+         "--param-step", "0"],
+        ["formulas", "--model", "ti", "--param-start", "0", "--param-stop", "1",
+         "--param-step", "0"],
+        ["formulas", "--model", "ti", "--param-start", "0", "--param-stop", "1",
+         "--param-step", "-0.1"],
+        ["formulas", "--model", "ti", "--param-start", "1", "--param-stop", "0"],
+    ])
+    def test_bad_sweep_grid_is_config_error(self, argv, tmp_path):
+        assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def offered_flags(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {f for a in sub.choices[command]._actions for f in a.option_strings} - {"-h", "--help"}
+
+
+class TestOptionTable:
+    def test_help_lists_each_table_default(self, capsys):
+        for command in COMMANDS:
+            with pytest.raises(SystemExit):
+                run_cli([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            for key, (default, commands, _) in OPTIONS.items():
+                if command in commands and default is not None:
+                    pattern = rf"--{key} \S+ [^(]*\(default {re.escape(str(default))}\)"
+                    assert re.search(pattern, text), (command, key)
+
+    def test_readme_cli_reference_names_exactly_the_offered_flags(self):
+        section = README.read_text(encoding="utf-8").split("## CLI reference", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        items = re.findall(r"^- `(\w+)`: (.*?)(?=^- `|^$)", section, re.M | re.S)
+        listed = {command: set(re.findall(r"--[a-z][a-z-]*", text)) for command, text in items}
+        parser = build_parser()
+        assert set(listed) == set(COMMANDS)
+        for command, flags in listed.items():
+            assert flags == offered_flags(parser, command), command
 
 
 class TestPlotStubs:

@@ -3,8 +3,7 @@ import pytest
 
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
-from spinphase.qcore import (SIGMA_Z, basis_vector, check_density_matrix, kron_all,
-                             partial_trace, pure_density)
+from spinphase.qcore import SIGMA_Z, basis_vector, kron_all, partial_trace, pure_density
 from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
                               equal_angle_point, kernel_multi, kernel_single,
                               pauli_expectations, reconstruct_density, reference_state,
@@ -294,7 +293,9 @@ class TestReferenceStates:
     ])
     def test_all_kinds_are_density_matrices(self, kind, n):
         rho = reference_state(kind, n=n)
-        check_density_matrix(rho)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     def test_ghz6_pole_value(self):
         # brute-force oracle: 0.5*(HI^6 + LO^6) = 3.25 exactly
