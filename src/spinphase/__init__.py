@@ -9,16 +9,15 @@ lines, and detects jumps, derivative extrema and parity-level crossings.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, PolicyError, SpinPhaseError
-from .qcore import (embed, herm_eig, label_name, parse_label, partial_trace, pure_density,
-                    validate_label)
+from .qcore import herm_eig, label_name, parse_label, reduced_factor, validate_label
 from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_state,
                      rotation_z, spin_parity_operator, staggered_flip_operator,
                      ti_classical_energy, ti_classical_mx, ti_classical_mz,
                      ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz,
                      xy_factorization_angle, xy_factorization_point)
-from .wigner import (SphereField, SphereGrid, bloch_factors, equal_angle_point, kernel_multi,
-                     kernel_single, pauli_contract, pauli_expectations, reconstruct_density,
-                     reference_state, sphere_field, wigner_value)
+from .wigner import (SphereField, SphereGrid, bloch_factors, equal_angle_point, kernel_single,
+                     pauli_contract, pauli_expectations, reconstruct_density,
+                     reduced_expectations, reference_state, sphere_field, wigner_value)
 from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
                        count_sign_changes, factorization_value_check,
                        find_derivative_extrema, find_jumps, find_parity_crossings,
@@ -27,14 +26,15 @@ from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
 __all__ = [
     "__version__",
     "ConfigError", "NumericalError", "PolicyError", "SpinPhaseError",
-    "embed", "herm_eig", "partial_trace", "pure_density",
+    "herm_eig", "reduced_factor",
     "validate_label", "label_name", "parse_label",
     "ModelSpec", "GroundStateResult", "build_hamiltonian", "ground_state",
     "spin_parity_operator", "staggered_flip_operator", "total_sz", "rotation_z",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz",
     "ti_thermo_energy", "ti_thermo_mx", "ti_thermo_mz",
     "xy_factorization_point", "xy_factorization_angle",
-    "kernel_single", "kernel_multi", "bloch_factors", "pauli_expectations", "pauli_contract",
+    "kernel_single", "bloch_factors", "pauli_expectations", "pauli_contract",
+    "reduced_expectations",
     "wigner_value", "equal_angle_point",
     "SphereGrid", "SphereField", "sphere_field", "reference_state", "reconstruct_density",
     "SweepConfig", "PhaseLine", "CriticalPoint", "canonical_labels", "sweep",

@@ -21,10 +21,10 @@ from .models import (ModelSpec, build_hamiltonian, ground_state, rotation_z,
                      spin_parity_operator, staggered_flip_operator, ti_classical_energy,
                      ti_thermo_energy, ti_thermo_mz, total_sz, xy_factorization_angle,
                      xy_factorization_point)
-from .qcore import kron_all, partial_trace, pure_density
+from .qcore import kron_all, reduced_factor
 from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
-                     equal_angle_point, kernel_single, pauli_contract, pauli_expectations,
-                     reconstruct_density, reference_state, sphere_field, wigner_value)
+                     equal_angle_point, kernel_single, pauli_contract, reconstruct_density,
+                     reduced_expectations, reference_state, sphere_field, wigner_value)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,8 +52,8 @@ def _rand_point(rng):
 
 
 def _rand_pure(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_density(psi / np.linalg.norm(psi))
+    psi = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+    return psi / np.linalg.norm(psi)
 
 
 def check_kernel_identities(rng):
@@ -69,7 +69,7 @@ def check_kernel_identities(rng):
     return ok, f"max trace dev {worst_tr:.2e}, max eigenvalue dev {worst_eig:.2e}"
 
 
-def _quadrature_marginal(rho, retained_points, nodes=64):
+def _quadrature_marginal(state, retained_points, nodes=64):
     """Integrate the full Wigner function over the last sphere:
     (1/2pi) int W(retained..., (theta_n, phi_n)) sin(theta_n) dtheta dphi,
     via Gauss-Legendre in cos(theta) x uniform phi (nodes x nodes)."""
@@ -79,7 +79,7 @@ def _quadrature_marginal(rho, retained_points, nodes=64):
     ww = np.repeat(glw, nodes) / nodes  # glw[i] * (2pi/nodes) / (2pi)
     factors = [bloch_factors([t], [p]) for t, p in retained_points]
     factors.append(bloch_factors(tt.ravel(), pp.ravel()))
-    vals = pauli_contract(pauli_expectations(rho), factors)
+    vals = pauli_contract(reduced_expectations(state, range(1, len(factors) + 1)), factors)
     return float(np.dot(ww, vals))
 
 
@@ -87,11 +87,11 @@ def check_marginal_consistency(rng):
     """2. Quadrature marginal equals partial-trace reduction, tol 1e-8 (N=2,3)."""
     worst = 0.0
     for n in (2, 3):
-        rho = _rand_pure(rng, 2**n)
-        reduced = partial_trace(rho, tuple(range(1, n)), n)
+        state = _rand_pure(rng, 2**n)
+        reduced = reduced_factor(state, tuple(range(1, n)), n)
         for _ in range(10):
             retained = [_rand_point(rng) for _ in range(n - 1)]
-            by_quad = _quadrature_marginal(rho, retained)
+            by_quad = _quadrature_marginal(state, retained)
             direct = wigner_value(reduced, retained)
             worst = max(worst, abs(by_quad - direct))
     return worst < 1e-8, f"max |quadrature - partial trace| = {worst:.2e}"
@@ -101,13 +101,14 @@ def check_reconstruction(rng):
     """3. Informational completeness: round-trip Frobenius error < 1e-8 (n=1,2)."""
     worst = 0.0
     for n, nsamp in ((1, 8), (2, 32)):
-        rho = _rand_pure(rng, 2**n)
+        state = _rand_pure(rng, 2**n)
         samples = []
         for _ in range(nsamp):
             pts = [_rand_point(rng) for _ in range(n)]
-            samples.append((pts, wigner_value(rho, pts)))
+            samples.append((pts, wigner_value(state, pts)))
         rec, _ = reconstruct_density(samples, n)
-        worst = max(worst, float(np.linalg.norm(rec - rho)))
+        # the reconstruction is a density matrix, so it is compared with one
+        worst = max(worst, float(np.linalg.norm(rec - state @ state.conj().T)))
     return worst < 1e-8, f"max Frobenius round-trip error {worst:.2e}"
 
 
@@ -231,7 +232,7 @@ def check_xy_factorization_value(rng):
     dev_product = dev_limit = 0.0
     for (_, expected), sites in zip(rows, CANONICAL_LABELS_6):
         for v in products:
-            value = equal_angle_point(pure_density(v), sites, 0.0, 0.0, n=n)
+            value = equal_angle_point(v, sites, 0.0, 0.0, n=n)
             dev_product = max(dev_product, abs(value - expected))
         w_plus, w_minus = parity_state_values(gamma, len(sites), n)
         value = equal_angle_point(limit.state, sites, 0.0, 0.0, n=n)
@@ -354,8 +355,7 @@ def check_ghz_equator(rng):
     counts = {}
     grid = SphereGrid(3, 360)  # row 1 is the equator
     for n in range(2, 7):
-        rho = reference_state("ghz_plus", n=n)
-        fld = sphere_field(rho, tuple(range(1, n + 1)), grid, n=n)
+        fld = sphere_field(reference_state("ghz_plus", n=n), tuple(range(1, n + 1)), grid, n=n)
         counts[n] = count_sign_changes(fld.values[1])
     ok = all(counts[n] == 2 * n for n in counts)
     return ok, f"sign changes {counts}"

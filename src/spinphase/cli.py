@@ -89,6 +89,15 @@ def _utcnow():
 # ---------------------------------------------------------------------------
 # configuration handling
 
+
+def positive_float(text):
+    """Option type for a positive finite number (nan, inf and values <= 0 fail)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{text!r} is not a positive finite number")
+    return value
+
+
 _MODEL = ("phaseline", "sphere", "animate")
 _SWEEP = ("phaseline", "animate", "formulas")
 
@@ -120,7 +129,7 @@ OPTIONS = {
     "out": (".", _MODEL + ("formulas",), {"help": "output directory"}),
     "seed": (0, ("verify",), {"type": int, "help": "random seed for verification draws"}),
     "jump-factor": (JUMP_FACTOR_DEFAULT, ("phaseline",),
-                    {"type": float, "help": "jump detection factor"}),
+                    {"type": positive_float, "help": "jump detection factor"}),
 }
 
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
@@ -335,14 +344,13 @@ def cmd_phaseline(cfg):
     return files
 
 
-def _write_sphere_files(outdir, rho, labels, grid, n):
+def _write_sphere_files(outdir, state, labels, grid, n):
+    # the "theta,phi" cells, theta-major like the values, formatted once for every label
+    angles = [f"{fmt(theta)},{fmt(phi)}" for theta in grid.thetas for phi in grid.phis]
     files = []
     for sites in labels:
-        fld = sphere_field(rho, sites, grid, n=n)
-        rows = []
-        for i, theta in enumerate(grid.thetas):
-            for jj, phi in enumerate(grid.phis):
-                rows.append((fmt(theta), fmt(phi), fmt(fld.values[i, jj])))
+        values = sphere_field(state, sites, grid, n=n).values.ravel()
+        rows = [(angle, fmt(v)) for angle, v in zip(angles, values)]
         path = os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv")
         write_csv(path, ("theta", "phi", "value"), rows)
         files.append(path)
@@ -389,9 +397,12 @@ def cmd_animate(cfg):
 def _formula_values(cfg):
     if cfg["values"] is not None:
         try:
-            return [float(tok) for tok in cfg["values"].split(",") if tok.strip()]
+            values = [float(tok) for tok in cfg["values"].split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --values list: {cfg['values']!r}") from exc
+        if not values:
+            raise ConfigError(f"--values lists no value: {cfg['values']!r}")
+        return values
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("formulas needs --values or --param-start/--param-stop")
     return grid_values(cfg["param-start"], cfg["param-stop"], cfg["param-step"])
@@ -449,12 +460,23 @@ COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Rejects a flag its subcommand does not read under that subcommand's usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinphase",
         description="Equal-angle spin Wigner phase lines, sphere fields and "
                     "critical-point detection for cyclic spin-1/2 chains.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_SubcommandParser)
     for command, help_text in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key, (default, commands, kwargs) in OPTIONS.items():

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .qcore import SIGMA_Z, all_up_vector, embed, herm_eig, kron_all, pure_density
+from .qcore import all_up_vector, herm_eig
 
 FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
@@ -74,10 +74,10 @@ class ModelSpec:
 def dense_working_set(n):
     """Bytes held while an n-site ground state is solved, in units of 4^n
     bytes: the real H (8), its complex copy in `herm_eig` (16), the copy that
-    `eigh` overwrites with eigenvectors (16), the returned eigenvectors (16),
-    the `eigh` workspace (32) and `pure_density` (16); plus a fixed
-    allowance for the buffers of the BLAS and LAPACK libraries."""
-    return 104 * 4**n + _LIBRARY_BUFFERS
+    `eigh` overwrites with eigenvectors (16), the returned eigenvectors (16)
+    and the `eigh` workspace (32); plus a fixed allowance for the buffers of
+    the BLAS and LAPACK libraries."""
+    return 88 * 4**n + _LIBRARY_BUFFERS
 
 
 def physical_memory():
@@ -87,6 +87,13 @@ def physical_memory():
 
 def _bond_pairs(n):
     return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def _z_signs(n):
+    """Row i - 1 holds the sigma_z eigenvalue of site i on every basis index:
+    site i is bit n - i, set (-1) for a down spin."""
+    rows = np.arange(2**n)
+    return np.array([1.0 - 2.0 * ((rows >> (n - i)) & 1) for i in range(1, n + 1)])
 
 
 def build_hamiltonian(spec):
@@ -103,7 +110,7 @@ def build_hamiltonian(spec):
     n = spec.n
     dim = 2**n
     rows = np.arange(dim)
-    z = [1.0 - 2.0 * ((rows >> (n - i)) & 1) for i in range(1, n + 1)]
+    z = _z_signs(n)
     H = np.zeros((dim, dim))
     diag = np.zeros(dim)
     for i, j in _bond_pairs(n):
@@ -124,40 +131,31 @@ def build_hamiltonian(spec):
     return H
 
 
+def spin_parity_diagonal(n):
+    """Diagonal of the spin parity: (-1)^(number of down spins)."""
+    return np.prod(_z_signs(n), axis=0)
+
+
+def total_sz_diagonal(n):
+    """Diagonal of S_T^z = (1/2) sum_l sigma_z_l."""
+    return np.sum(_z_signs(n), axis=0) / 2
+
+
 def spin_parity_operator(n):
     """Product of sigma_z over all sites (diagonal, involutory)."""
-    return kron_all([SIGMA_Z] * n)
-
-
-def spin_parity_diagonal(n):
-    """Diagonal of the spin parity operator: (-1)^(number of down spins)."""
-    d = np.ones(1)
-    for _ in range(n):
-        d = np.kron(d, np.array([1.0, -1.0]))
-    return d
+    return np.diag(spin_parity_diagonal(n))
 
 
 def staggered_flip_operator(n):
     """Product of sigma_z over the even sites; requires even n."""
     if n % 2:
         raise ValueError("staggered flip operator needs an even number of sites")
-    return kron_all([SIGMA_Z if i % 2 == 0 else np.eye(2, dtype=complex)
-                     for i in range(1, n + 1)])
+    return np.diag(np.prod(_z_signs(n)[1::2], axis=0))
 
 
 def total_sz(n):
     """z component of the total spin, (1/2) sum_l sigma_z_l."""
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(1, n + 1):
-        out += embed(SIGMA_Z, i, n)
-    return out / 2
-
-
-def total_sz_diagonal(n):
-    d = np.zeros(1)
-    for _ in range(n):
-        d = np.add.outer(d, np.array([0.5, -0.5])).ravel()
-    return d
+    return np.diag(total_sz_diagonal(n))
 
 
 def rotation_z(phi, n):
@@ -176,13 +174,13 @@ def symmetry_diagonal(spec):
 class GroundStateResult:
     energy: float
     degeneracy: int
-    state: np.ndarray
+    state: np.ndarray  # (2^n, r) factor A of the ground state rho = A A^dagger
     parity: int | None
     gap: float
 
 
 def _state_parity(state, n):
-    expect = float(np.real(np.sum(np.diagonal(state) * spin_parity_diagonal(n))))
+    expect = float(np.sum(spin_parity_diagonal(n) @ np.abs(state) ** 2))
     if abs(abs(expect) - 1.0) < _PARITY_DEFINITE_ATOL:
         return 1 if expect > 0 else -1
     return None
@@ -213,13 +211,9 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
     gap = float(w[1] - w[0])
     n = spec.n
 
-    if g == 1:
-        state = pure_density(v[:, 0])
-        return GroundStateResult(float(w[0]), 1, state, _state_parity(state, n), gap)
-
     V = v[:, :g]
-    if policy == "mixture":
-        state = (V @ V.conj().T) / g
+    if g == 1 or policy == "mixture":
+        state = V / np.sqrt(g)
         return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
 
     if policy == "aligned_up":
@@ -229,7 +223,7 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
             raise PolicyError(
                 f"aligned_up policy: all-up state not in the ground space "
                 f"(projection norm {overlap:.6f})")
-        state = pure_density(up)
+        state = up[:, None]
         return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
 
     # symmetric: resolve the ground space into symmetry sectors
@@ -245,7 +239,7 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
         if best is None or energy < best[0] - tie_tol or (
                 abs(energy - best[0]) <= tie_tol and sector > best[1]):
             best = (energy, sector, vec)
-    state = pure_density(best[2])
+    state = best[2][:, None]
     return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
 
 

@@ -4,7 +4,10 @@ Conventions used throughout the package:
   * site indices are 1-based; site 1 is the leftmost tensor factor,
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
   * operators are dense numpy arrays of dimension 2^n: complex, except the
-    chain Hamiltonians, which are real (see `models.build_hamiltonian`).
+    chain Hamiltonians and symmetry operators, which are real (see `models`),
+  * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger: a
+    pure state is one column (a 1-D vector is the r = 1 case), a mixture one
+    column per weighted component.
 """
 
 import numpy as np
@@ -31,19 +34,6 @@ def n_sites(dim):
     return n
 
 
-def embed(op, site, n):
-    """Place a 2x2 operator at `site` (1-based) of an n-qubit register.
-
-    Acts as the identity on every other site; site 1 is the leftmost factor.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"embed expects a 2x2 operator, got shape {op.shape}")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range [1, {n}]")
-    return kron_all([op if i == site else IDENTITY_2 for i in range(1, n + 1)])
-
-
 def herm_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -61,12 +51,6 @@ def herm_eig(a):
     return w, v
 
 
-def pure_density(vec):
-    """Density matrix |vec><vec| of a normalized state vector."""
-    vec = np.asarray(vec, dtype=complex)
-    return np.outer(vec, vec.conj())
-
-
 def basis_vector(bits):
     """Product basis vector from iterable of 0 (up) / 1 (down), site 1 first."""
     idx = 0
@@ -79,10 +63,6 @@ def basis_vector(bits):
 
 def all_up_vector(n):
     return basis_vector([0] * n)
-
-
-def all_down_vector(n):
-    return basis_vector([1] * n)
 
 
 def validate_label(sites, n):
@@ -121,21 +101,16 @@ def parse_label(text, n):
     return validate_label(sites, n)
 
 
-def partial_trace(rho, keep, n=None):
-    """Reduced density matrix on the sites in `keep` (1-based, increasing).
-
-    Traces out every other site; the result keeps the relative order of the
-    retained sites.
-    """
-    rho = np.asarray(rho, dtype=complex)
+def reduced_factor(state, keep, n=None):
+    """Factor M of the reduced state on the sites in `keep` (1-based, increasing),
+    Tr_rest[A A^dagger] = M M^dagger: the kept sites' axes of A move to the front
+    and every other axis folds into the columns, so M M^dagger sums over them."""
+    state = np.asarray(state, dtype=complex)
     if n is None:
-        n = n_sites(rho.shape[0])
-    elif rho.shape[0] != 2**n:
-        raise ValueError(f"state dimension {rho.shape[0]} does not match n={n}")
+        n = n_sites(state.shape[0])
+    elif state.shape[0] != 2**n:
+        raise ValueError(f"state dimension {state.shape[0]} does not match n={n}")
     keep = validate_label(keep, n)
-    drop = [i for i in range(n) if (i + 1) not in keep]
-    t = rho.reshape((2,) * (2 * n))
-    for d in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=d, axis2=d + t.ndim // 2)
-    k = len(keep)
-    return t.reshape(2**k, 2**k)
+    t = np.moveaxis(state.reshape((2,) * n + (-1,)), [s - 1 for s in keep],
+                    range(len(keep)))
+    return t.reshape(2 ** len(keep), -1)

@@ -6,7 +6,9 @@ cos theta); `bloch_factors` gives its Pauli components Tr[sigma_b K]. The
 Wigner value of a k-qubit state is W = Tr[rho K_1 x ... x K_k]
 = 2^-k sum_a c_a prod_i f_i[a_i], with c_a = Tr[rho sigma_a1 x ... x sigma_ak]
 from `pauli_expectations` and f_i the Bloch factors of site i; every value
-in the package goes through that one contraction, `pauli_contract`. The
+in the package goes through that one contraction, `pauli_contract`. A state
+is a factor A, rho = A A^dagger (see `qcore`); only the 2^k x 2^k matrix
+M M^dagger of its reduced factor M (`qcore.reduced_factor`) is formed. The
 same kernel written as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger
 is the independent oracle of the tests.
 """
@@ -17,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_down_vector, all_up_vector,
-                    basis_vector, kron_all, n_sites, partial_trace, pure_density,
-                    validate_label)
+from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
+                    kron_all, n_sites, reduced_factor, validate_label)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -64,14 +65,6 @@ def kernel_single(theta, phi):
     return _pauli_operator(bloch_factors(theta, phi))
 
 
-def kernel_multi(points, n=None):
-    """Tensor-product kernel for one phase point per qubit."""
-    points = list(points)
-    if n is not None and len(points) != n:
-        raise ValueError(f"expected {n} phase points, got {len(points)}")
-    return kron_all([kernel_single(t, p) for (t, p) in points])
-
-
 def pauli_expectations(rho):
     """Real tensor c[a1, ..., ak] = Tr[rho sigma_a1 x ... x sigma_ak] of a k-qubit
     state, with sigma_0 the identity.
@@ -106,13 +99,19 @@ def pauli_contract(coeffs, site_factors):
     return out / 2 ** len(site_factors)
 
 
-def wigner_value(rho, points):
-    """Wigner function Tr[rho * kernel(points)] of an n-qubit state.
+def reduced_expectations(state, sites, n=None):
+    """Pauli expectations of the reduced state on `sites` of the factor `state`."""
+    m = reduced_factor(state, sites, n)
+    return pauli_expectations(m @ m.conj().T)
+
+
+def wigner_value(state, points):
+    """Wigner function Tr[rho * kernel(points)] of an n-qubit state factor.
 
     `points` is a sequence of (theta, phi), one entry per qubit.
     """
     points = list(points)
-    coeffs = pauli_expectations(rho)
+    coeffs = reduced_expectations(state, range(1, n_sites(len(state)) + 1))
     if len(points) != coeffs.ndim:
         raise ValueError(f"expected {coeffs.ndim} phase points, got {len(points)}")
     for t, p in points:
@@ -125,14 +124,14 @@ def _equal_angle(coeffs, thetas, phis):
     return pauli_contract(coeffs, [bloch_factors(thetas, phis)] * coeffs.ndim)
 
 
-def equal_angle_point(rho, sites, theta, phi, n=None):
+def equal_angle_point(state, sites, theta, phi, n=None):
     """Equal-angle slice of the reduced Wigner function for a site subset.
 
-    Reduces the state by partial trace over the non-selected sites, then
-    evaluates the Wigner value with every retained sphere at (theta, phi).
+    Reduces the state factor to the selected sites, then evaluates the Wigner
+    value with every retained sphere at (theta, phi).
     """
     _check_point(theta, phi)
-    coeffs = pauli_expectations(partial_trace(rho, sites, n))
+    coeffs = reduced_expectations(state, sites, n)
     return float(_equal_angle(coeffs, [theta], [phi])[0])
 
 
@@ -169,7 +168,7 @@ class SphereField:
             raise ValueError("field values shape does not match grid")
 
 
-def sphere_field(rho, sites, grid=None, n=None):
+def sphere_field(state, sites, grid=None, n=None):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
     values[i, j] corresponds to (thetas[i], phis[j]). The Pauli expectations
@@ -178,11 +177,8 @@ def sphere_field(rho, sites, grid=None, n=None):
     """
     if grid is None:
         grid = SphereGrid()
-    rho = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = n_sites(rho.shape[0])
-    sites = validate_label(sites, n)
-    coeffs = pauli_expectations(partial_trace(rho, sites, n))
+    sites = validate_label(sites, n_sites(len(state)) if n is None else n)
+    coeffs = reduced_expectations(state, sites, n)
     phis = grid.phis
     values = np.array([_equal_angle(coeffs, np.full(grid.n_phi, theta), phis)
                        for theta in grid.thetas])
@@ -192,21 +188,18 @@ def sphere_field(rho, sites, grid=None, n=None):
 # ---------------------------------------------------------------------------
 # reference states
 
-REFERENCE_KINDS = (
-    "up", "up_up", "up_down", "bell_psi_plus", "singlet", "psi_plus_4",
-    "ghz_plus", "ghz_minus", "neel_minus_4", "neel_minus_6", "mixed_single",
-    "ghz_mixture",
-)
-
 _PARAMETRIC_KINDS = {"ghz_plus", "ghz_minus", "ghz_mixture"}
 
-
-def _ghz_vector(n, sign):
-    return (all_up_vector(n) + sign * all_down_vector(n)) / np.sqrt(2.0)
+# basis states, and cats (|bits> + sign |flipped bits>)/sqrt2 (ghz: bits (0,) * n)
+_BASIS_KINDS = {"up": (0,), "up_up": (0, 0), "up_down": (0, 1)}
+_CAT_KINDS = {"bell_psi_plus": ((0, 1), 1.0), "singlet": ((0, 1), -1.0),
+              "psi_plus_4": ((0, 0, 1, 1), 1.0), "neel_minus_4": ((0, 1, 0, 1), -1.0),
+              "neel_minus_6": ((0, 1, 0, 1, 0, 1), -1.0), "ghz_plus": (None, 1.0),
+              "ghz_minus": (None, -1.0)}
 
 
 def reference_state(kind, n=None):
-    """Density matrix of a named reference state.
+    """State factor A (rho = A A^dagger) of a named reference state.
 
     ghz_plus / ghz_minus / ghz_mixture take the qubit count `n`; every other
     kind has a fixed size.
@@ -217,32 +210,18 @@ def reference_state(kind, n=None):
     elif n is not None:
         raise ValueError(f"reference state {kind!r} does not take n")
 
-    if kind == "up":
-        return pure_density(basis_vector([0]))
-    if kind == "up_up":
-        return pure_density(basis_vector([0, 0]))
-    if kind == "up_down":
-        return pure_density(basis_vector([0, 1]))
-    if kind == "bell_psi_plus":
-        return pure_density((basis_vector([0, 1]) + basis_vector([1, 0])) / np.sqrt(2.0))
-    if kind == "singlet":
-        return pure_density((basis_vector([0, 1]) - basis_vector([1, 0])) / np.sqrt(2.0))
-    if kind == "psi_plus_4":
-        return pure_density((basis_vector([0, 0, 1, 1]) + basis_vector([1, 1, 0, 0])) / np.sqrt(2.0))
-    if kind == "ghz_plus":
-        return pure_density(_ghz_vector(n, +1.0))
-    if kind == "ghz_minus":
-        return pure_density(_ghz_vector(n, -1.0))
-    if kind == "neel_minus_4":
-        return pure_density((basis_vector([0, 1, 0, 1]) - basis_vector([1, 0, 1, 0])) / np.sqrt(2.0))
-    if kind == "neel_minus_6":
-        return pure_density(
-            (basis_vector([0, 1, 0, 1, 0, 1]) - basis_vector([1, 0, 1, 0, 1, 0])) / np.sqrt(2.0))
+    if kind in _BASIS_KINDS:
+        return basis_vector(_BASIS_KINDS[kind])[:, None]
     if kind == "mixed_single":
-        return IDENTITY_2.copy() / 2.0
+        return IDENTITY_2 / np.sqrt(2.0)
     if kind == "ghz_mixture":
-        return 0.5 * (pure_density(all_up_vector(n)) + pure_density(all_down_vector(n)))
-    raise ValueError(f"unknown reference state kind {kind!r}")
+        return np.column_stack([all_up_vector(n), basis_vector([1] * n)]) / np.sqrt(2.0)
+    if kind not in _CAT_KINDS:
+        raise ValueError(f"unknown reference state kind {kind!r}")
+    bits, sign = _CAT_KINDS[kind]
+    bits = (0,) * n if bits is None else bits
+    cat = basis_vector(bits) + sign * basis_vector([1 - b for b in bits])
+    return (cat / np.sqrt(2.0))[:, None]
 
 
 # ---------------------------------------------------------------------------

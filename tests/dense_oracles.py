@@ -1,0 +1,59 @@
+"""Dense Kronecker-product constructions kept as independent test oracles.
+
+The package reduces and evaluates states through their factors (rho = A A^dagger)
+and builds its symmetry operators from basis-index bits; these helpers do the
+same jobs the slow, direct way on full 2^n x 2^n matrices.
+"""
+
+import numpy as np
+
+from spinphase.qcore import IDENTITY_2, kron_all, n_sites, validate_label
+from spinphase.wigner import kernel_single
+
+
+def density(state):
+    """Density matrix A A^dagger of a state factor (a 1-D vector is one column)."""
+    a = np.asarray(state, dtype=complex)
+    a = a.reshape(a.shape[0], -1)
+    return a @ a.conj().T
+
+
+def embed(op, site, n):
+    """Place a 2x2 operator at `site` (1-based) of an n-qubit register.
+
+    Acts as the identity on every other site; site 1 is the leftmost factor.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"embed expects a 2x2 operator, got shape {op.shape}")
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} out of range [1, {n}]")
+    return kron_all([op if i == site else IDENTITY_2 for i in range(1, n + 1)])
+
+
+def partial_trace(rho, keep, n=None):
+    """Reduced density matrix on the sites in `keep` (1-based, increasing).
+
+    Traces out every other site; the result keeps the relative order of the
+    retained sites.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if n is None:
+        n = n_sites(rho.shape[0])
+    elif rho.shape[0] != 2**n:
+        raise ValueError(f"state dimension {rho.shape[0]} does not match n={n}")
+    keep = validate_label(keep, n)
+    drop = [i for i in range(n) if (i + 1) not in keep]
+    t = rho.reshape((2,) * (2 * n))
+    for d in sorted(drop, reverse=True):
+        t = np.trace(t, axis1=d, axis2=d + t.ndim // 2)
+    k = len(keep)
+    return t.reshape(2**k, 2**k)
+
+
+def kernel_multi(points, n=None):
+    """Tensor-product kernel for one phase point per qubit."""
+    points = list(points)
+    if n is not None and len(points) != n:
+        raise ValueError(f"expected {n} phase points, got {len(points)}")
+    return kron_all([kernel_single(t, p) for (t, p) in points])

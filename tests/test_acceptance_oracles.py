@@ -2,7 +2,7 @@
 
 Every expected value here comes from a closed form or from a symmetry-sector
 diagonalisation built with bit operations on the basis index. None is
-produced by `build_hamiltonian`, `partial_trace` or the Wigner kernel; those
+produced by `build_hamiltonian`, `reduced_factor` or the Wigner kernel; those
 only appear on the program side of a comparison.
 """
 
@@ -41,10 +41,11 @@ def closed_form_parity_values(gamma, k, n=N):
 
 
 def _sector_state(mixture, parity):
-    """Normalised projection of the factorization-point mixture onto a parity sector."""
+    """Normalised projection of the factorization-point mixture factor onto a
+    parity sector: P A is a factor of P A A^dagger P."""
     keep = spin_parity_diagonal(N) == parity
-    block = np.where(np.outer(keep, keep), mixture, 0.0)
-    return block / np.trace(block).real
+    block = np.where(keep[:, None], mixture, 0.0)
+    return block / np.linalg.norm(block)
 
 
 def test_gamma_half_closed_form_is_rational():

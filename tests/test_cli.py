@@ -270,7 +270,23 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        # the subcommand's own parser reports it, under its own usage line
+        assert f"usage: spinphase {argv[0]} " in err and f"spinphase {argv[0]}: error" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_jump_factor_must_be_positive_finite(self, value, capsys, tmp_path):
+        argv = ["phaseline", "--model", "xy", "--gamma", "0.5", "--param-start", "1.0",
+                "--param-stop", "1.3", "--labels", "1,tot", "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--jump-factor", value])
+        assert exc.value.code == 2
+        assert "--jump-factor" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"jump-factor = {value}\n")
+        assert run_cli(argv + ["--config", str(cfg)]) == 2
+        assert not (tmp_path / "x" / "phaseline.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "inf"],
@@ -284,6 +300,7 @@ class TestConfigHandling:
         ["formulas", "--model", "ti", "--param-start", "0", "--param-stop", "1",
          "--param-step", "-0.1"],
         ["formulas", "--model", "ti", "--param-start", "1", "--param-stop", "0"],
+        ["formulas", "--model", "ti", "--values", ","],
     ])
     def test_bad_sweep_grid_is_config_error(self, argv, tmp_path):
         assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import density, embed
+
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
-                              rotation_z, spin_parity_operator, staggered_flip_operator,
-                              ti_classical_energy, ti_classical_mx, ti_classical_mz,
-                              ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz,
-                              xy_factorization_angle, xy_factorization_point)
-from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, embed,
-                             pure_density)
+                              rotation_z, spin_parity_diagonal, spin_parity_operator,
+                              staggered_flip_operator, ti_classical_energy, ti_classical_mx,
+                              ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
+                              total_sz, total_sz_diagonal, xy_factorization_angle,
+                              xy_factorization_point)
+from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
+                             kron_all)
 
 SQ3 = math.sqrt(3.0)
 
@@ -92,8 +95,7 @@ class TestBitBuild:
         def forbidden(*args, **kwargs):
             raise AssertionError("build_hamiltonian must not build Kronecker products")
 
-        monkeypatch.setattr(models, "embed", forbidden)
-        monkeypatch.setattr(models, "kron_all", forbidden)
+        monkeypatch.setattr(np, "kron", forbidden)
         for family in models.FAMILIES:
             h = build_hamiltonian(ModelSpec(family=family, n=5, lam=0.7, gamma=0.3, delta=0.4))
             assert h.dtype == np.float64
@@ -146,6 +148,19 @@ class TestHamiltonians:
 
 
 class TestSymmetryOperators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+    def test_bit_diagonals_equal_kron_construction(self, n):
+        sz = [embed(SIGMA_Z, i, n) for i in range(1, n + 1)]
+        parity = kron_all([SIGMA_Z] * n)
+        stz = sum(sz) / 2
+        assert np.array_equal(np.diag(spin_parity_diagonal(n)), parity)
+        assert np.array_equal(spin_parity_operator(n), parity)
+        assert np.array_equal(np.diag(total_sz_diagonal(n)), stz)
+        assert np.array_equal(total_sz(n), stz)
+        if n % 2 == 0:
+            flip = kron_all([SIGMA_Z if i % 2 == 0 else IDENTITY_2 for i in range(1, n + 1)])
+            assert np.array_equal(staggered_flip_operator(n), flip)
+
     def test_parity_n1_is_sigma_z(self):
         assert np.array_equal(spin_parity_operator(1), np.diag([1.0 + 0j, -1.0]))
 
@@ -191,7 +206,7 @@ class TestGroundState:
         assert gs.energy == pytest.approx(-6.0, abs=1e-12)
         assert gs.degeneracy == 1
         assert gs.parity == 1
-        assert max_norm(gs.state - pure_density(all_up_vector(6))) < 1e-9
+        assert max_norm(density(gs.state) - density(all_up_vector(6))) < 1e-9
 
     def test_ti_deep_ising_symmetric_is_ghz_x(self):
         gs = ground_state(ModelSpec(family="ti", n=6, lam=1e3))
@@ -204,7 +219,7 @@ class TestGroundState:
             r6 = np.kron(r6, right)
             l6 = np.kron(l6, left)
         ghz = (r6 + l6) / np.sqrt(2)
-        fidelity = float(np.real(np.vdot(ghz, gs.state @ ghz)))
+        fidelity = float(np.real(np.vdot(ghz, density(gs.state) @ ghz)))
         assert fidelity > 0.999
         assert gs.parity == 1
 
@@ -212,13 +227,13 @@ class TestGroundState:
         gs = ground_state(ModelSpec(family="xxz", n=6, delta=-2.0), policy="aligned_up")
         assert gs.degeneracy == 2
         assert gs.energy == pytest.approx(-3.0, abs=1e-12)
-        assert max_norm(gs.state - pure_density(all_up_vector(6))) == 0.0
+        assert max_norm(density(gs.state) - density(all_up_vector(6))) == 0.0
 
     def test_xxz_ferro_mixture(self):
         gs = ground_state(ModelSpec(family="xxz", n=6, delta=-2.0), policy="mixture")
-        expected = 0.5 * (pure_density(all_up_vector(6))
-                          + pure_density(basis_vector([1] * 6)))
-        assert max_norm(gs.state - expected) < 1e-9
+        expected = 0.5 * (density(all_up_vector(6))
+                          + density(basis_vector([1] * 6)))
+        assert max_norm(density(gs.state) - expected) < 1e-9
         assert gs.parity == 1  # even chain: both aligned states have +1 parity
 
     def test_aligned_up_rejected_when_not_ground(self):
@@ -229,7 +244,8 @@ class TestGroundState:
     def test_unique_state_is_pure(self):
         gs = ground_state(ModelSpec(family="xxz", n=6, delta=1.0))
         assert gs.degeneracy == 1
-        purity = float(np.real(np.trace(gs.state @ gs.state)))
+        rho = density(gs.state)
+        purity = float(np.real(np.trace(rho @ rho)))
         assert purity == pytest.approx(1.0, abs=1e-9)
         assert gs.gap > 0
 
@@ -315,7 +331,7 @@ class TestMemoryGuard:
     The memory figure is monkeypatched; nothing large is allocated."""
 
     def test_working_set_formula(self):
-        assert dense_working_set(6) == 104 * 4**6 + 16 * 2**20
+        assert dense_working_set(6) == 88 * 4**6 + 16 * 2**20
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_working_set_bounds_measured_peak(self):

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, embed,
-                             herm_eig, kron_all, label_name, n_sites, parse_label,
-                             partial_trace, pure_density, validate_label)
+from dense_oracles import density, embed, partial_trace
+
+from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, herm_eig,
+                             kron_all, label_name, n_sites, parse_label, reduced_factor,
+                             validate_label)
 
 SQ3 = np.sqrt(3.0)
 
@@ -130,18 +134,18 @@ class TestHermEig:
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         phi_plus = (basis_vector([0, 0]) + basis_vector([1, 1])) / np.sqrt(2)
-        reduced = partial_trace(pure_density(phi_plus), (1,))
+        reduced = partial_trace(density(phi_plus), (1,))
         assert np.max(np.abs(reduced - np.eye(2) / 2)) < 1e-12
 
     def test_product_factor(self):
-        reduced = partial_trace(pure_density(basis_vector([0, 0])), (2,))
-        assert np.max(np.abs(reduced - pure_density(basis_vector([0])))) < 1e-12
+        reduced = partial_trace(density(basis_vector([0, 0])), (2,))
+        assert np.max(np.abs(reduced - density(basis_vector([0])))) < 1e-12
 
     def test_ghz3_two_site_marginal(self):
         ghz = (basis_vector([0, 0, 0]) + basis_vector([1, 1, 1])) / np.sqrt(2)
-        reduced = partial_trace(pure_density(ghz), (1, 2))
-        expected = 0.5 * (pure_density(basis_vector([0, 0]))
-                          + pure_density(basis_vector([1, 1])))
+        reduced = partial_trace(density(ghz), (1, 2))
+        expected = 0.5 * (density(basis_vector([0, 0]))
+                          + density(basis_vector([1, 1])))
         assert np.max(np.abs(reduced - expected)) < 1e-12
 
     def test_nested_labels_consistent(self):
@@ -168,6 +172,34 @@ class TestPartialTrace:
             partial_trace(rho, (4,), 3)
         with pytest.raises(ValueError):
             partial_trace(rho, (1,), 4)
+
+
+class TestReducedFactor:
+    """The reshape reduction of a state factor against the dense partial-trace oracle."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_partial_trace_oracle_for_every_label(self, rank):
+        rng = np.random.default_rng(20 + rank)
+        for n in range(1, 6):
+            a = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+            a /= np.linalg.norm(a)
+            rho = density(a)
+            for k in range(1, n + 1):
+                for keep in itertools.combinations(range(1, n + 1), k):
+                    m = reduced_factor(a, keep, n)
+                    assert m.shape == (2**k, 2 ** (n - k) * rank)
+                    assert np.max(np.abs(m @ m.conj().T - partial_trace(rho, keep, n))) < 1e-14
+
+    def test_vector_is_the_one_column_factor(self):
+        rng = np.random.default_rng(24)
+        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.array_equal(reduced_factor(vec, (2, 4)), reduced_factor(vec[:, None], (2, 4)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            reduced_factor(np.ones((8, 2)), (4,), 3)
+        with pytest.raises(ValueError):
+            reduced_factor(np.ones((8, 2)), (1,), 4)
 
 
 class TestLabels:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from dense_oracles import density, kernel_multi, partial_trace
+
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
-from spinphase.qcore import SIGMA_Z, basis_vector, kron_all, partial_trace, pure_density
+from spinphase.qcore import SIGMA_Z, basis_vector, kron_all, reduced_factor
 from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
-                              equal_angle_point, kernel_multi, kernel_single,
-                              pauli_expectations, reconstruct_density, reference_state,
-                              sphere_field, wigner_value)
+                              equal_angle_point, kernel_single, pauli_expectations,
+                              reconstruct_density, reference_state, sphere_field, wigner_value)
 
 SQ3 = np.sqrt(3.0)
 HI = 0.5 * (1 + SQ3)
@@ -32,8 +33,9 @@ def rotated_parity(theta, phi, third_euler=0.0):
     return r @ PARITY_POINT_OP @ r.conj().T
 
 
-def oracle_value(rho, points, sites=None):
+def oracle_value(state, points, sites=None):
     """Tr[rho K] with K the kron of rotated-parity kernels, identity off `sites`."""
+    rho = density(state)
     n = int(np.log2(rho.shape[0]))
     sites = tuple(range(1, n + 1)) if sites is None else sites
     points = iter(points)
@@ -47,8 +49,13 @@ def rand_point(rng):
 
 
 def rand_pure(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_density(psi / np.linalg.norm(psi))
+    psi = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+    return psi / np.linalg.norm(psi)
+
+
+def werner(x):
+    """Factor of x |singlet><singlet| + (1 - x) 1/4."""
+    return np.hstack([np.sqrt(x) * reference_state("singlet"), np.sqrt(1 - x) * np.eye(4) / 2])
 
 
 class TestKernelSingle:
@@ -128,63 +135,63 @@ class TestKernelMulti:
 
 class TestWignerValue:
     def test_up_state_at_pole(self):
-        assert wigner_value(pure_density(basis_vector([0])), [(0.0, 0.0)]) == \
+        assert wigner_value(basis_vector([0]), [(0.0, 0.0)]) == \
             pytest.approx(HI, abs=1e-14)
 
     def test_maximally_mixed_is_half_everywhere(self):
         rng = np.random.default_rng(5)
-        rho = np.eye(2, dtype=complex) / 2
+        state = np.eye(2, dtype=complex) / np.sqrt(2)
         for _ in range(10):
-            assert wigner_value(rho, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
+            assert wigner_value(state, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
 
     def test_singlet_is_minus_half_at_equal_points(self):
-        rho = reference_state("singlet")
+        state = reference_state("singlet")
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = rand_point(rng)
-            assert wigner_value(rho, [p, p]) == pytest.approx(-0.5, abs=1e-12)
+            assert wigner_value(state, [p, p]) == pytest.approx(-0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            wigner_value(np.eye(4) / 4, [(0.0, 0.0)])
+            wigner_value(np.eye(4) / 2, [(0.0, 0.0)])
 
 
 class TestEqualAngle:
     def test_product_state_power(self):
-        rho = pure_density(basis_vector([0] * 6))
-        got = equal_angle_point(rho, tuple(range(1, 7)), 0.0, 0.0)
+        state = basis_vector([0] * 6)
+        got = equal_angle_point(state, tuple(range(1, 7)), 0.0, 0.0)
         assert got == pytest.approx(HI**6, abs=1e-12)
 
     def test_ghz2_single_site_marginal(self):
-        rho = reference_state("ghz_plus", n=2)
+        state = reference_state("ghz_plus", n=2)
         rng = np.random.default_rng(7)
         for _ in range(5):
             t, p = rand_point(rng)
-            assert equal_angle_point(rho, (1,), t, p) == pytest.approx(0.5, abs=1e-12)
+            assert equal_angle_point(state, (1,), t, p) == pytest.approx(0.5, abs=1e-12)
 
     def test_werner_closed_form(self):
         x = 0.7
-        rho = x * reference_state("singlet") + (1 - x) * np.eye(4) / 4
+        state = werner(x)
         rng = np.random.default_rng(8)
         for _ in range(5):
             t, p = rand_point(rng)
-            assert equal_angle_point(rho, (1, 2), t, p) == \
+            assert equal_angle_point(state, (1, 2), t, p) == \
                 pytest.approx((1 - 3 * x) / 4, abs=1e-12)
 
     def test_werner_negative_exactly_when_entangled(self):
         for x in (0.2, 1 / 3, 0.34, 0.9):
-            rho = x * reference_state("singlet") + (1 - x) * np.eye(4) / 4
-            value = equal_angle_point(rho, (1, 2), 0.3, 1.0)
+            state = werner(x)
+            value = equal_angle_point(state, (1, 2), 0.3, 1.0)
             assert (value < 0) == (x > 1 / 3 + 1e-12)
 
     def test_matches_identity_padded_kernel_route(self):
         # independent route: full-space kernel with identity on dropped sites
         rng = np.random.default_rng(9)
-        rho = rand_pure(rng, 2**4)
+        state = rand_pure(rng, 2**4)
         for sites in [(1,), (2, 4), (1, 3, 4)]:
             t, p = rand_point(rng)
-            direct = oracle_value(rho, [(t, p)] * len(sites), sites)
-            assert equal_angle_point(rho, sites, t, p, n=4) == pytest.approx(direct, abs=1e-12)
+            direct = oracle_value(state, [(t, p)] * len(sites), sites)
+            assert equal_angle_point(state, sites, t, p, n=4) == pytest.approx(direct, abs=1e-12)
 
     def test_cyclic_relabeling_invariance_for_ring_ground_state(self):
         gs = ground_state(ModelSpec(family="xy", n=6, lam=0.8, gamma=0.5))
@@ -197,8 +204,7 @@ class TestEqualAngle:
 
 def rand_mixed(rng, dim, rank=3):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+    return a / np.linalg.norm(a)
 
 
 class TestPauliEvaluator:
@@ -208,9 +214,9 @@ class TestPauliEvaluator:
     def test_wigner_value_distinct_points_per_site(self, k):
         rng = np.random.default_rng(100 + k)
         for _ in range(5):
-            rho = rand_mixed(rng, 2**k)
+            state = rand_mixed(rng, 2**k)
             pts = [rand_point(rng) for _ in range(k)]
-            assert wigner_value(rho, pts) == pytest.approx(oracle_value(rho, pts), abs=1e-12)
+            assert wigner_value(state, pts) == pytest.approx(oracle_value(state, pts), abs=1e-12)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(family="ti", n=6, lam=0.9),
@@ -218,25 +224,25 @@ class TestPauliEvaluator:
         ModelSpec(family="xxz", n=6, delta=1.0),
     ])
     def test_equal_angle_point_on_ring_ground_states(self, spec):
-        rho = ground_state(spec).state
+        state = ground_state(spec).state
         rng = np.random.default_rng(101)
         for sites in [(1,), (1, 3), (1, 2, 4), (1, 2, 3, 5), tuple(range(1, 7))]:
             t, p = rand_point(rng)
-            oracle = oracle_value(rho, [(t, p)] * len(sites), sites)
-            assert equal_angle_point(rho, sites, t, p, n=6) == pytest.approx(oracle, abs=1e-12)
+            oracle = oracle_value(state, [(t, p)] * len(sites), sites)
+            assert equal_angle_point(state, sites, t, p, n=6) == pytest.approx(oracle, abs=1e-12)
 
     def test_sphere_field_row(self):
-        rho = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
+        state = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
         grid = SphereGrid(7, 24)
         sites = (1, 2, 4)
-        row = sphere_field(rho, sites, grid, n=6).values[2]
+        row = sphere_field(state, sites, grid, n=6).values[2]
         theta = grid.thetas[2]
-        oracle = [oracle_value(rho, [(theta, p)] * 3, sites) for p in grid.phis]
+        oracle = [oracle_value(state, [(theta, p)] * 3, sites) for p in grid.phis]
         assert np.max(np.abs(row - oracle)) < 1e-12
 
     def test_expectations_are_pauli_traces(self):
         rng = np.random.default_rng(102)
-        rho = rand_mixed(rng, 4)
+        rho = density(rand_mixed(rng, 4))
         c = pauli_expectations(rho)
         assert c.shape == (4, 4) and c.dtype == float
         assert c[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -249,14 +255,12 @@ class TestPauliEvaluator:
 
     def test_non_hermitian_state_raises(self):
         rng = np.random.default_rng(103)
-        rho = rand_mixed(rng, 8)
+        rho = density(rand_mixed(rng, 8))
         rho[0, 2] += 1e-3  # |000><010|: breaks Hermiticity, also of the (1, 2) reduction
         with pytest.raises(NumericalError):
-            wigner_value(rho, [(0.3, 0.4)] * 3)
+            pauli_expectations(rho)
         with pytest.raises(NumericalError):
-            equal_angle_point(rho, (1, 2), 0.3, 0.4)
-        with pytest.raises(NumericalError):
-            sphere_field(rho, (1, 2, 3), SphereGrid(3, 4))
+            pauli_expectations(partial_trace(rho, (1, 2), 3))
 
 
 class TestSphereField:
@@ -271,13 +275,13 @@ class TestSphereField:
 
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(11)
-        rho = rand_pure(rng, 2**3)
+        state = rand_pure(rng, 2**3)
         grid = SphereGrid(5, 8)
-        fld = sphere_field(rho, (1, 3), grid, n=3)
+        fld = sphere_field(state, (1, 3), grid, n=3)
         for i, t in enumerate(grid.thetas):
             for j, p in enumerate(grid.phis):
                 assert fld.values[i, j] == pytest.approx(
-                    equal_angle_point(rho, (1, 3), t, p, n=3), abs=1e-12)
+                    equal_angle_point(state, (1, 3), t, p, n=3), abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -292,37 +296,37 @@ class TestReferenceStates:
         ("ghz_mixture", 6),
     ])
     def test_all_kinds_are_density_matrices(self, kind, n):
-        rho = reference_state(kind, n=n)
+        rho = density(reference_state(kind, n=n))
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     def test_ghz6_pole_value(self):
         # brute-force oracle: 0.5*(HI^6 + LO^6) = 3.25 exactly
-        rho = reference_state("ghz_plus", n=6)
-        got = wigner_value(rho, [(0.0, 0.0)] * 6)
+        state = reference_state("ghz_plus", n=6)
+        got = wigner_value(state, [(0.0, 0.0)] * 6)
         assert got == pytest.approx(0.5 * (HI**6 + LO**6), abs=1e-12)
         assert got == pytest.approx(3.25, abs=1e-12)
 
     def test_bell_psi_plus_pole_value(self):
         # direct 4x4 trace oracle
-        rho = reference_state("bell_psi_plus")
+        state = reference_state("bell_psi_plus")
         kernel = np.kron(PARITY_POINT_OP, PARITY_POINT_OP)
-        oracle = float(np.real(np.trace(rho @ kernel)))
+        oracle = float(np.real(np.trace(density(state) @ kernel)))
         assert oracle == pytest.approx(-0.5, abs=1e-14)
-        assert wigner_value(rho, [(0.0, 0.0)] * 2) == pytest.approx(oracle, abs=1e-14)
+        assert wigner_value(state, [(0.0, 0.0)] * 2) == pytest.approx(oracle, abs=1e-14)
 
     def test_mixed_single_uniform(self):
         rng = np.random.default_rng(12)
-        rho = reference_state("mixed_single")
+        state = reference_state("mixed_single")
         for _ in range(5):
-            assert wigner_value(rho, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
+            assert wigner_value(state, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
 
     def test_ghz_mixture_equals_ghz_marginals(self):
         # dropping any site from GHZ leaves the coherence-free mixture
         ghz = reference_state("ghz_plus", n=4)
         mix3 = reference_state("ghz_mixture", n=3)
-        assert np.max(np.abs(partial_trace(ghz, (1, 2, 3), 4) - mix3)) < 1e-12
+        assert np.max(np.abs(partial_trace(density(ghz), (1, 2, 3), 4) - density(mix3))) < 1e-12
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -336,44 +340,44 @@ class TestReferenceStates:
 class TestReconstruction:
     def test_single_qubit_round_trip(self):
         rng = np.random.default_rng(13)
-        rho = rand_pure(rng, 2)
+        state = rand_pure(rng, 2)
         samples = []
         for _ in range(8):
             pts = [rand_point(rng)]
-            samples.append((pts, wigner_value(rho, pts)))
+            samples.append((pts, wigner_value(state, pts)))
         rec, residual = reconstruct_density(samples, 1)
-        assert np.linalg.norm(rec - rho) < 1e-8
+        assert np.linalg.norm(rec - density(state)) < 1e-8
         assert residual < 1e-10
 
     def test_werner_parameter_recovery(self):
         rng = np.random.default_rng(14)
         x = 0.7
-        singlet = reference_state("singlet")
-        rho = x * singlet + (1 - x) * np.eye(4) / 4
+        singlet = density(reference_state("singlet"))
+        state = werner(x)
         samples = []
         for _ in range(32):
             pts = [rand_point(rng) for _ in range(2)]
-            samples.append((pts, wigner_value(rho, pts)))
+            samples.append((pts, wigner_value(state, pts)))
         rec, _ = reconstruct_density(samples, 2)
         x_hat = (4 * float(np.real(np.trace(rec @ singlet))) - 1) / 3
         assert abs(x_hat - x) < 1e-6
 
     def test_too_few_samples_rejected(self):
         rng = np.random.default_rng(15)
-        rho = rand_pure(rng, 2)
+        state = rand_pure(rng, 2)
         samples = []
         for _ in range(3):
             pts = [rand_point(rng)]
-            samples.append((pts, wigner_value(rho, pts)))
+            samples.append((pts, wigner_value(state, pts)))
         with pytest.raises(NumericalError):
             reconstruct_density(samples, 1)
 
     def test_rank_deficient_samples_rejected(self):
         # repeating one phase point cannot span the state space
         rng = np.random.default_rng(16)
-        rho = rand_pure(rng, 2)
+        state = rand_pure(rng, 2)
         pts = [rand_point(rng)]
-        samples = [(pts, wigner_value(rho, pts))] * 6
+        samples = [(pts, wigner_value(state, pts))] * 6
         with pytest.raises(NumericalError):
             reconstruct_density(samples, 1)
 
@@ -383,10 +387,11 @@ class TestMarginalQuadrature:
     the partial-trace reduction."""
 
     @staticmethod
-    def quadrature_marginal(rho, retained, n, nodes=64):
+    def quadrature_marginal(state, retained, n, nodes=64):
         glx, glw = np.polynomial.legendre.leggauss(nodes)
         phis = np.arange(nodes) * (2 * np.pi / nodes)
         total = 0.0
+        rho = density(state)
         k_ret = kernel_multi(retained) if retained else np.array([[1.0 + 0j]])
         for u, w in zip(glx, glw):
             theta = float(np.arccos(u))
@@ -397,11 +402,11 @@ class TestMarginalQuadrature:
 
     def test_marginal_matches_partial_trace_n2(self):
         rng = np.random.default_rng(17)
-        rho = rand_pure(rng, 4)
-        reduced = partial_trace(rho, (1,), 2)
+        state = rand_pure(rng, 4)
+        reduced = reduced_factor(state, (1,), 2)
         for _ in range(3):
             p = rand_point(rng)
-            got = self.quadrature_marginal(rho, [p], 2)
+            got = self.quadrature_marginal(state, [p], 2)
             assert got == pytest.approx(wigner_value(reduced, [p]), abs=1e-8)
 
     def test_iterated_marginal_gives_normalization(self):
@@ -412,7 +417,7 @@ class TestMarginalQuadrature:
             for k in range(n, 1, -1):
                 probe = [rand_point(rng) for _ in range(k - 1)]
                 by_quad = self.quadrature_marginal(state, probe, k)
-                reduced = partial_trace(state, tuple(range(1, k)), k)
+                reduced = reduced_factor(state, tuple(range(1, k)), k)
                 assert by_quad == pytest.approx(wigner_value(reduced, probe), abs=1e-8)
                 state = reduced
             assert self.quadrature_marginal(state, [], 1) == pytest.approx(1.0, abs=1e-8)
