@@ -3,7 +3,8 @@
 The package computes ground states of transverse-field Ising, anisotropic XY
 and XXZ rings by dense diagonalization, evaluates displaced-parity Wigner
 functions of the full and reduced states, sweeps couplings to produce phase
-lines, and detects jumps, derivative extrema and parity-level crossings.
+lines, and detects derivative extrema and symmetry-sector level crossings with
+the jumps across them.
 """
 
 __version__ = "0.1.0"
@@ -20,8 +21,8 @@ from .wigner import (SphereField, SphereGrid, bloch_factors, equal_angle_point, 
                      reduced_expectations, reference_state, sphere_field, wigner_value)
 from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
                        count_sign_changes, factorization_value_check,
-                       find_derivative_extrema, find_jumps, find_parity_crossings,
-                       first_derivative, sweep)
+                       find_derivative_extrema, find_sector_crossings, first_derivative,
+                       sweep)
 
 __all__ = [
     "__version__",
@@ -38,6 +39,6 @@ __all__ = [
     "wigner_value", "equal_angle_point",
     "SphereGrid", "SphereField", "sphere_field", "reference_state", "reconstruct_density",
     "SweepConfig", "PhaseLine", "CriticalPoint", "canonical_labels", "sweep",
-    "first_derivative", "find_derivative_extrema", "find_jumps", "find_parity_crossings",
+    "first_derivative", "find_derivative_extrema", "find_sector_crossings",
     "factorization_value_check", "count_sign_changes",
 ]

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (CANONICAL_LABELS_6, DEFAULT_EPSILON, SweepConfig, count_sign_changes,
-                       factorization_value_check, find_derivative_extrema, find_jumps,
-                       find_parity_crossings, sweep)
+                       factorization_value_check, find_derivative_extrema,
+                       find_sector_crossings, sweep)
 from .cli import build_parser, cmd_phaseline, cmd_sphere, resolve_config
 from .models import (ModelSpec, build_hamiltonian, ground_state, rotation_z,
                      spin_parity_operator, staggered_flip_operator, ti_classical_energy,
                      ti_thermo_energy, ti_thermo_mz, total_sz, xy_factorization_angle,
                      xy_factorization_point)
-from .qcore import kron_all, reduced_factor
+from .qcore import kron_all, label_name, reduced_factor
 from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
                      equal_angle_point, kernel_single, pauli_contract, reconstruct_density,
                      reduced_expectations, reference_state, sphere_field, wigner_value)
@@ -33,6 +33,9 @@ SQRT3 = math.sqrt(3.0)
 # an independent S_z = 0 sector diagonalisation at step 1e-3 (1.26645; see
 # tests/test_acceptance_oracles.py).
 XXZ_RHO124_DERIVATIVE_MIN = 1.266
+# criterion 10's aligned-up sweep (start, stop, step) and the end of its constancy clause
+XXZ_SWEEP = (-2.0, 3.0, 0.01)
+XXZ_PLATEAU_STOP = -1.0 - DEFAULT_EPSILON
 
 
 @dataclass
@@ -173,14 +176,15 @@ def check_xy_jumps_and_crossing(rng):
     tot = tuple(range(1, 7))
     cfg = SweepConfig(spec=spec, start=1.0, stop=1.7, step=step, labels=(tot,))
     line = sweep(cfg)
-    jumps = [p.location for p in find_jumps(line, tot)]
+    points = find_sector_crossings(line)
+    jumps = [p.location for p in points if p.kind == "jump"]
     lam_f = 2 / math.sqrt(3.0)
     has_first = any(abs(j - lam_f) <= step for j in jumps)
     has_second = any(abs(j - 1.545) <= 0.02 for j in jumps)
     flips = _parity_flip_midpoints(line)
     flip_first = any(abs(f - lam_f) <= step for f in flips)
     flip_second = any(abs(f - 1.545) <= 0.02 for f in flips)
-    crossings = find_parity_crossings(cfg)
+    crossings = [p for p in points if p.kind == "sector_crossing"]
     cross_ok = bool(crossings) and abs(crossings[0].location - lam_f) <= 1e-6
     ok = has_first and has_second and flip_first and flip_second and cross_ok
     cross_loc = crossings[0].location if crossings else float("nan")
@@ -285,20 +289,17 @@ def check_xxz_phase_structure(rng):
     spec = ModelSpec(family="xxz", n=6, delta=0.0)
     labels = tuple(tuple(l) for l in CANONICAL_LABELS_6)
 
-    cfg = SweepConfig(spec=spec, start=-2.0, stop=3.0, step=0.01, labels=labels,
-                      policy="aligned_up")
+    cfg = SweepConfig(spec=spec, start=XXZ_SWEEP[0], stop=XXZ_SWEEP[1], step=XXZ_SWEEP[2],
+                      labels=labels, policy="aligned_up")
     line = sweep(cfg)
-    missing = []
-    for sites in labels:
-        jumps = [p.location for p in find_jumps(line, sites)]
-        if not any(abs(j + 1.0) <= 0.01 for j in jumps):
-            missing.append(sites)
-    jump_ok = not missing
+    jumps = [p for p in find_sector_crossings(line) if p.kind == "jump"]
+    jump_ok = all(any(p.label == label_name(sites, 6) and abs(p.location + 1.0) <= 0.01
+                      for p in jumps) for sites in labels)
 
-    cfg_flat = SweepConfig(spec=spec, start=-2.0, stop=-1.0 - DEFAULT_EPSILON, step=0.01,
-                           labels=labels, policy="aligned_up")
-    flat = sweep(cfg_flat)
-    spreads = {s: float(np.max(flat.values[s]) - np.min(flat.values[s])) for s in labels}
+    # the constancy grid [-2, -1 - 1e-4] at step 0.01 is the head of the sweep's grid
+    flat = line.params <= XXZ_PLATEAU_STOP
+    spreads = {s: float(np.max(line.values[s][flat]) - np.min(line.values[s][flat]))
+               for s in labels}
     flat_ok = all(v < 1e-10 for v in spreads.values())
 
     cfg_sm = SweepConfig(spec=spec, start=-0.5, stop=3.0, step=0.01,

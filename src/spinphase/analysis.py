@@ -1,14 +1,14 @@
 """Parameter sweeps of equal-angle Wigner correlation functions and the
-detection of their critical features: jumps, first-derivative extrema and
-parity-level crossings."""
+detection of their critical features: first-derivative extrema, and the
+symmetry-sector level crossings with the jumps of every label across them."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .models import (TIE_TOL_FACTOR, ModelSpec, build_hamiltonian, ground_state,
-                     spin_parity_diagonal, xy_factorization_angle, xy_factorization_point)
+from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
+                     xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, validate_label
 from .wigner import SQRT3, equal_angle_point
 
@@ -22,8 +22,8 @@ CANONICAL_LABELS_6 = (
 # finite stand-in for the "just above the transition" evaluation point
 DEFAULT_EPSILON = 1e-4
 
-JUMP_FACTOR_DEFAULT = 50.0
 EXTREMUM_NOISE_FLOOR = 1e-8
+CROSSING_BRACKET = 1e-8  # bisection width of a sector crossing in the parameter
 
 
 def grid_values(start, stop, step):
@@ -43,11 +43,8 @@ def canonical_labels(n):
     """Default correlation subsets for an n-site ring."""
     if n == 6:
         return [tuple(l) for l in CANONICAL_LABELS_6]
-    labels = [(1,)]
-    if n >= 2:
-        labels.append((1, 2))
-    labels.append(tuple(range(1, n + 1)))
-    return labels
+    labels = [(1,), (1, 2), tuple(range(1, n + 1))]
+    return list(dict.fromkeys(l for l in labels if len(l) <= n))
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class SweepConfig:
     policy: str = "symmetric"
     theta: float = 0.0
     phi: float = 0.0
-    degeneracy_tol: float | None = None
 
     def __post_init__(self):
         if len(self.params) < 2:  # the derivative needs two points
@@ -94,7 +90,7 @@ class PhaseLine:
 
 @dataclass
 class CriticalPoint:
-    kind: str  # jump | derivative_extremum | parity_crossing
+    kind: str  # jump | derivative_extremum | sector_crossing
     location: float
     magnitude: float
     label: str  # label name or "global"
@@ -114,7 +110,7 @@ def sweep(cfg):
     for i, value in enumerate(params):
         spec = cfg.spec.with_param(value)
         try:
-            gs = ground_state(spec, policy=cfg.policy, degeneracy_tol=cfg.degeneracy_tol)
+            gs = ground_state(spec, policy=cfg.policy)
         except PolicyError as exc:
             raise PolicyError(f"{exc} (at {spec.sweep_param} = {value:.6g})") from exc
         energy[i] = gs.energy
@@ -148,15 +144,12 @@ def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
     return xv, yv
 
 
-def find_derivative_extrema(line, label, noise_floor=EXTREMUM_NOISE_FLOOR,
-                            prominence_iqr=0.0):
+def find_derivative_extrema(line, label):
     """Interior local extrema of the first-derivative series.
 
     Each extremum is refined with a 3-point parabolic fit; its magnitude is
-    the fitted extremal derivative. Extrema closer to the series median than
-    the numerical noise floor are dropped, as are those within
-    `prominence_iqr` interquartile ranges of the median when that filter is
-    enabled (> 0).
+    the fitted extremal derivative. Extrema within the numerical noise floor
+    EXTREMUM_NOISE_FLOOR x max(1, max|value|) of the series median are dropped.
     """
     y = line.series(label)
     if len(y) < 5:
@@ -164,19 +157,13 @@ def find_derivative_extrema(line, label, noise_floor=EXTREMUM_NOISE_FLOOR,
     d = first_derivative(line, label)
     x = line.params
     med = float(np.median(d))
-    q1, q3 = np.percentile(d, [25, 75])
-    iqr = float(q3 - q1)
-    floor = noise_floor * max(1.0, float(np.max(np.abs(y))))
+    floor = EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y))))
     name = label_name(validate_label(label, line.config.spec.n), line.config.spec.n)
     out = []
     for i in range(1, len(d) - 1):
         is_min = d[i] < d[i - 1] and d[i] < d[i + 1]
         is_max = d[i] > d[i - 1] and d[i] > d[i + 1]
-        if not (is_min or is_max):
-            continue
-        if abs(d[i] - med) <= floor:
-            continue
-        if prominence_iqr > 0 and abs(d[i] - med) <= prominence_iqr * iqr:
+        if not (is_min or is_max) or abs(d[i] - med) <= floor:
             continue
         xv, yv = _parabolic_vertex(x[i - 1], x[i], x[i + 1], d[i - 1], d[i], d[i + 1])
         out.append(CriticalPoint(kind="derivative_extremum", location=float(xv),
@@ -185,77 +172,55 @@ def find_derivative_extrema(line, label, noise_floor=EXTREMUM_NOISE_FLOOR,
     return out
 
 
-def find_jumps(line, label, jump_factor=JUMP_FACTOR_DEFAULT):
-    """Discontinuity candidates: successive differences whose magnitude exceeds
-    jump_factor times the median of the non-zero absolute successive
-    differences, and the numerical noise floor. Exact plateaus therefore do
-    not shrink the threshold. Locations are interval midpoints. An all-equal
-    series yields no jumps."""
-    y = line.series(label)
-    x = line.params
-    diffs = np.diff(y)
-    moving = np.abs(diffs[diffs != 0.0])
-    if len(moving) == 0:
-        return []
-    floor = EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y))))
-    threshold = max(jump_factor * float(np.median(moving)), floor)
-    name = label_name(validate_label(label, line.config.spec.n), line.config.spec.n)
-    out = []
-    for i, dv in enumerate(diffs):
-        if abs(dv) > threshold:
-            out.append(CriticalPoint(kind="jump", location=float((x[i] + x[i + 1]) / 2),
-                                     magnitude=float(dv), label=name))
-    return out
+def find_sector_crossings(line):
+    """Level crossings between the lowest levels of two symmetry sectors along
+    the sweep, and the jump of every label across each of them.
 
-
-def _parity_gap(spec, value):
-    """Lowest odd-parity minus lowest even-parity energy at `value` (parity is
-    diagonal), and the tie tolerance there: TIE_TOL_FACTOR x max(spectral
-    range, 1), as in `ground_state`."""
-    H = build_hamiltonian(spec.with_param(value))
-    d = spin_parity_diagonal(spec.n)
-    even, odd = (np.linalg.eigvalsh(H[np.ix_(d == s, d == s)]) for s in (1.0, -1.0))
-    spread = max(even[-1], odd[-1]) - min(even[0], odd[0])
-    return float(odd[0] - even[0]), TIE_TOL_FACTOR * max(float(spread), 1.0)
-
-
-def find_parity_crossings(cfg, bisect_tol=1e-8):
-    """Crossings of the two lowest opposite-parity levels along the sweep.
-
-    Scans the grid for sign changes of the sector gap and refines each
-    bracket by bisection to `bisect_tol` in the parameter. A gap within the
-    tie tolerance is an exact hit: it is reported once, at that grid point,
-    by the bracket that ends there, so the sign of rounding noise cannot move
-    it. Requires the model to commute with the spin parity operator.
+    At each grid point `pick_sector` names the ground sector of the blocks of
+    `sector_energies`. Where it changes between two grid points, the bracket
+    is bisected to CROSSING_BRACKET on "still the old sector". If the two
+    sectors tie within the tie tolerance at either end of the bracket, that
+    end is an exact hit, located at the grid point without bisection, so the
+    sign of rounding noise cannot move it. Each crossing gives a
+    `sector_crossing` point (label "global", detail "<from> -> <to>",
+    magnitude the |slope| of the two sectors' energy difference over the
+    bracket). Each label whose value steps across the crossing by more than
+    EXTREMUM_NOISE_FLOOR x max(1, max|value|) gets a `jump` at the crossing,
+    with the step as its magnitude; for an exact hit the step spans both
+    brackets that meet at the grid point.
     """
-    spec = cfg.spec
-    probe = build_hamiltonian(spec.with_param(cfg.start))
-    parity_diag = spin_parity_diagonal(spec.n)
-    comm = probe * parity_diag[None, :] - parity_diag[:, None] * probe
-    if np.max(np.abs(comm)) > 1e-10 * max(1.0, float(np.max(np.abs(probe)))):
-        raise ConfigError("model does not commute with the spin parity operator")
-
-    params = cfg.params
-    gaps, tols = np.array([_parity_gap(spec, p) for p in params]).T
-    gaps[np.abs(gaps) <= tols] = 0.0
+    spec, x = line.config.spec, line.params
+    levels = [sector_energies(spec.with_param(p)) for p in x]
+    sectors = levels[0][0]
+    picked = [pick_sector(*level) for level in levels]
     out = []
-    for i in range(len(params) - 1):
-        if gaps[i] == 0.0 or gaps[i] * gaps[i + 1] > 0:
-            continue  # no sign change, or an exact hit the preceding bracket reported
-        loc = params[i + 1]  # an exact hit needs no bisection
-        if gaps[i + 1] != 0.0:
-            a, b, fa = params[i], params[i + 1], gaps[i]
-            while b - a > bisect_tol:
-                m = 0.5 * (a + b)
-                fm = _parity_gap(spec, m)[0]
-                if fa * fm <= 0:
-                    b = m
+    for i in range(len(x) - 1):
+        a, b = picked[i], picked[i + 1]
+        if a == b:
+            continue
+        gaps = [levels[k][1][b] - levels[k][1][a] for k in (i, i + 1)]
+        hits = [k for k, gap in zip((i, i + 1), gaps) if abs(gap) <= levels[k][2]]
+        if hits:
+            loc, lo, hi = x[hits[0]], max(hits[0] - 1, 0), min(hits[0] + 1, len(x) - 1)
+        else:
+            left, right = x[i], x[i + 1]
+            while right - left > CROSSING_BRACKET:
+                mid = 0.5 * (left + right)
+                if pick_sector(*sector_energies(spec.with_param(mid))) == a:
+                    left = mid
                 else:
-                    a, fa = m, fm
-            loc = 0.5 * (a + b)
-        slope = (gaps[i + 1] - gaps[i]) / cfg.step
-        out.append(CriticalPoint(kind="parity_crossing", location=float(loc),
-                                 magnitude=float(abs(slope)), label="global"))
+                    right = mid
+            loc, lo, hi = 0.5 * (left + right), i, i + 1
+        out.append(CriticalPoint(kind="sector_crossing", location=float(loc),
+                                 magnitude=float(abs(gaps[1] - gaps[0]) / (x[i + 1] - x[i])),
+                                 label="global", detail=f"{sectors[a]:g} -> {sectors[b]:g}"))
+        for label in line.config.labels:
+            y = line.series(label)
+            step = y[hi] - y[lo]
+            if abs(step) > EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y)))):
+                out.append(CriticalPoint(kind="jump", location=float(loc),
+                                         magnitude=float(step),
+                                         label=label_name(label, spec.n)))
     return out
 
 
@@ -281,8 +246,7 @@ def factorization_value_check(gamma, labels, n=6):
             for sites in (validate_label(l, n) for l in labels)]
 
 
-def count_sign_changes(values, zero_atol=0.0):
-    """Number of strict sign flips between consecutive entries, ignoring
-    entries with magnitude <= zero_atol."""
-    signs = [1 if v > zero_atol else -1 for v in values if abs(v) > zero_atol]
+def count_sign_changes(values):
+    """Number of strict sign flips between consecutive entries, ignoring zeros."""
+    signs = [1 if v > 0 else -1 for v in values if abs(v) > 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

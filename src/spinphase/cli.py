@@ -21,9 +21,8 @@ from .models import (ModelSpec, ground_state, ti_classical_energy, ti_classical_
                      ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, parse_label
-from .analysis import (JUMP_FACTOR_DEFAULT, SweepConfig, canonical_labels,
-                       find_derivative_extrema, find_jumps, find_parity_crossings,
-                       first_derivative, grid_values, sweep)
+from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema,
+                       find_sector_crossings, first_derivative, grid_values, sweep)
 from .wigner import SphereGrid, sphere_field
 
 EXIT_OK = 0
@@ -90,14 +89,6 @@ def _utcnow():
 # configuration handling
 
 
-def positive_float(text):
-    """Option type for a positive finite number (nan, inf and values <= 0 fail)."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{text!r} is not a positive finite number")
-    return value
-
-
 _MODEL = ("phaseline", "sphere", "animate")
 _SWEEP = ("phaseline", "animate", "formulas")
 
@@ -128,8 +119,6 @@ OPTIONS = {
     "grid-phi": (360, ("sphere", "animate"), {"type": int, "help": "sphere grid phi samples"}),
     "out": (".", _MODEL + ("formulas",), {"help": "output directory"}),
     "seed": (0, ("verify",), {"type": int, "help": "random seed for verification draws"}),
-    "jump-factor": (JUMP_FACTOR_DEFAULT, ("phaseline",),
-                    {"type": positive_float, "help": "jump detection factor"}),
 }
 
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
@@ -188,9 +177,13 @@ def _labels(cfg, n):
     if cfg["labels"] is None:
         return [tuple(l) for l in canonical_labels(n)]
     try:
-        return [parse_label(tok, n) for tok in cfg["labels"].split(",") if tok.strip()]
+        labels = [parse_label(tok, n) for tok in cfg["labels"].split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    twice = sorted({label_name(l, n) for l in labels if labels.count(l) > 1})
+    if twice:
+        raise ConfigError(f"--labels names the same site subset twice: {', '.join(twice)}")
+    return labels
 
 
 def _sweep_config(cfg):
@@ -329,11 +322,10 @@ def cmd_phaseline(cfg):
     write_csv(derivative_path, ("param", "label", "dvalue"), rows)
 
     points = []
-    for sites in sweep_cfg.labels:
-        points.extend(find_jumps(line, sites, jump_factor=cfg["jump-factor"]))
-        if len(line.params) >= 5:  # extremum refinement needs interior points
+    if len(line.params) >= 5:  # extremum refinement needs interior points
+        for sites in sweep_cfg.labels:
             points.extend(find_derivative_extrema(line, sites))
-    points.extend(find_parity_crossings(sweep_cfg))
+    points.extend(find_sector_crossings(line))
     payload = _critical_point_payload(points)
     critical_path = os.path.join(outdir, "criticalpoints.json")
     write_json(critical_path, {"critical_points": payload})

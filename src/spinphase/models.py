@@ -186,15 +186,39 @@ def _state_parity(state, n):
     return None
 
 
-def ground_state(spec, policy="symmetric", degeneracy_tol=None):
+def sector_energies(spec):
+    """Lowest energy of each block of `symmetry_diagonal(spec)` (spin parity for
+    ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
+    max(spectral range, 1). Returns (sectors, energies, tol) with the sector
+    values in increasing order."""
+    H = build_hamiltonian(spec)
+    sym = symmetry_diagonal(spec)
+    sectors = np.unique(sym)
+    levels = [np.linalg.eigvalsh(H[np.ix_(sym == s, sym == s)]) for s in sectors]
+    spread = max(w[-1] for w in levels) - min(w[0] for w in levels)
+    return (tuple(float(s) for s in sectors), np.array([w[0] for w in levels]),
+            TIE_TOL_FACTOR * max(float(spread), 1.0))
+
+
+def pick_sector(sectors, energies, tol):
+    """Index of the ground sector among candidates (sector, energy): the lowest
+    energy wins; among candidates within `tol` of it, the most positive sector;
+    among equal sectors, the first."""
+    low = min(energies)
+    best = None
+    for k, (sector, energy) in enumerate(zip(sectors, energies)):
+        if energy <= low + tol and (best is None or sector > sectors[best]):
+            best = k
+    return best
+
+
+def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy.
 
-    Eigenvalues within `degeneracy_tol` (default 1e-9 x spectral range) of the
-    lowest form the ground space. A unique ground state is returned as-is.
-    Inside a degenerate space:
+    Eigenvalues within 1e-9 x spectral range of the lowest form the ground
+    space. A unique ground state is returned as-is. Inside a degenerate space:
       symmetric  -- diagonalize the model's symmetry operator and return the
-                    lowest definite-symmetry state; on energy ties the most
-                    positive symmetry sector wins,
+                    definite-symmetry state that `pick_sector` picks,
       mixture    -- maximally mixed state on the ground space,
       aligned_up -- the all-up product state, which must lie in the space.
     """
@@ -203,11 +227,7 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
     H = build_hamiltonian(spec)
     w, v = herm_eig(H)
     spread = float(w[-1] - w[0])
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_TOL_FACTOR * max(spread, 1.0)
-    elif degeneracy_tol <= 0:
-        raise ConfigError("degeneracy_tol must be positive")
-    g = int(np.sum(w - w[0] <= degeneracy_tol))
+    g = int(np.sum(w - w[0] <= DEGENERACY_TOL_FACTOR * max(spread, 1.0)))
     gap = float(w[1] - w[0])
     n = spec.n
 
@@ -230,16 +250,10 @@ def ground_state(spec, policy="symmetric", degeneracy_tol=None):
     sym = symmetry_diagonal(spec)
     block = V.conj().T @ (sym[:, None] * V)
     _, rot = herm_eig(0.5 * (block + block.conj().T))
-    tie_tol = TIE_TOL_FACTOR * max(spread, 1.0)
-    best = None
-    for k in range(g):
-        vec = V @ rot[:, k]
-        energy = float(np.real(np.vdot(vec, H @ vec)))
-        sector = float(np.real(np.vdot(vec, sym * vec)))
-        if best is None or energy < best[0] - tie_tol or (
-                abs(energy - best[0]) <= tie_tol and sector > best[1]):
-            best = (energy, sector, vec)
-    state = best[2][:, None]
+    vecs = [V @ rot[:, k] for k in range(g)]
+    sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
+    energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
+    state = vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]
     return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
 
 
@@ -328,7 +342,8 @@ def xy_factorization_angle(gamma):
 __all__ = [
     "FAMILIES", "POLICIES", "ModelSpec", "GroundStateResult", "build_hamiltonian",
     "spin_parity_operator", "spin_parity_diagonal", "staggered_flip_operator", "total_sz",
-    "total_sz_diagonal", "rotation_z", "symmetry_diagonal", "ground_state",
+    "total_sz_diagonal", "rotation_z", "symmetry_diagonal", "sector_energies", "pick_sector",
+    "ground_state",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
     "DEGENERACY_TOL_FACTOR", "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",

@@ -6,14 +6,21 @@ import pytest
 from spinphase import analysis
 from spinphase.analysis import (CANONICAL_LABELS_6, SweepConfig, canonical_labels,
                                 count_sign_changes, factorization_value_check,
-                                find_derivative_extrema, find_jumps, find_parity_crossings,
+                                find_derivative_extrema, find_sector_crossings,
                                 first_derivative, sweep)
 from spinphase.errors import ConfigError, NumericalError
-from spinphase.models import ModelSpec
+from spinphase.models import (ModelSpec, ground_state, pick_sector, sector_energies,
+                              total_sz_diagonal)
+from spinphase.qcore import label_name
 
 SQ3 = math.sqrt(3.0)
 HI = 0.5 * (1 + SQ3)
 TOT6 = tuple(range(1, 7))
+NAMES6 = {label_name(l, 6) for l in CANONICAL_LABELS_6}
+
+
+def of_kind(points, kind):
+    return [p for p in points if p.kind == kind]
 
 
 def ti_cfg(start, stop, step, labels=(TOT6,), policy="symmetric"):
@@ -127,10 +134,11 @@ class TestDerivativeExtrema:
 
 class TestJumps:
     def test_smooth_ti_sweep_is_clean(self, ti_line):
-        assert find_jumps(ti_line, TOT6, jump_factor=50.0) == []
+        assert find_sector_crossings(ti_line) == []
 
     def test_xy_jumps_at_crossings(self, xy_line):
-        locations = [p.location for p in find_jumps(xy_line, TOT6)]
+        locations = [p.location for p in of_kind(find_sector_crossings(xy_line), "jump")
+                     if p.label == "tot"]
         assert any(abs(l - 1.1547) <= 0.005 for l in locations)
         assert any(abs(l - 1.545) <= 0.02 for l in locations)
 
@@ -138,75 +146,125 @@ class TestJumps:
         cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0),
                           start=-1.5, stop=-0.5, step=0.01, labels=((1,), TOT6),
                           policy="aligned_up")
-        line = sweep(cfg)
-        for label in ((1,), TOT6):
-            locations = [p.location for p in find_jumps(line, label)]
-            assert any(abs(l + 1.0) <= 0.01 for l in locations)
+        jumps = of_kind(find_sector_crossings(sweep(cfg)), "jump")
+        for name in ("1", "tot"):
+            assert any(abs(p.location + 1.0) <= 0.01 for p in jumps if p.label == name)
 
-    def test_exact_plateau_does_not_lower_threshold(self):
-        # below delta = -1 every label sits on the all-up value; only the
-        # transition at delta = -1 is a jump
-        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0), start=-5.0,
-                          stop=-0.5, step=0.05, labels=CANONICAL_LABELS_6,
+    def test_benchmark_xxz_grid_jumps_once_per_label_at_minus_one(self):
+        # the smooth slope above delta = -1 is not a jump: only the S_z crossing is
+        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0), start=-2.0,
+                          stop=10.0, step=0.05, labels=CANONICAL_LABELS_6,
                           policy="aligned_up")
-        line = sweep(cfg)
-        locations = [p.location for label in cfg.labels for p in find_jumps(line, label)]
-        assert locations
-        assert locations == pytest.approx([-0.975] * len(locations), abs=1e-12)
+        jumps = of_kind(find_sector_crossings(sweep(cfg)), "jump")
+        assert sorted(p.label for p in jumps) == sorted(NAMES6)
+        assert [p.location for p in jumps] == [-1.0] * 12
 
     def test_all_equal_series_returns_empty(self):
         line = sweep(SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0),
                                  start=-2.0, stop=-1.5, step=0.1, labels=((1,),),
                                  policy="aligned_up"))
-        assert find_jumps(line, (1,)) == []
+        assert find_sector_crossings(line) == []
+
+
+def crossings(cfg):
+    return of_kind(find_sector_crossings(sweep(cfg)), "sector_crossing")
 
 
 class TestParityCrossings:
     def test_xy_gamma_05_factorization_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5),
                           start=1.0, stop=1.3, step=0.01, labels=((1,),))
-        points = find_parity_crossings(cfg)
+        points = crossings(cfg)
         assert len(points) == 1
         assert points[0].location == pytest.approx(2 / SQ3, abs=1e-6)
-        assert points[0].kind == "parity_crossing"
+        assert points[0].kind == "sector_crossing"
         assert points[0].label == "global"
+        assert points[0].detail == "1 -> -1"
 
     def test_xy_gamma_08_closed_form(self):
         cfg = SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.8),
                           start=1.5, stop=1.8, step=0.01, labels=((1,),))
-        points = find_parity_crossings(cfg)
+        points = crossings(cfg)
         assert len(points) == 1
         assert points[0].location == pytest.approx(5.0 / 3.0, abs=1e-6)
 
-    # both parities share the ground level at xxz delta = -1, grid point 10 here
+    # all S_z sectors share the ground level at xxz delta = -1, grid point 10 here
     XXZ_HIT = dict(spec=ModelSpec(family="xxz", n=6), start=-1.5, stop=-0.5, step=0.05,
                    labels=((1,),))
 
     def test_exact_grid_hit_reported_at_the_grid_point(self):
         cfg = SweepConfig(**self.XXZ_HIT)
         assert cfg.params[10] == -1.0
-        points = find_parity_crossings(cfg)
-        assert [p.location for p in points] == [-1.0]
-        gap_before, _ = analysis._parity_gap(cfg.spec, cfg.params[9])
-        assert points[0].magnitude == pytest.approx(abs(gap_before) / cfg.step, rel=1e-12)
+        points = crossings(cfg)
+        assert [(p.location, p.detail) for p in points] == [(-1.0, "3 -> 0")]
+
+        def gap(value):  # lowest S_z = 0 minus lowest S_z = 3 level
+            sectors, energies, _ = sector_energies(cfg.spec.with_param(value))
+            return energies[sectors.index(0.0)] - energies[sectors.index(3.0)]
+        slope = (gap(cfg.params[11]) - gap(cfg.params[10])) / (cfg.params[11] - cfg.params[10])
+        assert points[0].magnitude == pytest.approx(abs(slope), rel=1e-12)
 
     def test_sign_of_a_tied_gap_does_not_move_the_hit(self, monkeypatch):
         cfg = SweepConfig(**self.XXZ_HIT)
-        exact = analysis._parity_gap
+        line = sweep(cfg)
+        exact = analysis.sector_energies
         found = []
         for sign in (1.0, -1.0):
-            def tied(spec, value, sign=sign):
-                gap, tol = exact(spec, value)
-                return (sign * tol / 10, tol) if value == -1.0 else (gap, tol)
-            monkeypatch.setattr(analysis, "_parity_gap", tied)
-            found.append(find_parity_crossings(cfg))
-        assert found[0] == found[1]
-        assert [p.location for p in found[0]] == [-1.0]
+            def tied(spec, sign=sign):
+                sectors, energies, tol = exact(spec)
+                if spec.delta == -1.0:  # move the tied S_z = 0 level by tol / 10
+                    energies = energies.copy()
+                    energies[sectors.index(0.0)] += sign * tol / 10
+                return sectors, energies, tol
+            monkeypatch.setattr(analysis, "sector_energies", tied)
+            found.append(of_kind(find_sector_crossings(line), "sector_crossing"))
+        assert [p.location for p in found[0]] == [p.location for p in found[1]] == [-1.0]
 
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),
                           start=0.01, stop=5.0, step=0.25, labels=((1,),))
-        assert find_parity_crossings(cfg) == []
+        assert crossings(cfg) == []
+
+
+class TestSectorCrossings:
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("start", [-2.0, -2.013])
+    def test_xxz_crossing_without_parity_change(self, n, start):
+        # ground parity is +1 on both sides of delta = -1 for n = 4 and 8
+        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=n), start=start, stop=-0.5,
+                          step=0.05, labels=((1,),), policy="aligned_up")
+        points = crossings(cfg)
+        assert len(points) == 1
+        assert abs(points[0].location + 1.0) <= 1e-8
+        assert points[0].detail == f"{n // 2} -> 0"
+
+    def test_readme_xy_grid_crossings_carry_a_jump_for_every_label(self):
+        cfg = SweepConfig(spec=ModelSpec(family="xy", n=6, gamma=0.5), start=0.0,
+                          stop=2.0, step=0.005)
+        points = find_sector_crossings(sweep(cfg))
+        found = of_kind(points, "sector_crossing")
+        assert [p.location for p in found] == [pytest.approx(2 / SQ3, abs=1e-6),
+                                               pytest.approx(1.5404, abs=1e-4)]
+        for crossing in found:
+            labels = {p.label for p in of_kind(points, "jump")
+                      if p.location == crossing.location}
+            assert labels == NAMES6
+
+    def test_isotropic_ferro_point_picks_the_top_sector(self):
+        spec = ModelSpec(family="xxz", n=6, delta=-1.0)
+        sectors, energies, tol = sector_energies(spec)
+        assert np.ptp(energies[[sectors.index(s) for s in (-3.0, 0.0, 3.0)]]) <= tol
+        assert sectors[pick_sector(sectors, energies, tol)] == 3.0
+        gs = ground_state(spec)
+        assert gs.degeneracy == 7
+        sz = float(total_sz_diagonal(6) @ np.sum(np.abs(gs.state) ** 2, axis=1))
+        assert sz == pytest.approx(3.0, abs=1e-12)
+
+    def test_pick_sector_rule(self):
+        # lowest energy wins; within tol the most positive sector; equal sectors, the first
+        assert pick_sector([1.0, -1.0], [0.0, -0.5], 1e-12) == 1
+        assert pick_sector([-1.0, 1.0, 0.0], [0.0, 5e-13, -5e-13], 1e-12) == 1
+        assert pick_sector([1.0, 1.0], [0.0, 0.0], 1e-12) == 0
 
 
 class TestFactorizationValueCheck:
@@ -255,13 +313,13 @@ class TestInvariants:
                           start=max(0.05, lam_f - 0.3), stop=lam_f + 0.3, step=0.01,
                           labels=((1,),))
         line = sweep(cfg)
-        crossings = [p.location for p in find_parity_crossings(cfg)]
+        found = [p.location for p in of_kind(find_sector_crossings(line), "sector_crossing")]
         flips = []
         for i in range(len(line.params) - 1):
             if line.parity[i] != line.parity[i + 1]:
                 flips.append(0.5 * (line.params[i] + line.params[i + 1]))
-        assert len(flips) == len(crossings)
-        for flip, crossing in zip(flips, sorted(crossings)):
+        assert len(flips) == len(found)
+        for flip, crossing in zip(flips, sorted(found)):
             assert abs(flip - crossing) <= 0.01
 
 
@@ -269,8 +327,10 @@ class TestHelpers:
     def test_canonical_labels(self):
         assert len(canonical_labels(6)) == 12
         assert canonical_labels(4) == [(1,), (1, 2), (1, 2, 3, 4)]
+        assert canonical_labels(3) == [(1,), (1, 2), (1, 2, 3)]
+        assert canonical_labels(2) == [(1,), (1, 2)]  # the full ring is (1, 2) itself
 
     def test_count_sign_changes(self):
         assert count_sign_changes([1.0, -1.0, 1.0, 1.0, -2.0]) == 3
         assert count_sign_changes([1.0, 2.0, 3.0]) == 0
-        assert count_sign_changes([1.0, 0.0, -1.0], zero_atol=1e-12) == 1
+        assert count_sign_changes([1.0, 0.0, -1.0]) == 1

@@ -77,8 +77,16 @@ class TestPhaseline:
         for p in points:
             assert 1.0 <= p["location"] <= 1.3
             assert p["label"] in ("1", "tot", "global")
-        crossings = [p for p in points if p["kind"] == "parity_crossing"]
+        crossings = [p for p in points if p["kind"] == "sector_crossing"]
         assert crossings and abs(crossings[0]["location"] - 2 / math.sqrt(3)) < 1e-6
+
+    def test_two_site_ring_writes_each_row_once(self, tmp_path):
+        out = tmp_path / "n2"
+        assert run_cli(["phaseline", "--model", "ti", "--n", "2", "--param-start", "0",
+                        "--param-stop", "0.2", "--param-step", "0.1", "--out", str(out)]) == 0
+        rows = [(r["param"], r["label"]) for r in read_csv(out / "phaseline.csv")]
+        assert len(rows) == len(set(rows)) == 3 * 2
+        assert {label for _, label in rows} == {"1", "tot"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -251,12 +259,12 @@ class TestConfigHandling:
     def test_config_keys_of_other_subcommands_are_accepted(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("model = ti\nlabels = 1\nseed = 3\nvalues = 1,2\ngrid-theta = 3\n"
-                       "grid-phi = 4\nparam-value = 0.5\njump-factor = 20\n")
+                       "grid-phi = 4\nparam-value = 0.5\n")
         args = ["phaseline", "--config", str(cfg), "--param-start", "0", "--param-stop", "0.1",
                 "--param-step", "0.05", "--out", str(tmp_path / "out")]
         assert run_cli(args) == 0
         config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
-        assert config["seed"] == 3 and config["jump-factor"] == 20.0
+        assert config["seed"] == 3 and config["param-value"] == 0.5
 
     @pytest.mark.parametrize("argv", [
         ["sphere", "--model", "ti", "--param-value", "0", "--phase-theta", "1"],
@@ -277,6 +285,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_jump_factor_must_be_positive_finite(self, value, capsys, tmp_path):
+        # the option is gone, so these values are refused like any other
         argv = ["phaseline", "--model", "xy", "--gamma", "0.5", "--param-start", "1.0",
                 "--param-stop", "1.3", "--labels", "1,tot", "--out", str(tmp_path / "x")]
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +296,35 @@ class TestConfigHandling:
         cfg.write_text(f"jump-factor = {value}\n")
         assert run_cli(argv + ["--config", str(cfg)]) == 2
         assert not (tmp_path / "x" / "phaseline.csv").exists()
+
+    def test_jump_factor_is_unknown(self, capsys, tmp_path):
+        argv = ["phaseline", "--model", "xy", "--gamma", "0.5", "--param-start", "1.0",
+                "--param-stop", "1.3", "--labels", "1,tot", "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--jump-factor", "20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jump-factor" in capsys.readouterr().err
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("jump-factor = 20\n")
+        assert run_cli(argv + ["--config", str(cfg)]) == 2
+        assert "unknown key 'jump-factor'" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "phaseline.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", "1,1"],
+        ["phaseline", "--model", "ti", "--n", "2", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", "12,tot"],
+        ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", "135,1.3.5"],
+        ["sphere", "--model", "ti", "--param-value", "0", "--labels", "12,1.2"],
+        ["animate", "--model", "ti", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", "tot,123456"],
+    ])
+    def test_label_set_naming_a_subset_twice_exits_2(self, argv, capsys, tmp_path):
+        assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "same site subset twice" in capsys.readouterr().err
+        assert not any((tmp_path / "x").glob("*.csv"))
 
     @pytest.mark.parametrize("argv", [
         ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "inf"],

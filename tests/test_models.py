@@ -249,12 +249,9 @@ class TestGroundState:
         assert purity == pytest.approx(1.0, abs=1e-9)
         assert gs.gap > 0
 
-    def test_invalid_policy_and_tol(self):
-        spec = ModelSpec(family="ti", n=4, lam=0.5)
+    def test_invalid_policy(self):
         with pytest.raises(ConfigError):
-            ground_state(spec, policy="lowest")
-        with pytest.raises(ConfigError):
-            ground_state(spec, degeneracy_tol=-1.0)
+            ground_state(ModelSpec(family="ti", n=4, lam=0.5), policy="lowest")
 
     def test_ti_energy_nonincreasing_in_lambda(self):
         energies = [ground_state(ModelSpec(family="ti", n=6, lam=l)).energy
