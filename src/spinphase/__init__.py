@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 from .errors import ConfigError, NumericalError, PolicyError, SpinPhaseError
 from .qcore import herm_eig, label_name, parse_label, reduced_factor, validate_label
 from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_state,
-                     rotation_z, spin_parity_operator, staggered_flip_operator,
-                     ti_classical_energy, ti_classical_mx, ti_classical_mz,
-                     ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz,
-                     xy_factorization_angle, xy_factorization_point)
-from .wigner import (SphereField, SphereGrid, bloch_factors, equal_angle_point, kernel_single,
+                     spin_parity_diagonal, staggered_flip_diagonal, ti_classical_energy,
+                     ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
+                     ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
+                     xy_factorization_point)
+from .wigner import (SphereGrid, bloch_factors, equal_angle_point, kernel_single,
                      pauli_contract, pauli_expectations, reconstruct_density,
                      reduced_expectations, reference_state, sphere_field, wigner_value)
 from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
@@ -30,14 +30,14 @@ __all__ = [
     "herm_eig", "reduced_factor",
     "validate_label", "label_name", "parse_label",
     "ModelSpec", "GroundStateResult", "build_hamiltonian", "ground_state",
-    "spin_parity_operator", "staggered_flip_operator", "total_sz", "rotation_z",
+    "spin_parity_diagonal", "staggered_flip_diagonal", "total_sz_diagonal",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz",
     "ti_thermo_energy", "ti_thermo_mx", "ti_thermo_mz",
     "xy_factorization_point", "xy_factorization_angle",
     "kernel_single", "bloch_factors", "pauli_expectations", "pauli_contract",
     "reduced_expectations",
     "wigner_value", "equal_angle_point",
-    "SphereGrid", "SphereField", "sphere_field", "reference_state", "reconstruct_density",
+    "SphereGrid", "sphere_field", "reference_state", "reconstruct_density",
     "SweepConfig", "PhaseLine", "CriticalPoint", "canonical_labels", "sweep",
     "first_derivative", "find_derivative_extrema", "find_sector_crossings",
     "factorization_value_check", "count_sign_changes",

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, PolicyError
 from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
                      xy_factorization_angle, xy_factorization_point)
-from .qcore import label_name, validate_label
+from .qcore import label_name, validate_label, validate_labels
 from .wigner import SQRT3, equal_angle_point
 
 # correlation subsets explored for the 6-site ring: one representative per
@@ -63,7 +63,7 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.params) < 2:  # the derivative needs two points
             raise ConfigError("a sweep needs at least two grid points")
-        labels = tuple(validate_label(l, self.spec.n) for l in self.labels) or \
+        labels = validate_labels(self.labels, self.spec.n) or \
             tuple(canonical_labels(self.spec.n))
         object.__setattr__(self, "labels", labels)
 
@@ -97,30 +97,31 @@ class CriticalPoint:
     detail: str | None = None
 
 
-def sweep(cfg):
-    """Phase line over the parameter grid: at each value build the Hamiltonian,
-    select the ground state per policy and evaluate every label at the phase
-    point. Aborts with the offending parameter value on policy failure."""
-    params = cfg.params
-    values = {label: np.empty(len(params)) for label in cfg.labels}
-    energy = np.empty(len(params))
-    degeneracy = np.empty(len(params), dtype=int)
-    parity = np.empty(len(params))
-    gap = np.empty(len(params))
-    for i, value in enumerate(params):
+def ground_states(cfg):
+    """Yield (param, ground state per the sweep's policy) along the grid of `cfg`;
+    a policy failure is re-raised with the offending parameter value."""
+    for value in cfg.params:
         spec = cfg.spec.with_param(value)
         try:
             gs = ground_state(spec, policy=cfg.policy)
         except PolicyError as exc:
             raise PolicyError(f"{exc} (at {spec.sweep_param} = {value:.6g})") from exc
-        energy[i] = gs.energy
-        degeneracy[i] = gs.degeneracy
-        parity[i] = np.nan if gs.parity is None else gs.parity
-        gap[i] = gs.gap
-        for label in cfg.labels:
-            values[label][i] = equal_angle_point(gs.state, label, cfg.theta, cfg.phi, n=spec.n)
-    return PhaseLine(config=cfg, params=params, values=values, energy=energy,
-                     degeneracy=degeneracy, parity=parity, gap=gap)
+        yield value, gs
+
+
+def sweep(cfg):
+    """Phase line over the parameter grid: the ground state of `ground_states`
+    at each value, with every label evaluated at the phase point."""
+    states = [gs for _, gs in ground_states(cfg)]
+    values = {label: np.array([equal_angle_point(gs.state, label, cfg.theta, cfg.phi,
+                                                 n=cfg.spec.n) for gs in states])
+              for label in cfg.labels}
+    return PhaseLine(config=cfg, params=cfg.params, values=values,
+                     energy=np.array([gs.energy for gs in states]),
+                     degeneracy=np.array([gs.degeneracy for gs in states]),
+                     parity=np.array([np.nan if gs.parity is None else gs.parity
+                                      for gs in states], dtype=float),
+                     gap=np.array([gs.gap for gs in states]))
 
 
 def first_derivative(line, label):

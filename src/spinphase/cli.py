@@ -20,9 +20,10 @@ from .errors import ConfigError, NumericalError, SpinPhaseError
 from .models import (ModelSpec, ground_state, ti_classical_energy, ti_classical_mx,
                      ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
                      xy_factorization_angle, xy_factorization_point)
-from .qcore import label_name, parse_label
+from .qcore import label_name, parse_label, validate_labels
 from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema,
-                       find_sector_crossings, first_derivative, grid_values, sweep)
+                       find_sector_crossings, first_derivative, grid_values, ground_states,
+                       sweep)
 from .wigner import SphereGrid, sphere_field
 
 EXIT_OK = 0
@@ -175,22 +176,17 @@ def _model_spec(cfg, param_value=None):
 
 def _labels(cfg, n):
     if cfg["labels"] is None:
-        return [tuple(l) for l in canonical_labels(n)]
-    try:
-        labels = [parse_label(tok, n) for tok in cfg["labels"].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    twice = sorted({label_name(l, n) for l in labels if labels.count(l) > 1})
-    if twice:
-        raise ConfigError(f"--labels names the same site subset twice: {', '.join(twice)}")
-    return labels
+        return canonical_labels(n)
+    # a malformed label raises ValueError, which `main` reports as a config error
+    return validate_labels([parse_label(tok, n) for tok in cfg["labels"].split(",")
+                            if tok.strip()], n)
 
 
 def _sweep_config(cfg):
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("--param-start and --param-stop are required for this command")
     return SweepConfig(spec=_model_spec(cfg), start=cfg["param-start"], stop=cfg["param-stop"],
-                       step=cfg["param-step"], labels=tuple(_labels(cfg, cfg["n"])),
+                       step=cfg["param-step"], labels=_labels(cfg, cfg["n"]),
                        policy=cfg["policy"], theta=cfg["phase-theta"], phi=cfg["phase-phi"])
 
 
@@ -341,7 +337,7 @@ def _write_sphere_files(outdir, state, labels, grid, n):
     angles = [f"{fmt(theta)},{fmt(phi)}" for theta in grid.thetas for phi in grid.phis]
     files = []
     for sites in labels:
-        values = sphere_field(state, sites, grid, n=n).values.ravel()
+        values = sphere_field(state, sites, grid, n=n).ravel()
         rows = [(angle, fmt(v)) for angle, v in zip(angles, values)]
         path = os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv")
         write_csv(path, ("theta", "phi", "value"), rows)
@@ -371,12 +367,11 @@ def cmd_animate(cfg):
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
     files = []
     index_rows = []
-    for idx, value in enumerate(sweep_cfg.params):
+    for idx, (value, gs) in enumerate(ground_states(sweep_cfg)):
         frame_dir = os.path.join(outdir, f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
-        spec = sweep_cfg.spec.with_param(value)
-        gs = ground_state(spec, policy=cfg["policy"])
-        files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid, spec.n))
+        files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid,
+                                         sweep_cfg.spec.n))
         index_rows.append((str(idx), fmt(value)))
     index_path = os.path.join(outdir, "frames.csv")
     write_csv(index_path, ("frame", "param"), index_rows)

@@ -141,26 +141,11 @@ def total_sz_diagonal(n):
     return np.sum(_z_signs(n), axis=0) / 2
 
 
-def spin_parity_operator(n):
-    """Product of sigma_z over all sites (diagonal, involutory)."""
-    return np.diag(spin_parity_diagonal(n))
-
-
-def staggered_flip_operator(n):
-    """Product of sigma_z over the even sites; requires even n."""
+def staggered_flip_diagonal(n):
+    """Diagonal of the product of sigma_z over the even sites; requires even n."""
     if n % 2:
         raise ValueError("staggered flip operator needs an even number of sites")
-    return np.diag(np.prod(_z_signs(n)[1::2], axis=0))
-
-
-def total_sz(n):
-    """z component of the total spin, (1/2) sum_l sigma_z_l."""
-    return np.diag(total_sz_diagonal(n))
-
-
-def rotation_z(phi, n):
-    """Global spin rotation exp(i phi S_T^z) about the z axis (diagonal, unitary)."""
-    return np.diag(np.exp(1j * phi * total_sz_diagonal(n)))
+    return np.prod(_z_signs(n)[1::2], axis=0)
 
 
 def symmetry_diagonal(spec):
@@ -341,9 +326,8 @@ def xy_factorization_angle(gamma):
 
 __all__ = [
     "FAMILIES", "POLICIES", "ModelSpec", "GroundStateResult", "build_hamiltonian",
-    "spin_parity_operator", "spin_parity_diagonal", "staggered_flip_operator", "total_sz",
-    "total_sz_diagonal", "rotation_z", "symmetry_diagonal", "sector_energies", "pick_sector",
-    "ground_state",
+    "spin_parity_diagonal", "staggered_flip_diagonal", "total_sz_diagonal", "symmetry_diagonal",
+    "sector_energies", "pick_sector", "ground_state",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
     "DEGENERACY_TOL_FACTOR", "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",

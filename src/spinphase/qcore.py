@@ -3,8 +3,8 @@
 Conventions used throughout the package:
   * site indices are 1-based; site 1 is the leftmost tensor factor,
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
-  * operators are dense numpy arrays of dimension 2^n: complex, except the
-    chain Hamiltonians and symmetry operators, which are real (see `models`),
+  * operators are dense complex arrays of dimension 2^n, but the chain
+    Hamiltonians are real and a symmetry is its diagonal (see `models`),
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger: a
     pure state is one column (a 1-D vector is the r = 1 case), a mixture one
     column per weighted component.
@@ -12,18 +12,12 @@ Conventions used throughout the package:
 
 import numpy as np
 
+from .errors import ConfigError
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def kron_all(ops):
-    """Kronecker product of a sequence of operators, left to right."""
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
 
 
 def n_sites(dim):
@@ -75,6 +69,15 @@ def validate_label(sites, n):
     if any(b <= a for a, b in zip(sites, sites[1:])):
         raise ValueError(f"label {sites} must be strictly increasing")
     return sites
+
+
+def validate_labels(labels, n):
+    """Validate each label of a set; a site subset named twice is a ConfigError."""
+    labels = tuple(validate_label(l, n) for l in labels)
+    twice = sorted({label_name(l, n) for l in labels if labels.count(l) > 1})
+    if twice:
+        raise ConfigError(f"the label set names the same site subset twice: {', '.join(twice)}")
+    return labels
 
 
 def label_name(sites, n):

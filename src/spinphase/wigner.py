@@ -13,14 +13,13 @@ same kernel written as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger
 is the independent oracle of the tests.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                    kron_all, n_sites, reduced_factor, validate_label)
+                    n_sites, reduced_factor)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -52,11 +51,13 @@ def bloch_factors(theta, phi):
 
 
 def _pauli_operator(coeffs):
-    """2^-k sum_a coeffs[a] sigma_a1 x ... x sigma_ak for a tensor with k Pauli axes."""
-    coeffs = np.asarray(coeffs)
-    strings = itertools.product(range(4), repeat=coeffs.ndim)
-    return sum(c * kron_all(PAULI_BASIS[list(a)])
-               for c, a in zip(coeffs.ravel(), strings)) / 2**coeffs.ndim
+    """2^-k sum_a coeffs[a] sigma_a1 x ... x sigma_ak for a tensor with k Pauli axes,
+    the inverse of `pauli_expectations`: each leading Pauli axis in turn becomes
+    its site's (row, column) axes at the end, and rows then move before columns."""
+    t, k = np.asarray(coeffs), np.ndim(coeffs)
+    for _ in range(k):
+        t = np.tensordot(t, PAULI_BASIS, axes=(0, 0))
+    return t.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(2**k, 2**k) / 2**k
 
 
 def kernel_single(theta, phi):
@@ -155,34 +156,17 @@ class SphereGrid:
         return np.arange(self.n_phi) * (2 * np.pi / self.n_phi)
 
 
-@dataclass
-class SphereField:
-    """Equal-angle Wigner values of one correlation label on a sphere grid."""
-
-    sites: tuple
-    grid: SphereGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n_theta, self.grid.n_phi):
-            raise ValueError("field values shape does not match grid")
-
-
-def sphere_field(state, sites, grid=None, n=None):
+def sphere_field(state, sites, grid=SphereGrid(), n=None):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
-    values[i, j] corresponds to (thetas[i], phis[j]). The Pauli expectations
-    are taken once; the field is then evaluated one theta row at a time, so
-    the working memory stays that of a single row.
+    Returns the (n_theta, n_phi) array of the values at (thetas[i], phis[j]).
+    The Pauli expectations are taken once, then the field is evaluated one theta
+    row at a time, so the working memory stays that of a single row.
     """
-    if grid is None:
-        grid = SphereGrid()
-    sites = validate_label(sites, n_sites(len(state)) if n is None else n)
     coeffs = reduced_expectations(state, sites, n)
     phis = grid.phis
-    values = np.array([_equal_angle(coeffs, np.full(grid.n_phi, theta), phis)
-                       for theta in grid.thetas])
-    return SphereField(sites=sites, grid=grid, values=values)
+    return np.array([_equal_angle(coeffs, np.full(grid.n_phi, theta), phis)
+                     for theta in grid.thetas])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 """Dense Kronecker-product constructions kept as independent test oracles.
 
 The package reduces and evaluates states through their factors (rho = A A^dagger)
-and builds its symmetry operators from basis-index bits; these helpers do the
-same jobs the slow, direct way on full 2^n x 2^n matrices.
+and holds each symmetry as the diagonal of its operator, built from basis-index
+bits; these helpers do the same jobs the slow, direct way on full 2^n x 2^n
+matrices.
 """
 
 import numpy as np
 
-from spinphase.qcore import IDENTITY_2, kron_all, n_sites, validate_label
+from spinphase.qcore import IDENTITY_2, n_sites, validate_label
 from spinphase.wigner import kernel_single
+
+
+def kron_all(ops):
+    """Kronecker product of a sequence of operators, left to right."""
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
 
 
 def density(state):

@@ -8,7 +8,7 @@ from spinphase.analysis import (CANONICAL_LABELS_6, SweepConfig, canonical_label
                                 count_sign_changes, factorization_value_check,
                                 find_derivative_extrema, find_sector_crossings,
                                 first_derivative, sweep)
-from spinphase.errors import ConfigError, NumericalError
+from spinphase.errors import ConfigError, NumericalError, PolicyError
 from spinphase.models import (ModelSpec, ground_state, pick_sector, sector_energies,
                               total_sz_diagonal)
 from spinphase.qcore import label_name
@@ -50,6 +50,14 @@ class TestSweep:
                           start=0.0, stop=1.0, step=0.5)
         assert cfg.labels == tuple(tuple(l) for l in CANONICAL_LABELS_6)
 
+    def test_label_set_naming_a_subset_twice_is_a_config_error(self):
+        spec = ModelSpec(family="xxz", n=6, delta=-1.1)
+        with pytest.raises(ConfigError, match="same site subset twice: 1$"):
+            SweepConfig(spec=spec, start=-1.1, stop=-0.9, step=0.05, labels=((1,), (1,)))
+        with pytest.raises(ConfigError, match="twice: 12, tot"):
+            SweepConfig(spec=spec, start=-1.1, stop=-0.9, step=0.05,
+                        labels=((1, 2), TOT6, [1, 2], (1,), TOT6))
+
     def test_invalid_ranges(self):
         with pytest.raises(ConfigError):
             ti_cfg(0.0, 1.0, -0.1)
@@ -84,6 +92,19 @@ class TestSweep:
         assert np.max(diffs) > 10 * np.median(diffs)
         jump_at = params[window][np.argmax(diffs)]
         assert abs(jump_at - 1.1547) <= 0.005
+
+    def test_ground_states_walk_the_grid_and_name_a_failing_point(self):
+        cfg = ti_cfg(0.0, 0.3, 0.1)
+        walked = list(analysis.ground_states(cfg))
+        assert [p for p, _ in walked] == list(cfg.params)
+        assert walked[0][1].energy == pytest.approx(-6.0, abs=1e-12)
+        # at h = 0 the all-up state leaves the ground space once lambda > 0
+        cfg = SweepConfig(spec=ModelSpec(family="ti", n=4, h=0.0), start=1.0, stop=1.1,
+                          step=0.05, labels=((1,),), policy="aligned_up")
+        with pytest.raises(PolicyError, match=r"\(at lambda = 1\)$"):
+            next(analysis.ground_states(cfg))
+        with pytest.raises(PolicyError, match=r"\(at lambda = 1\)$"):
+            sweep(cfg)
 
     def test_determinism(self):
         cfg = ti_cfg(0.0, 0.3, 0.1)

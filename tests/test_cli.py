@@ -153,6 +153,16 @@ class TestAnimate:
         man_b = json.loads((out_b / "manifest.json").read_text())["files"]
         assert man_a == man_b
 
+    def test_policy_failure_names_the_parameter_and_leaves_no_frame(self, tmp_path, capsys):
+        out = tmp_path / "anim"
+        args = ["animate", "--model", "ti", "--h", "0", "--policy", "aligned-up",
+                "--param-start", "1", "--param-stop", "1.1", "--param-step", "0.05",
+                "--labels", "1", "--grid-theta", "3", "--grid-phi", "4", "--out", str(out)]
+        assert run_cli(args) == 3
+        assert "(at lambda = 1)" in capsys.readouterr().err
+        assert not (out / "frame_0000").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_pole_value_flips_sign_across_factorization(self, tmp_path):
         out = tmp_path / "anim"
         args = ["animate", "--model", "xy", "--gamma", "0.5", "--param-start", "1.10",

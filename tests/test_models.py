@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import density, embed
+from dense_oracles import density, embed, kron_all
 
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
-                              rotation_z, spin_parity_diagonal, spin_parity_operator,
-                              staggered_flip_operator, ti_classical_energy, ti_classical_mx,
-                              ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
-                              total_sz, total_sz_diagonal, xy_factorization_angle,
+                              spin_parity_diagonal, staggered_flip_diagonal, ti_classical_energy,
+                              ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
+                              ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
                               xy_factorization_point)
-from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                             kron_all)
+from spinphase.qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector
 
 SQ3 = math.sqrt(3.0)
 
@@ -126,7 +124,7 @@ class TestHamiltonians:
             jj = rng.uniform(0.5, 1.5)
             h = build_hamiltonian(ModelSpec(family="xxz", n=6, delta=delta, j=jj))
             h_flip = build_hamiltonian(ModelSpec(family="xxz", n=6, delta=-delta, j=-jj))
-            uz = staggered_flip_operator(6)
+            uz = np.diag(staggered_flip_diagonal(6))
             assert max_norm(uz.conj().T @ h @ uz - h_flip) < 1e-12
 
     def test_hermitian(self):
@@ -148,56 +146,55 @@ class TestHamiltonians:
 
 
 class TestSymmetryOperators:
+    """The symmetry diagonals against dense Kronecker-product operators."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
     def test_bit_diagonals_equal_kron_construction(self, n):
         sz = [embed(SIGMA_Z, i, n) for i in range(1, n + 1)]
-        parity = kron_all([SIGMA_Z] * n)
-        stz = sum(sz) / 2
-        assert np.array_equal(np.diag(spin_parity_diagonal(n)), parity)
-        assert np.array_equal(spin_parity_operator(n), parity)
-        assert np.array_equal(np.diag(total_sz_diagonal(n)), stz)
-        assert np.array_equal(total_sz(n), stz)
+        assert np.array_equal(np.diag(spin_parity_diagonal(n)), kron_all([SIGMA_Z] * n))
+        assert np.array_equal(np.diag(total_sz_diagonal(n)), sum(sz) / 2)
         if n % 2 == 0:
             flip = kron_all([SIGMA_Z if i % 2 == 0 else IDENTITY_2 for i in range(1, n + 1)])
-            assert np.array_equal(staggered_flip_operator(n), flip)
+            assert np.array_equal(np.diag(staggered_flip_diagonal(n)), flip)
 
     def test_parity_n1_is_sigma_z(self):
-        assert np.array_equal(spin_parity_operator(1), np.diag([1.0 + 0j, -1.0]))
+        assert np.array_equal(np.diag(spin_parity_diagonal(1)), SIGMA_Z)
 
     def test_parity_counts_down_spins(self):
         vec = basis_vector([0, 1, 0, 1, 0, 1])  # three down spins
-        assert np.allclose(spin_parity_operator(6) @ vec, -vec)
+        assert np.allclose(spin_parity_diagonal(6) * vec, -vec)
 
     def test_parity_commutes_with_xy(self):
         h = build_hamiltonian(ModelSpec(family="xy", n=6, lam=1.3, gamma=0.5))
-        pz = spin_parity_operator(6)
+        pz = kron_all([SIGMA_Z] * 6)
         assert max_norm(h @ pz - pz @ h) < 1e-12
 
     def test_staggered_flip_n2_and_involution(self):
-        uz = staggered_flip_operator(2)
-        assert np.array_equal(uz, np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex))
-        uz6 = staggered_flip_operator(6)
-        assert max_norm(uz6 @ uz6 - np.eye(64)) < 1e-14
+        assert np.array_equal(np.diag(staggered_flip_diagonal(2)),
+                              kron_all([IDENTITY_2, SIGMA_Z]))
+        assert np.array_equal(staggered_flip_diagonal(6) ** 2, np.ones(64))
         with pytest.raises(ValueError):
-            staggered_flip_operator(3)
+            staggered_flip_diagonal(3)
 
     def test_total_sz_spectrum_and_action(self):
-        w = np.sort(np.linalg.eigvalsh(total_sz(2)))
-        assert np.allclose(w, [-1.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(np.sort(total_sz_diagonal(2)), [-1.0, 0.0, 0.0, 1.0])
         up6 = all_up_vector(6)
-        assert np.allclose(total_sz(6) @ up6, 3.0 * up6)
+        assert np.allclose(total_sz_diagonal(6) * up6, 3.0 * up6)
 
     def test_total_sz_commutes_with_xxz(self):
         h = build_hamiltonian(ModelSpec(family="xxz", n=6, delta=0.7))
-        stz = total_sz(6)
+        stz = sum(embed(SIGMA_Z, i, 6) for i in range(1, 7)) / 2
         assert max_norm(h @ stz - stz @ h) < 1e-12
 
     def test_rotation_invariance_of_xxz(self):
         rng = np.random.default_rng(9)
         h = build_hamiltonian(ModelSpec(family="xxz", n=6, delta=1.4))
         for _ in range(10):
-            rz = rotation_z(rng.uniform(0, 2 * np.pi), 6)
+            phi = rng.uniform(0, 2 * np.pi)
+            # exp(i phi S_z) as the kron of the single-site rotations
+            rz = kron_all([np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)])] * 6)
             assert max_norm(rz.conj().T @ h @ rz - h) < 1e-11
+            assert max_norm(np.diag(np.exp(1j * phi * total_sz_diagonal(6))) - rz) < 1e-14
 
 
 class TestGroundState:

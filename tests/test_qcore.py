@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from dense_oracles import density, embed, partial_trace
+from dense_oracles import density, embed, kron_all, partial_trace
 
 from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, herm_eig,
-                             kron_all, label_name, n_sites, parse_label, reduced_factor,
-                             validate_label)
+                             label_name, n_sites, parse_label, reduced_factor, validate_label)
 
 SQ3 = np.sqrt(3.0)
 

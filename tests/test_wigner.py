@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dense_oracles import density, kernel_multi, partial_trace
+from dense_oracles import density, kernel_multi, kron_all, partial_trace
 
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
-from spinphase.qcore import SIGMA_Z, basis_vector, kron_all, reduced_factor
+from spinphase.qcore import SIGMA_Z, basis_vector, reduced_factor
 from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
                               equal_angle_point, kernel_single, pauli_expectations,
                               reconstruct_density, reference_state, sphere_field, wigner_value)
@@ -235,7 +235,7 @@ class TestPauliEvaluator:
         state = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
         grid = SphereGrid(7, 24)
         sites = (1, 2, 4)
-        row = sphere_field(state, sites, grid, n=6).values[2]
+        row = sphere_field(state, sites, grid, n=6)[2]
         theta = grid.thetas[2]
         oracle = [oracle_value(state, [(theta, p)] * 3, sites) for p in grid.phis]
         assert np.max(np.abs(row - oracle)) < 1e-12
@@ -266,12 +266,13 @@ class TestPauliEvaluator:
 class TestSphereField:
     def test_singlet_field_constant(self):
         fld = sphere_field(reference_state("singlet"), (1, 2), SphereGrid(9, 12))
-        assert np.max(np.abs(fld.values + 0.5)) < 1e-12
+        assert fld.shape == (9, 12)
+        assert np.max(np.abs(fld + 0.5)) < 1e-12
 
     def test_up_field_maximum_at_north_pole(self):
         fld = sphere_field(reference_state("up"), (1,), SphereGrid(19, 24))
-        assert fld.values[0, 0] == pytest.approx(HI, abs=1e-13)
-        assert np.argmax(fld.values.max(axis=1)) == 0
+        assert fld[0, 0] == pytest.approx(HI, abs=1e-13)
+        assert np.argmax(fld.max(axis=1)) == 0
 
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(11)
@@ -280,12 +281,15 @@ class TestSphereField:
         fld = sphere_field(state, (1, 3), grid, n=3)
         for i, t in enumerate(grid.thetas):
             for j, p in enumerate(grid.phis):
-                assert fld.values[i, j] == pytest.approx(
+                assert fld[i, j] == pytest.approx(
                     equal_angle_point(state, (1, 3), t, p, n=3), abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SphereGrid(1, 10)
+
+    def test_default_grid_is_181_by_360(self):
+        assert sphere_field(reference_state("up"), (1,)).shape == (181, 360)
 
 
 class TestReferenceStates:
