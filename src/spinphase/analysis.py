@@ -83,6 +83,7 @@ class PhaseLine:
     degeneracy: np.ndarray = field(repr=False)
     parity: np.ndarray = field(repr=False)  # +-1, or nan when indefinite
     gap: np.ndarray = field(repr=False)
+    levels: list = field(repr=False)  # `sector_energies` triple per grid point
 
     def series(self, label):
         return self.values[validate_label(label, self.config.spec.n)]
@@ -121,7 +122,7 @@ def sweep(cfg):
                      degeneracy=np.array([gs.degeneracy for gs in states]),
                      parity=np.array([np.nan if gs.parity is None else gs.parity
                                       for gs in states], dtype=float),
-                     gap=np.array([gs.gap for gs in states]))
+                     gap=np.array([gs.gap for gs in states]), levels=[gs.levels for gs in states])
 
 
 def first_derivative(line, label):
@@ -177,9 +178,9 @@ def find_sector_crossings(line):
     """Level crossings between the lowest levels of two symmetry sectors along
     the sweep, and the jump of every label across each of them.
 
-    At each grid point `pick_sector` names the ground sector of the blocks of
-    `sector_energies`. Where it changes between two grid points, the bracket
-    is bisected to CROSSING_BRACKET on "still the old sector". If the two
+    At each grid point `pick_sector` names the ground sector from the sweep's
+    `line.levels`. Where it changes, the bracket is bisected to CROSSING_BRACKET
+    on "still the old sector", by `sector_energies` at each midpoint. If the two
     sectors tie within the tie tolerance at either end of the bracket, that
     end is an exact hit, located at the grid point without bisection, so the
     sign of rounding noise cannot move it. Each crossing gives a
@@ -190,8 +191,7 @@ def find_sector_crossings(line):
     with the step as its magnitude; for an exact hit the step spans both
     brackets that meet at the grid point.
     """
-    spec, x = line.config.spec, line.params
-    levels = [sector_energies(spec.with_param(p)) for p in x]
+    spec, x, levels = line.config.spec, line.params, line.levels
     sectors = levels[0][0]
     picked = [pick_sector(*level) for level in levels]
     out = []

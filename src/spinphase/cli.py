@@ -178,8 +178,10 @@ def _labels(cfg, n):
     if cfg["labels"] is None:
         return canonical_labels(n)
     # a malformed label raises ValueError, which `main` reports as a config error
-    return validate_labels([parse_label(tok, n) for tok in cfg["labels"].split(",")
-                            if tok.strip()], n)
+    labels = [parse_label(tok, n) for tok in cfg["labels"].split(",") if tok.strip()]
+    if not labels:
+        raise ConfigError(f"--labels lists no label: {cfg['labels']!r}")
+    return validate_labels(labels, n)
 
 
 def _sweep_config(cfg):

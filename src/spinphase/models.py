@@ -162,6 +162,7 @@ class GroundStateResult:
     state: np.ndarray  # (2^n, r) factor A of the ground state rho = A A^dagger
     parity: int | None
     gap: float
+    levels: tuple  # (sectors, energies, tol) of `sector_energies`
 
 
 def _state_parity(state, n):
@@ -171,18 +172,20 @@ def _state_parity(state, n):
     return None
 
 
-def sector_energies(spec):
-    """Lowest energy of each block of `symmetry_diagonal(spec)` (spin parity for
-    ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
-    max(spectral range, 1). Returns (sectors, energies, tol) with the sector
-    values in increasing order."""
-    H = build_hamiltonian(spec)
-    sym = symmetry_diagonal(spec)
+def _sector_levels(H, sym):
     sectors = np.unique(sym)
     levels = [np.linalg.eigvalsh(H[np.ix_(sym == s, sym == s)]) for s in sectors]
     spread = max(w[-1] for w in levels) - min(w[0] for w in levels)
     return (tuple(float(s) for s in sectors), np.array([w[0] for w in levels]),
             TIE_TOL_FACTOR * max(float(spread), 1.0))
+
+
+def sector_energies(spec):
+    """Lowest energy of each block of `symmetry_diagonal(spec)` (spin parity for
+    ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
+    max(spectral range, 1). Returns (sectors, energies, tol) with the sector
+    values in increasing order."""
+    return _sector_levels(build_hamiltonian(spec), symmetry_diagonal(spec))
 
 
 def pick_sector(sectors, energies, tol):
@@ -200,46 +203,41 @@ def pick_sector(sectors, energies, tol):
 def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy.
 
-    Eigenvalues within 1e-9 x spectral range of the lowest form the ground
-    space. A unique ground state is returned as-is. Inside a degenerate space:
-      symmetric  -- diagonalize the model's symmetry operator and return the
-                    definite-symmetry state that `pick_sector` picks,
-      mixture    -- maximally mixed state on the ground space,
+    H is built once; its real symmetry blocks give `levels`, the triple of
+    `sector_energies`. Eigenvalues of H within 1e-9 x spectral range of the
+    lowest form the ground space. A unique ground state is returned as-is.
+    Inside a degenerate space:
+      symmetric  -- the lowest state of the block of the sector that
+                    `pick_sector(*levels)` names, embedded in the full basis,
+                    as the uniform mixture of a tie left in that block,
+      mixture    -- maximally mixed state on the space,
       aligned_up -- the all-up product state, which must lie in the space.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
-    H = build_hamiltonian(spec)
+    H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
+    levels = _sector_levels(H, sym)
     w, v = herm_eig(H)
-    spread = float(w[-1] - w[0])
-    g = int(np.sum(w - w[0] <= DEGENERACY_TOL_FACTOR * max(spread, 1.0)))
-    gap = float(w[1] - w[0])
-    n = spec.n
+    ground_tol = DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
+    g = int(np.sum(w - w[0] <= ground_tol))
 
-    V = v[:, :g]
     if g == 1 or policy == "mixture":
-        state = V / np.sqrt(g)
-        return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
-
-    if policy == "aligned_up":
-        up = all_up_vector(n)
-        overlap = float(np.linalg.norm(V.conj().T @ up))
+        state = v[:, :g] / np.sqrt(g)
+    elif policy == "aligned_up":
+        up = all_up_vector(spec.n)
+        overlap = float(np.linalg.norm(v[:, :g].conj().T @ up))
         if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
-            raise PolicyError(
-                f"aligned_up policy: all-up state not in the ground space "
-                f"(projection norm {overlap:.6f})")
+            raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
+                              f"(projection norm {overlap:.6f})")
         state = up[:, None]
-        return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
-
-    # symmetric: resolve the ground space into symmetry sectors
-    sym = symmetry_diagonal(spec)
-    block = V.conj().T @ (sym[:, None] * V)
-    _, rot = herm_eig(0.5 * (block + block.conj().T))
-    vecs = [V @ rot[:, k] for k in range(g)]
-    sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
-    energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
-    state = vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]
-    return GroundStateResult(float(w[0]), g, state, _state_parity(state, n), gap)
+    else:
+        inside = sym == levels[0][pick_sector(*levels)]
+        wb, vb = np.linalg.eigh(H[np.ix_(inside, inside)])
+        r = int(np.sum(wb - wb[0] <= ground_tol))
+        state = np.zeros((len(sym), r))
+        state[inside] = vb[:, :r] / np.sqrt(r)
+    return GroundStateResult(float(w[0]), g, state, _state_parity(state, spec.n),
+                             float(w[1] - w[0]), levels)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 The package reduces and evaluates states through their factors (rho = A A^dagger)
 and holds each symmetry as the diagonal of its operator, built from basis-index
 bits; these helpers do the same jobs the slow, direct way on full 2^n x 2^n
-matrices.
+matrices. `symmetric_by_rotation` is the former `symmetric` policy, which
+rotated the full degenerate ground space instead of solving the sector block.
 """
 
 import numpy as np
 
-from spinphase.qcore import IDENTITY_2, n_sites, validate_label
+from spinphase.models import (DEGENERACY_TOL_FACTOR, TIE_TOL_FACTOR, build_hamiltonian,
+                              pick_sector, symmetry_diagonal)
+from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
 from spinphase.wigner import kernel_single
 
 
@@ -66,3 +69,24 @@ def kernel_multi(points, n=None):
     if n is not None and len(points) != n:
         raise ValueError(f"expected {n} phase points, got {len(points)}")
     return kron_all([kernel_single(t, p) for (t, p) in points])
+
+
+def symmetric_by_rotation(spec):
+    """The `symmetric` ground state by rotating the degenerate ground space.
+
+    Solves the full complex H, diagonalizes the symmetry diagonal inside the
+    ground space, and returns the rotated vector that `pick_sector` picks from
+    the Rayleigh quotients of the symmetry and of H, as a one-column factor.
+    """
+    H = build_hamiltonian(spec)
+    w, v = herm_eig(H)
+    spread = float(w[-1] - w[0])
+    g = int(np.sum(w - w[0] <= DEGENERACY_TOL_FACTOR * max(spread, 1.0)))
+    V = v[:, :g]
+    sym = symmetry_diagonal(spec)
+    block = V.conj().T @ (sym[:, None] * V)
+    _, rot = herm_eig(0.5 * (block + block.conj().T))
+    vecs = [V @ rot[:, k] for k in range(g)]
+    sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
+    energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
+    return vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]

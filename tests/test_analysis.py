@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,8 +188,12 @@ class TestJumps:
         assert find_sector_crossings(line) == []
 
 
+def crossings_of(line):
+    return of_kind(find_sector_crossings(line), "sector_crossing")
+
+
 def crossings(cfg):
-    return of_kind(find_sector_crossings(sweep(cfg)), "sector_crossing")
+    return crossings_of(sweep(cfg))
 
 
 class TestParityCrossings:
@@ -225,21 +230,24 @@ class TestParityCrossings:
         slope = (gap(cfg.params[11]) - gap(cfg.params[10])) / (cfg.params[11] - cfg.params[10])
         assert points[0].magnitude == pytest.approx(abs(slope), rel=1e-12)
 
-    def test_sign_of_a_tied_gap_does_not_move_the_hit(self, monkeypatch):
-        cfg = SweepConfig(**self.XXZ_HIT)
-        line = sweep(cfg)
-        exact = analysis.sector_energies
+    def test_sign_of_a_tied_gap_does_not_move_the_hit(self):
+        line = sweep(SweepConfig(**self.XXZ_HIT))
         found = []
-        for sign in (1.0, -1.0):
-            def tied(spec, sign=sign):
-                sectors, energies, tol = exact(spec)
-                if spec.delta == -1.0:  # move the tied S_z = 0 level by tol / 10
-                    energies = energies.copy()
-                    energies[sectors.index(0.0)] += sign * tol / 10
-                return sectors, energies, tol
-            monkeypatch.setattr(analysis, "sector_energies", tied)
-            found.append(of_kind(find_sector_crossings(line), "sector_crossing"))
+        for sign in (1.0, -1.0):  # move the tied S_z = 0 level at delta = -1 by tol / 10
+            sectors, energies, tol = line.levels[10]
+            energies = energies.copy()
+            energies[sectors.index(0.0)] += sign * tol / 10
+            levels = line.levels[:10] + [(sectors, energies, tol)] + line.levels[11:]
+            found.append(crossings_of(replace(line, levels=levels)))
         assert [p.location for p in found[0]] == [p.location for p in found[1]] == [-1.0]
+
+    def test_grid_points_reuse_the_sweep_levels(self, monkeypatch):
+        line = sweep(SweepConfig(**self.XXZ_HIT))
+        calls = []
+        monkeypatch.setattr(analysis, "sector_energies",
+                            lambda spec: calls.append(spec) or sector_energies(spec))
+        assert [p.location for p in crossings_of(line)] == [-1.0]
+        assert calls == []
 
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),

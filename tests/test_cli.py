@@ -349,9 +349,15 @@ class TestConfigHandling:
          "--param-step", "-0.1"],
         ["formulas", "--model", "ti", "--param-start", "1", "--param-stop", "0"],
         ["formulas", "--model", "ti", "--values", ","],
+        ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", ","],
+        ["sphere", "--model", "ti", "--param-value", "0", "--labels", ","],
+        ["animate", "--model", "ti", "--param-start", "0", "--param-stop", "0.1",
+         "--labels", ","],
     ])
     def test_bad_sweep_grid_is_config_error(self, argv, tmp_path):
         assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert not any((tmp_path / "x").glob("**/*.csv"))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,23 +1,27 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import density, embed, kron_all
+from dense_oracles import density, embed, kron_all, symmetric_by_rotation
 
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
-                              spin_parity_diagonal, staggered_flip_diagonal, ti_classical_energy,
-                              ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
-                              ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
-                              xy_factorization_point)
-from spinphase.qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector
+                              sector_energies, spin_parity_diagonal, staggered_flip_diagonal,
+                              ti_classical_energy, ti_classical_mx, ti_classical_mz,
+                              ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz_diagonal,
+                              xy_factorization_angle, xy_factorization_point)
+from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
+                             herm_eig)
+from spinphase.wigner import equal_angle_point
 
 SQ3 = math.sqrt(3.0)
 
@@ -254,6 +258,81 @@ class TestGroundState:
         energies = [ground_state(ModelSpec(family="ti", n=6, lam=l)).energy
                     for l in np.linspace(0.0, 2.0, 21)]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+def translation_classes(n):
+    """Every nonempty proper site subset of the n-ring, grouped by translation."""
+    classes = {}
+    for size in range(1, n):
+        for sites in itertools.combinations(range(1, n + 1), size):
+            translates = {tuple(sorted((s + k - 1) % n + 1 for s in sites)) for k in range(n)}
+            classes[min(translates)] = sorted(translates)
+    return list(classes.values())
+
+
+def degenerate_specs():
+    """Chains with a degenerate ground space at some n in 2..8: ti and xy without
+    a field, the xx ring in a field, and xxz at and beyond the ferromagnetic point."""
+    for n in range(2, 9):
+        for lam in (-1.0, 0.5, 2.0):
+            yield ModelSpec(family="ti", n=n, lam=lam, h=0.0)
+            for gamma in (-0.5, 0.0, 0.5):
+                yield ModelSpec(family="xy", n=n, lam=lam, h=0.0, gamma=gamma)
+        yield ModelSpec(family="xy", n=n, lam=-1.0, h=1.0, gamma=0.0)
+        if n % 2 == 0:
+            for delta, j in ((-2.0, 1.0), (-1.0, 1.0), (1.0, -1.0)):
+                yield ModelSpec(family="xxz", n=n, delta=delta, j=j)
+
+
+class TestSymmetricPolicy:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(family="xxz", delta=-0.7), ModelSpec(family="xxz", delta=0.0),
+        ModelSpec(family="xxz", delta=1.0),
+        # the frustrated odd rings keep a tie inside the picked parity sector
+        ModelSpec(family="ti", lam=-1.0, h=0.0), ModelSpec(family="xy", lam=-1.0, h=0.0, gamma=0.5),
+    ], ids=["xxz-0.7", "xxz0", "xxz1", "ti-frustrated", "xy-frustrated"])
+    def test_odd_ring_state_is_translation_invariant(self, n, spec):
+        # at odd n the top S_z sector of xxz keeps a momentum +-k tie
+        state = ground_state(replace(spec, n=n)).state
+        for translates in translation_classes(n):
+            for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
+                values = [equal_angle_point(state, sites, theta, phi, n=n)
+                          for sites in translates]
+                assert np.ptp(values) <= 1e-12, (translates[0], theta, phi)
+
+    def test_degenerate_ground_spaces_match_the_rotation_oracle(self):
+        compared = 0
+        for spec in degenerate_specs():
+            gs = ground_state(spec)
+            sectors, energies, tol = sector_energies(spec)
+            assert gs.levels[0] == sectors and gs.levels[2] == tol
+            assert np.array_equal(gs.levels[1], energies)
+            if gs.degeneracy == 1 or gs.state.shape[1] > 1:  # a residual tie is averaged
+                continue
+            oracle = symmetric_by_rotation(spec)
+            n = spec.n
+            assert gs.parity == round(float(spin_parity_diagonal(n) @ np.abs(oracle[:, 0]) ** 2))
+            labels = [l for l in ((1,), (1, 2), (1, 3)) if max(l) <= n] + [tuple(range(1, n + 1))]
+            for sites in labels:
+                for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
+                    assert equal_angle_point(gs.state, sites, theta, phi, n=n) == pytest.approx(
+                        equal_angle_point(oracle, sites, theta, phi, n=n), abs=1e-12), spec
+            compared += 1
+        assert compared >= 50
+
+    def test_one_full_eigensolve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(models, "herm_eig", lambda a: calls.append(a) or herm_eig(a))
+        gs = ground_state(ModelSpec(family="xxz", n=5, delta=0.0))
+        assert gs.degeneracy == 4 and gs.state.shape[1] == 2
+        assert len(calls) == 1
+
+    def test_zero_hamiltonian_is_the_parity_even_mixture(self):
+        gs = ground_state(ModelSpec(family="xy", n=4, lam=0.0, h=0.0, gamma=0.5))
+        assert gs.degeneracy == 16 and gs.parity == 1
+        even = np.diag((1.0 + spin_parity_diagonal(4)) / 2)
+        assert max_norm(density(gs.state) - even / 8) < 1e-15
 
 
 class TestClassicalForms:
