@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import (CANONICAL_LABELS_6, DEFAULT_EPSILON, SweepConfig, count_sign_changes,
                        factorization_value_check, find_derivative_extrema,
                        find_sector_crossings, sweep)
-from .cli import build_parser, cmd_phaseline, cmd_sphere, resolve_config
+from .cli import main
 from .models import (ModelSpec, build_hamiltonian, ground_state, spin_parity_diagonal,
                      staggered_flip_diagonal, ti_classical_energy, ti_thermo_energy,
                      ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
@@ -376,21 +376,17 @@ def check_determinism(rng):
         "phaseline": ["--param-start", "0", "--param-stop", "0.5", "--param-step", "0.05"],
         "sphere": ["--param-value", "0.7", "--grid-theta", "7", "--grid-phi", "12"],
     }
-    parser = build_parser()
     identical = True
     compared = []
     with tempfile.TemporaryDirectory() as tmp:
-        for command, runner in (("phaseline", cmd_phaseline), ("sphere", cmd_sphere)):
-            paths = {}
-            for run in ("a", "b"):
-                args = parser.parse_args([command, "--model", "ti", "--labels", "1,12,tot",
-                                          *argvs[command],
-                                          "--out", os.path.join(tmp, f"{command}_{run}")])
-                paths[run] = [p for p in runner(resolve_config(args)) if p.endswith(".csv")]
-            for pa, pb in zip(sorted(paths["a"]), sorted(paths["b"])):
-                same = filecmp.cmp(pa, pb, shallow=False)
-                identical = identical and same
-                compared.append(os.path.basename(pa))
+        for command, args in argvs.items():
+            a, b = (os.path.join(tmp, f"{command}_{run}") for run in "ab")
+            codes = [main([command, "--model", "ti", "--labels", "1,12,tot", *args, "--out", out])
+                     for out in (a, b)]
+            names = sorted(f for f in os.listdir(a) if f.endswith(".csv"))
+            _, differ, missing = filecmp.cmpfiles(a, b, names, shallow=False)
+            identical = identical and codes == [0, 0] and bool(names) and not (differ or missing)
+            compared.extend(names)
     return identical, f"compared {compared}, identical: {identical}"
 
 

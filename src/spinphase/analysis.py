@@ -10,7 +10,7 @@ from .errors import ConfigError, NumericalError, PolicyError
 from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, validate_label, validate_labels
-from .wigner import SQRT3, equal_angle_point
+from .wigner import SQRT3, _check_point, equal_angle_point
 
 # correlation subsets explored for the 6-site ring: one representative per
 # translation/reflection class for each subset size
@@ -61,6 +61,7 @@ class SweepConfig:
     phi: float = 0.0
 
     def __post_init__(self):
+        _check_point(self.theta, self.phi)  # before any grid point is solved
         if len(self.params) < 2:  # the derivative needs two points
             raise ConfigError("a sweep needs at least two grid points")
         labels = validate_labels(self.labels, self.spec.n) or \

@@ -1,12 +1,16 @@
 """Command-line front end: phase-line sweeps, sphere fields, animation frames,
 analytic formula tables and the acceptance-check runner.
 
-All data files are CSV with a header row; floats are serialized with 17
-significant digits so reruns with the same configuration are byte-identical.
-Every run writes a manifest.json with the resolved configuration and sha256
-checksums of the emitted files (written last, atomically)."""
+Each file-writing subcommand (`phaseline`, `sphere`, `animate`, `formulas`)
+computes its data and hands every table to `write_csv` as columns of cells;
+floats are serialized with 17 significant digits so reruns with the same
+configuration are byte-identical. `main` creates the output directory, writes
+the subcommand's plot stub and writes manifest.json last (atomically), with
+the resolved configuration and sha256 checksums of the emitted files. `verify`
+writes no files."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -50,9 +54,9 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def write_csv(path, columns):
+    """Write `{header: cells}` as CSV, row i holding cell i of every column."""
+    lines = [",".join(columns), *map(",".join, zip(*columns.values(), strict=True))]
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -74,7 +78,7 @@ def write_manifest(outdir, config, files, critical_points=None, started=None):
         "version": __version__,
         "config": config,
         "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
+        "finished_utc": _utcnow(),
         "files": {os.path.basename(p): _sha256(p) for p in files},
     }
     if critical_points is not None:
@@ -200,15 +204,6 @@ def _ensure_outdir(cfg):
     return outdir
 
 
-def _critical_point_payload(points):
-    return [{"kind": p.kind, "location": p.location, "magnitude": p.magnitude,
-             "label": p.label, "detail": p.detail} for p in points]
-
-
-def _parity_cell(value):
-    return "" if math.isnan(value) else str(int(value))
-
-
 PHASELINE_PLOT_STUB = '''\
 #!/usr/bin/env python3
 """Render phaseline.csv produced alongside this script.
@@ -284,103 +279,86 @@ for path in sorted(glob.glob("sphere_*.csv")):
 '''
 
 
-def _write_plot_stub(outdir, name, stub):
-    path = os.path.join(outdir, name)
-    _atomic_write(path, stub.encode("utf-8"))
-    return path
+# the plot stub `main` writes next to each subcommand's data files
+PLOT_STUBS = {"phaseline": ("plot_phaseline.py", PHASELINE_PLOT_STUB),
+              "sphere": ("plot_sphere.py", SPHERE_PLOT_STUB),
+              "animate": ("plot_sphere.py", SPHERE_PLOT_STUB)}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its data files under cfg["out"] and returns them with
+# its critical-point payload (or None); `main` adds the plot stub and manifest
 
 
 def cmd_phaseline(cfg):
-    started = _utcnow()
-    outdir = _ensure_outdir(cfg)
     sweep_cfg = _sweep_config(cfg)
     line = sweep(sweep_cfg)
-    n = sweep_cfg.spec.n
+    labels = sweep_cfg.labels
 
-    rows = []
-    for i, p in enumerate(line.params):
-        for sites in sweep_cfg.labels:
-            rows.append((fmt(p), label_name(sites, n), fmt(line.values[sites][i]),
-                         fmt(line.energy[i]), str(int(line.degeneracy[i])),
-                         _parity_cell(line.parity[i]), fmt(line.gap[i])))
-    phaseline_path = os.path.join(outdir, "phaseline.csv")
-    write_csv(phaseline_path, ("param", "label", "value", "energy", "degeneracy",
-                               "parity", "gap"), rows)
+    def per_point(cells):  # rows are point-major and label-minor
+        return [cell for cell in cells for _ in labels]
 
-    rows = []
-    derivatives = {sites: first_derivative(line, sites) for sites in sweep_cfg.labels}
-    for i, p in enumerate(line.params):
-        for sites in sweep_cfg.labels:
-            rows.append((fmt(p), label_name(sites, n), fmt(derivatives[sites][i])))
-    derivative_path = os.path.join(outdir, "derivative.csv")
-    write_csv(derivative_path, ("param", "label", "dvalue"), rows)
+    def per_label(series):
+        return [fmt(v) for row in zip(*(values.tolist() for values in series)) for v in row]
+
+    keys = {"param": per_point(map(fmt, line.params.tolist())),
+            "label": [label_name(sites, sweep_cfg.spec.n) for sites in labels] * len(line.params)}
+    phaseline_path = os.path.join(cfg["out"], "phaseline.csv")
+    write_csv(phaseline_path, {
+        **keys, "value": per_label([line.values[sites] for sites in labels]),
+        "energy": per_point(map(fmt, line.energy.tolist())),
+        "degeneracy": per_point(map(str, line.degeneracy.tolist())),
+        "parity": per_point("" if math.isnan(p) else fmt(p) for p in line.parity.tolist()),
+        "gap": per_point(map(fmt, line.gap.tolist()))})
+    derivative_path = os.path.join(cfg["out"], "derivative.csv")
+    write_csv(derivative_path,
+              {**keys, "dvalue": per_label([first_derivative(line, sites) for sites in labels])})
 
     points = []
     if len(line.params) >= 5:  # extremum refinement needs interior points
-        for sites in sweep_cfg.labels:
+        for sites in labels:
             points.extend(find_derivative_extrema(line, sites))
     points.extend(find_sector_crossings(line))
-    payload = _critical_point_payload(points)
-    critical_path = os.path.join(outdir, "criticalpoints.json")
+    payload = [dataclasses.asdict(p) for p in points]
+    critical_path = os.path.join(cfg["out"], "criticalpoints.json")
     write_json(critical_path, {"critical_points": payload})
-
-    files = [phaseline_path, derivative_path, critical_path,
-             _write_plot_stub(outdir, "plot_phaseline.py", PHASELINE_PLOT_STUB)]
-    write_manifest(outdir, cfg, files, critical_points=payload, started=started)
-    return files
+    return [phaseline_path, derivative_path, critical_path], payload
 
 
 def _write_sphere_files(outdir, state, labels, grid, n):
-    # the "theta,phi" cells, theta-major like the values, formatted once for every label
-    angles = [f"{fmt(theta)},{fmt(phi)}" for theta in grid.thetas for phi in grid.phis]
+    thetas, phis = (list(map(fmt, axis.tolist())) for axis in (grid.thetas, grid.phis))
+    angles = {"theta": [theta for theta in thetas for _ in phis], "phi": phis * len(thetas)}
     files = []
     for sites in labels:
-        values = sphere_field(state, sites, grid, n=n).ravel()
-        rows = [(angle, fmt(v)) for angle, v in zip(angles, values)]
-        path = os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv")
-        write_csv(path, ("theta", "phi", "value"), rows)
-        files.append(path)
+        values = sphere_field(state, sites, grid, n=n).ravel().tolist()
+        files.append(os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv"))
+        write_csv(files[-1], {**angles, "value": list(map(fmt, values))})
     return files
 
 
 def cmd_sphere(cfg):
-    started = _utcnow()
-    outdir = _ensure_outdir(cfg)
     if cfg["param-value"] is None:
         raise ConfigError("--param-value is required for the sphere command")
     spec = _model_spec(cfg, cfg["param-value"])
-    labels = _labels(cfg, spec.n)
-    grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
+    labels, grid = _labels(cfg, spec.n), SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
     gs = ground_state(spec, policy=cfg["policy"])
-    files = _write_sphere_files(outdir, gs.state, labels, grid, spec.n)
-    files.append(_write_plot_stub(outdir, "plot_sphere.py", SPHERE_PLOT_STUB))
-    write_manifest(outdir, cfg, files, started=started)
-    return files
+    return _write_sphere_files(cfg["out"], gs.state, labels, grid, spec.n), None
 
 
 def cmd_animate(cfg):
-    started = _utcnow()
-    outdir = _ensure_outdir(cfg)
     sweep_cfg = _sweep_config(cfg)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
-    files = []
-    index_rows = []
+    files, params = [], []
     for idx, (value, gs) in enumerate(ground_states(sweep_cfg)):
-        frame_dir = os.path.join(outdir, f"frame_{idx:04d}")
+        frame_dir = os.path.join(cfg["out"], f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
         files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid,
                                          sweep_cfg.spec.n))
-        index_rows.append((str(idx), fmt(value)))
-    index_path = os.path.join(outdir, "frames.csv")
-    write_csv(index_path, ("frame", "param"), index_rows)
-    files.append(index_path)
-    files.append(_write_plot_stub(outdir, "plot_sphere.py", SPHERE_PLOT_STUB))
-    write_manifest(outdir, cfg, files, started=started)
-    return files
+        params.append(value)
+    files.append(os.path.join(cfg["out"], "frames.csv"))
+    write_csv(files[-1], {"frame": list(map(str, range(len(params)))),
+                          "param": list(map(fmt, params))})
+    return files, None
 
 
 def _formula_values(cfg):
@@ -389,41 +367,35 @@ def _formula_values(cfg):
             values = [float(tok) for tok in cfg["values"].split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --values list: {cfg['values']!r}") from exc
-        if not values:
-            raise ConfigError(f"--values lists no value: {cfg['values']!r}")
+        if not values or not all(map(math.isfinite, values)):
+            raise ConfigError(f"--values needs one or more finite values: {cfg['values']!r}")
         return values
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("formulas needs --values or --param-start/--param-stop")
     return grid_values(cfg["param-start"], cfg["param-stop"], cfg["param-step"])
 
 
+# closed-form columns per model, the parameter itself first
+FORMULAS = {
+    "ti": {"lambda": float, "energy_classical": ti_classical_energy,
+           "mx_classical": ti_classical_mx, "mz_classical": ti_classical_mz,
+           "energy_thermo": ti_thermo_energy, "mx_thermo": ti_thermo_mx,
+           "mz_thermo": ti_thermo_mz},
+    "xy": {"gamma": float, "factorization_lambda": xy_factorization_point,
+           "alignment_angle": xy_factorization_angle},
+}
+
+
 def cmd_formulas(cfg):
-    started = _utcnow()
-    outdir = _ensure_outdir(cfg)
-    family = cfg["model"]
     values = _formula_values(cfg)
-    if family == "ti":
-        header = ("lambda", "energy_classical", "mx_classical", "mz_classical",
-                  "energy_thermo", "mx_thermo", "mz_thermo")
-        rows = [(fmt(v), fmt(ti_classical_energy(v)), fmt(ti_classical_mx(v)),
-                 fmt(ti_classical_mz(v)), fmt(ti_thermo_energy(v)), fmt(ti_thermo_mx(v)),
-                 fmt(ti_thermo_mz(v))) for v in values]
-    elif family == "xy":
-        header = ("gamma", "factorization_lambda", "alignment_angle")
-        rows = []
-        for v in values:
-            lam_f = xy_factorization_point(v)
-            rows.append((fmt(v), "inf" if math.isinf(lam_f) else fmt(lam_f),
-                         fmt(xy_factorization_angle(v))))
-    else:
+    if cfg["model"] not in FORMULAS:
         raise ConfigError("formulas is defined for --model ti or xy only")
-    print("\t".join(header))
-    for row in rows:
+    columns = {name: [fmt(f(v)) for v in values] for name, f in FORMULAS[cfg["model"]].items()}
+    for row in (columns, *zip(*columns.values())):
         print("\t".join(row))
-    path = os.path.join(outdir, "formulas.csv")
-    write_csv(path, header, rows)
-    write_manifest(outdir, cfg, [path], started=started)
-    return [path]
+    path = os.path.join(cfg["out"], "formulas.csv")
+    write_csv(path, columns)
+    return [path], None
 
 
 def cmd_verify(cfg):
@@ -483,8 +455,15 @@ def main(argv=None):
         cfg = resolve_config(args)
         if args.subcommand == "verify":
             return EXIT_OK if cmd_verify(cfg) else EXIT_NUMERICAL
+        started = _utcnow()
+        outdir = _ensure_outdir(cfg)
         # looked up at call time, so a wrapper rebound to the module-level name runs
-        globals()[f"cmd_{args.subcommand}"](cfg)
+        files, critical_points = globals()[f"cmd_{args.subcommand}"](cfg)
+        if args.subcommand in PLOT_STUBS:
+            name, stub = PLOT_STUBS[args.subcommand]
+            files.append(os.path.join(outdir, name))
+            _atomic_write(files[-1], stub.encode("utf-8"))
+        write_manifest(outdir, cfg, files, critical_points=critical_points, started=started)
         return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

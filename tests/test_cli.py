@@ -10,7 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinphase.cli import COMMANDS, OPTIONS, build_parser, main
+from spinphase import analysis
+from spinphase.analysis import SweepConfig, first_derivative, sweep
+from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, main
+from spinphase.models import ModelSpec, ground_state
+from spinphase.qcore import label_name
+from spinphase.wigner import SphereGrid, sphere_field
 
 
 def run_cli(args):
@@ -213,6 +218,12 @@ class TestFormulas:
         rows = read_csv(out / "formulas.csv")
         assert rows[0]["factorization_lambda"] == "inf"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1,nan"])
+    def test_non_finite_value_exits_2(self, value, tmp_path):
+        out = tmp_path / "f"
+        assert run_cli(["formulas", "--model", "ti", f"--values={value}", "--out", str(out)]) == 2
+        assert not (out / "formulas.csv").exists()
+
     def test_xxz_formulas_rejected(self, tmp_path):
         args = ["formulas", "--model", "xxz", "--values", "1", "--out", str(tmp_path / "f")]
         assert run_cli(args) == 2
@@ -247,6 +258,18 @@ class TestConfigHandling:
             file_sha(tmp_path / "file" / "phaseline.csv")
         assert run_cli(["sphere", "--param-value", "-2", "--grid-theta", "3", "--grid-phi", "4",
                         "--policy", "aligned-up", *common, str(tmp_path / "sphere")]) == 0
+
+    @pytest.mark.parametrize("point", [["--phase-theta", "4"], ["--phase-phi", "nan"]])
+    def test_bad_phase_point_exits_2_before_any_solve(self, point, monkeypatch, tmp_path):
+        solves = []
+        real = analysis.ground_state
+        monkeypatch.setattr(analysis, "ground_state",
+                            lambda *args, **kwargs: solves.append(args) or real(*args, **kwargs))
+        argv = ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "1",
+                "--param-step", "0.1", *point, "--out", str(tmp_path / "x")]
+        assert run_cli(argv) == 2
+        assert solves == []
+        assert not (tmp_path / "x" / "phaseline.csv").exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -411,6 +434,58 @@ class TestPlotStubs:
         compile(source, str(stub), "exec")
         for column in ("theta", "phi", "value"):
             assert column in source
+
+
+def render_rows(header, rows):
+    """CSV bytes built one row at a time: the oracle of the column writer."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode("utf-8")
+
+
+class TestColumnWriter:
+    def test_phaseline_and_derivative_match_row_by_row_rendering(self, tmp_path):
+        lam_f = 1.1547005383792517  # xy factorization point at gamma = 0.5
+        out = tmp_path / "mix"
+        assert run_cli(["phaseline", "--model", "xy", "--gamma", "0.5", "--policy", "mixture",
+                        "--param-start", repr(lam_f), "--param-stop", "1.2", "--param-step",
+                        "0.01", "--labels", "1,tot", "--out", str(out)]) == 0
+        cfg = SweepConfig(spec=ModelSpec("xy", n=6, gamma=0.5), start=lam_f, stop=1.2,
+                          step=0.01, labels=((1,), (1, 2, 3, 4, 5, 6)), policy="mixture")
+        line = sweep(cfg)
+        dvalues = {sites: first_derivative(line, sites) for sites in cfg.labels}
+        rows, drows = [], []
+        for i, p in enumerate(line.params):
+            parity = "" if math.isnan(line.parity[i]) else str(int(line.parity[i]))
+            for sites in cfg.labels:
+                name = label_name(sites, 6)
+                rows.append((fmt(p), name, fmt(line.values[sites][i]), fmt(line.energy[i]),
+                             str(int(line.degeneracy[i])), parity, fmt(line.gap[i])))
+                drows.append((fmt(p), name, fmt(dvalues[sites][i])))
+        # the first point is the twofold factorization point, of no definite parity
+        assert rows[0][4:6] == ("2", "") and rows[-1][5] != ""
+        assert (out / "phaseline.csv").read_bytes() == render_rows(
+            ("param", "label", "value", "energy", "degeneracy", "parity", "gap"), rows)
+        assert (out / "derivative.csv").read_bytes() == render_rows(
+            ("param", "label", "dvalue"), drows)
+
+    def test_sphere_file_matches_row_by_row_rendering(self, tmp_path):
+        out = tmp_path / "sphere"
+        assert run_cli(["sphere", "--model", "ti", "--param-value", "0.7", "--labels", "12",
+                        "--grid-theta", "7", "--grid-phi", "12", "--out", str(out)]) == 0
+        grid = SphereGrid(7, 12)
+        field = sphere_field(ground_state(ModelSpec("ti", lam=0.7)).state, (1, 2), grid, n=6)
+        rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
+                for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
+        assert (out / "sphere_12.csv").read_bytes() == render_rows(("theta", "phi", "value"), rows)
+
+    def test_frames_index_matches_row_by_row_rendering(self, tmp_path):
+        out = tmp_path / "anim"
+        assert run_cli(["animate", "--model", "ti", "--param-start", "0.1", "--param-stop", "0.4",
+                        "--param-step", "0.1", "--labels", "1", "--grid-theta", "3",
+                        "--grid-phi", "4", "--out", str(out)]) == 0
+        params = SweepConfig(spec=ModelSpec("ti"), start=0.1, stop=0.4, step=0.1).params
+        rows = [(str(k), fmt(p)) for k, p in enumerate(params)]
+        assert len(rows) == 4
+        assert (out / "frames.csv").read_bytes() == render_rows(("frame", "param"), rows)
 
 
 class TestSerialization:
