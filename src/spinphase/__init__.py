@@ -16,9 +16,9 @@ from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_sta
                      ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
                      ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
                      xy_factorization_point)
-from .wigner import (SphereGrid, bloch_factors, equal_angle_point, kernel_single,
-                     pauli_contract, pauli_expectations, reconstruct_density,
-                     reduced_expectations, reference_state, sphere_field, wigner_value)
+from .wigner import (SphereGrid, bloch_factors, equal_angle_point, equal_angle_values,
+                     kernel_single, kernels, reconstruct_density, reference_state,
+                     sphere_field, wigner_value, wigner_values)
 from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
                        count_sign_changes, factorization_value_check,
                        find_derivative_extrema, find_sector_crossings, first_derivative,
@@ -34,9 +34,8 @@ __all__ = [
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz",
     "ti_thermo_energy", "ti_thermo_mx", "ti_thermo_mz",
     "xy_factorization_point", "xy_factorization_angle",
-    "kernel_single", "bloch_factors", "pauli_expectations", "pauli_contract",
-    "reduced_expectations",
-    "wigner_value", "equal_angle_point",
+    "kernel_single", "kernels", "bloch_factors",
+    "wigner_values", "wigner_value", "equal_angle_values", "equal_angle_point",
     "SphereGrid", "sphere_field", "reference_state", "reconstruct_density",
     "SweepConfig", "PhaseLine", "CriticalPoint", "canonical_labels", "sweep",
     "first_derivative", "find_derivative_extrema", "find_sector_crossings",

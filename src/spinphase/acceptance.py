@@ -23,9 +23,9 @@ from .models import (ModelSpec, build_hamiltonian, ground_state, spin_parity_dia
                      ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
                      xy_factorization_point)
 from .qcore import label_name, reduced_factor
-from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
-                     equal_angle_point, kernel_single, pauli_contract, reconstruct_density,
-                     reduced_expectations, reference_state, sphere_field, wigner_value)
+from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, equal_angle_point, kernel_single,
+                     kernels, reconstruct_density, reference_state, sphere_field, wigner_value,
+                     wigner_values)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -81,9 +81,8 @@ def _quadrature_marginal(state, retained_points, nodes=64):
     phis = np.arange(nodes) * (2 * np.pi / nodes)
     tt, pp = np.meshgrid(np.arccos(glx), phis, indexing="ij")
     ww = np.repeat(glw, nodes) / nodes  # glw[i] * (2pi/nodes) / (2pi)
-    factors = [bloch_factors([t], [p]) for t, p in retained_points]
-    factors.append(bloch_factors(tt.ravel(), pp.ravel()))
-    vals = pauli_contract(reduced_expectations(state, range(1, len(factors) + 1)), factors)
+    site_kernels = [kernels(t, p) for t, p in retained_points] + [kernels(tt.ravel(), pp.ravel())]
+    vals = wigner_values([state], range(1, len(site_kernels) + 1), site_kernels)[0]
     return float(np.dot(ww, vals))
 
 

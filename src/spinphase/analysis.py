@@ -10,7 +10,7 @@ from .errors import ConfigError, NumericalError, PolicyError
 from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, validate_label, validate_labels
-from .wigner import SQRT3, _check_point, equal_angle_point
+from .wigner import SQRT3, _check_point, equal_angle_values
 
 # correlation subsets explored for the 6-site ring: one representative per
 # translation/reflection class for each subset size
@@ -113,11 +113,10 @@ def ground_states(cfg):
 
 def sweep(cfg):
     """Phase line over the parameter grid: the ground state of `ground_states`
-    at each value, with every label evaluated at the phase point."""
+    at each value, and each label at the phase point by one call over the grid."""
     states = [gs for _, gs in ground_states(cfg)]
-    values = {label: np.array([equal_angle_point(gs.state, label, cfg.theta, cfg.phi,
-                                                 n=cfg.spec.n) for gs in states])
-              for label in cfg.labels}
+    values = {label: equal_angle_values([gs.state for gs in states], label, cfg.theta, cfg.phi,
+                                        n=cfg.spec.n)[:, 0] for label in cfg.labels}
     return PhaseLine(config=cfg, params=cfg.params, values=values,
                      energy=np.array([gs.energy for gs in states]),
                      degeneracy=np.array([gs.degeneracy for gs in states]),

@@ -399,6 +399,8 @@ def cmd_formulas(cfg):
 
 
 def cmd_verify(cfg):
+    if cfg["seed"] < 0:  # criterion i draws from default_rng(seed + i), which rejects < 0
+        raise ConfigError(f"--seed must be a non-negative integer, got {cfg['seed']}")
     from .acceptance import run_all
 
     results = run_all(seed=cfg["seed"])

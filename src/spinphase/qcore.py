@@ -114,6 +114,6 @@ def reduced_factor(state, keep, n=None):
     elif state.shape[0] != 2**n:
         raise ValueError(f"state dimension {state.shape[0]} does not match n={n}")
     keep = validate_label(keep, n)
-    t = np.moveaxis(state.reshape((2,) * n + (-1,)), [s - 1 for s in keep],
-                    range(len(keep)))
+    rest = [i for i in range(n + 1) if i + 1 not in keep]  # axis n is the columns
+    t = state.reshape((2,) * n + (-1,)).transpose([s - 1 for s in keep] + rest)
     return t.reshape(2 ** len(keep), -1)

@@ -1,16 +1,15 @@
-"""Displaced-parity Wigner kernel, its Pauli-basis evaluator and sphere sampling.
+"""Displaced-parity Wigner kernel, the one batched evaluator and sphere sampling.
 
 The single-qubit kernel at phase point (theta, phi) is the Bloch form
 K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
-cos theta); `bloch_factors` gives its Pauli components Tr[sigma_b K]. The
-Wigner value of a k-qubit state is W = Tr[rho K_1 x ... x K_k]
-= 2^-k sum_a c_a prod_i f_i[a_i], with c_a = Tr[rho sigma_a1 x ... x sigma_ak]
-from `pauli_expectations` and f_i the Bloch factors of site i; every value
-in the package goes through that one contraction, `pauli_contract`. A state
-is a factor A, rho = A A^dagger (see `qcore`); only the 2^k x 2^k matrix
-M M^dagger of its reduced factor M (`qcore.reduced_factor`) is formed. The
-same kernel written as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger
-is the independent oracle of the tests.
+cos theta); `bloch_factors` gives its Pauli components and `kernels` builds K
+for a batch of points. A state is a factor A, rho = A A^dagger (see `qcore`).
+Every Wigner value W = Tr[rho K_1 x ... x K_k] comes from one evaluator,
+`wigner_values`: it forms the reduced density M M^dagger of the reduced factor
+M (`qcore.reduced_factor`) and contracts each site's kernel into it, one site
+at a time, batched over states or phase points. The kernel as the rotated
+parity R (1 + sqrt(3) sigma_z)/2 R^dagger, and the former Pauli-expectation
+evaluator, are the independent oracles of the tests.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 KERNEL_EIG_HI = 0.5 * (1.0 + SQRT3)
 KERNEL_EIG_LO = 0.5 * (1.0 - SQRT3)
 
-IMAG_RESIDUE_ATOL = 1e-12
+CHUNK_BYTES = 2**20  # working set of one evaluator chunk: densities, or what is left of them
 _ANGLE_SLACK = 1e-9
 
 
@@ -51,59 +50,57 @@ def bloch_factors(theta, phi):
 
 
 def _pauli_operator(coeffs):
-    """2^-k sum_a coeffs[a] sigma_a1 x ... x sigma_ak for a tensor with k Pauli axes,
-    the inverse of `pauli_expectations`: each leading Pauli axis in turn becomes
-    its site's (row, column) axes at the end, and rows then move before columns."""
+    """2^-k sum_a coeffs[a] sigma_a1 x ... x sigma_ak for a tensor with k Pauli axes:
+    each Pauli axis becomes its site's (row, column) axes, rows then before columns."""
     t, k = np.asarray(coeffs), np.ndim(coeffs)
     for _ in range(k):
         t = np.tensordot(t, PAULI_BASIS, axes=(0, 0))
     return t.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(2**k, 2**k) / 2**k
 
 
+def kernels(thetas, phis):
+    """Single-qubit kernels (1/2) sum_b bloch_factors[b] sigma_b, one (2, 2) per point."""
+    return np.tensordot(bloch_factors(thetas, phis), PAULI_BASIS, axes=(-1, 0)) / 2
+
+
 def kernel_single(theta, phi):
-    """Single-qubit displaced parity kernel (1/2) sum_b bloch_factors[b] sigma_b."""
+    """Single-qubit displaced parity kernel at one phase point."""
     _check_point(theta, phi)
-    return _pauli_operator(bloch_factors(theta, phi))
+    return kernels(theta, phi)
 
 
-def pauli_expectations(rho):
-    """Real tensor c[a1, ..., ak] = Tr[rho sigma_a1 x ... x sigma_ak] of a k-qubit
-    state, with sigma_0 the identity.
+def wigner_values(states, sites, site_kernels, n=None):
+    """The one Wigner evaluator: Tr[rho (K_1 x ... x K_k)] of every state factor in
+    `states` reduced to `sites`, for every row of the per-site kernel stacks
+    `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape (len(states), p).
 
-    Raises NumericalError when an entry has an imaginary part above
-    IMAG_RESIDUE_ATOL, i.e. when rho is not Hermitian.
+    rho = M M^dagger of the reduced factor is laid out with each site's (row,
+    column) index pair adjacent, so one matmul per site sums that pair against
+    the site's transposed kernel. The densities, and the rest the first site
+    leaves of them, are formed in chunks of about CHUNK_BYTES.
     """
-    rho = np.asarray(rho, dtype=complex)
-    k = n_sites(rho.shape[0])
-    t = rho.reshape((2,) * (2 * k))
-    for i in range(k):
-        # row index r of the next site leads, its column index c sits k - i
-        # axes later; Tr[rho sigma] pairs rho[r, c] with sigma[c, r]
-        t = np.tensordot(t, PAULI_BASIS, axes=([0, k - i], [2, 1]))
-    residue = float(np.max(np.abs(t.imag)))
-    if residue > IMAG_RESIDUE_ATOL:
-        raise NumericalError(f"Pauli expectations have imaginary residue {residue:.3e}")
-    return t.real
-
-
-def pauli_contract(coeffs, site_factors):
-    """Wigner values 2^-k sum_a coeffs[..., a] prod_i site_factors[i][:, a_i].
-
-    `coeffs` ends in k Pauli axes (leading axes are kept); `site_factors` holds
-    one (g, 4) array of Bloch factors per site, rows broadcast against each
-    other. Returns the values of the g points, shape (..., g).
-    """
-    *rest, last = np.broadcast_arrays(*site_factors)
-    out = coeffs @ last.T
-    for f in reversed(rest):
-        out = np.einsum("...ag,ga->...g", out, f)
-    return out / 2 ** len(site_factors)
-
-
-def reduced_expectations(state, sites, n=None):
-    """Pauli expectations of the reduced state on `sites` of the factor `state`."""
-    m = reduced_factor(state, sites, n)
-    return pauli_expectations(m @ m.conj().T)
+    sites, states = tuple(sites), list(states)
+    k = len(sites)
+    if len(site_kernels) != k:
+        raise ValueError(f"expected {k} phase points, got {len(site_kernels)}")
+    kts = np.broadcast_arrays(*(np.swapaxes(kern, -1, -2).reshape(-1, 1, 4)
+                                for kern in site_kernels))
+    order = [axis for i in range(k) for axis in (i, k + i)]
+    per_stack = max(1, CHUNK_BYTES // (16 * 4**k))
+    values = np.empty((len(states), len(kts[0])))
+    for s0 in range(0, len(states), per_stack):
+        chunk = states[s0:s0 + per_stack]
+        rho = np.empty((len(chunk),) + (2,) * (2 * k), dtype=complex)
+        for row, state in zip(rho, chunk):
+            m = reduced_factor(state, sites, n)
+            row[...] = (m @ m.conj().T).reshape((2,) * (2 * k)).transpose(order)
+        step = max(1, CHUNK_BYTES // (rho.nbytes // 4))
+        for p0 in range(0, values.shape[1], step):
+            out = rho.reshape(len(chunk), 1, -1)
+            for kt in kts:
+                out = (kt[p0:p0 + step] @ out.reshape(*out.shape[:2], 4, -1))[..., 0, :]
+            values[s0:s0 + len(chunk), p0:p0 + step] = out[..., 0].real
+    return values
 
 
 def wigner_value(state, points):
@@ -111,29 +108,21 @@ def wigner_value(state, points):
 
     `points` is a sequence of (theta, phi), one entry per qubit.
     """
-    points = list(points)
-    coeffs = reduced_expectations(state, range(1, n_sites(len(state)) + 1))
-    if len(points) != coeffs.ndim:
-        raise ValueError(f"expected {coeffs.ndim} phase points, got {len(points)}")
-    for t, p in points:
-        _check_point(t, p)
-    return float(pauli_contract(coeffs, [bloch_factors([t], [p]) for t, p in points])[0])
+    site_kernels = [kernel_single(t, p) for t, p in points]
+    return float(wigner_values([state], range(1, n_sites(len(state)) + 1), site_kernels)[0, 0])
 
 
-def _equal_angle(coeffs, thetas, phis):
-    """Values at every (theta, phi) pair with all k sites at the same point."""
-    return pauli_contract(coeffs, [bloch_factors(thetas, phis)] * coeffs.ndim)
+def equal_angle_values(states, sites, thetas, phis, n=None):
+    """Values with all k sites at one point, shape (len(states), number of points)."""
+    sites = tuple(sites)
+    return wigner_values(states, sites, [kernels(thetas, phis)] * len(sites), n)
 
 
 def equal_angle_point(state, sites, theta, phi, n=None):
-    """Equal-angle slice of the reduced Wigner function for a site subset.
-
-    Reduces the state factor to the selected sites, then evaluates the Wigner
-    value with every retained sphere at (theta, phi).
-    """
+    """Equal-angle slice of the reduced Wigner function for a site subset: the
+    value of the state factor reduced to `sites`, every retained sphere at (theta, phi)."""
     _check_point(theta, phi)
-    coeffs = reduced_expectations(state, sites, n)
-    return float(_equal_angle(coeffs, [theta], [phi])[0])
+    return float(equal_angle_values([state], sites, theta, phi, n)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -160,13 +149,19 @@ def sphere_field(state, sites, grid=SphereGrid(), n=None):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
     Returns the (n_theta, n_phi) array of the values at (thetas[i], phis[j]).
-    The Pauli expectations are taken once, then the field is evaluated one theta
-    row at a time, so the working memory stays that of a single row.
+    Since K(theta, phi) = R_z(phi) K(theta, 0) R_z(phi)^dagger, a k-site field is
+    a trigonometric polynomial of degree k in phi. So each theta row is evaluated
+    at 2k + 1 equispaced phi nodes and mapped exactly onto the grid's phis by the
+    Dirichlet kernel D(x) = (1 + 2 sum_{m=1..k} cos(m x)) / (2k + 1).
     """
-    coeffs = reduced_expectations(state, sites, n)
-    phis = grid.phis
-    return np.array([_equal_angle(coeffs, np.full(grid.n_phi, theta), phis)
-                     for theta in grid.thetas])
+    sites = tuple(sites)
+    nodes = 2 * len(sites) + 1
+    node_phis = np.arange(nodes) * (2 * np.pi / nodes)
+    tt, pp = np.meshgrid(grid.thetas, node_phis, indexing="ij")
+    rows = equal_angle_values([state], sites, tt.ravel(), pp.ravel(), n).reshape(-1, nodes)
+    x = grid.phis - node_phis[:, None]
+    interp = 1 + 2 * sum(np.cos(m * x) for m in range(1, len(sites) + 1))
+    return rows @ (interp / nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +231,12 @@ def reconstruct_density(samples, n):
     angles = np.array(points, dtype=float)
     values = np.array([value for _, value in samples], dtype=float)
 
-    # design[s, a]: value of sample s for unit Pauli expectation on string a alone
-    unit = np.eye(n_params).reshape((n_params,) + (4,) * n)
-    design = pauli_contract(unit, [bloch_factors(angles[:, i, 0], angles[:, i, 1])
-                                   for i in range(n)]).T
+    # design[s, a]: value of sample s for unit Pauli expectation on string a alone,
+    # prod_i bloch_factors(point_i)[a_i] / 2^n with a_1 the slowest index
+    factors = bloch_factors(angles[..., 0], angles[..., 1])
+    design = factors[:, 0] / 2**n
+    for i in range(1, n):
+        design = (design[:, :, None] * factors[:, i, None, :]).reshape(len(samples), -1)
     rank = np.linalg.matrix_rank(design)
     if rank < n_params:
         raise NumericalError(

@@ -3,16 +3,21 @@
 The package reduces and evaluates states through their factors (rho = A A^dagger)
 and holds each symmetry as the diagonal of its operator, built from basis-index
 bits; these helpers do the same jobs the slow, direct way on full 2^n x 2^n
-matrices. `symmetric_by_rotation` is the former `symmetric` policy, which
-rotated the full degenerate ground space instead of solving the sector block.
+matrices. `pauli_expectations` and `pauli_contract` are the former evaluator,
+which went through the 4^k Pauli expectations of a reduced density.
+`symmetric_by_rotation` is the former `symmetric` policy, which rotated the
+full degenerate ground space instead of solving the sector block.
 """
 
 import numpy as np
 
+from spinphase.errors import NumericalError
 from spinphase.models import (DEGENERACY_TOL_FACTOR, TIE_TOL_FACTOR, build_hamiltonian,
                               pick_sector, symmetry_diagonal)
 from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
-from spinphase.wigner import kernel_single
+from spinphase.wigner import PAULI_BASIS, kernel_single
+
+IMAG_RESIDUE_ATOL = 1e-12
 
 
 def kron_all(ops):
@@ -90,3 +95,37 @@ def symmetric_by_rotation(spec):
     sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
     energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
     return vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]
+
+
+def pauli_expectations(rho):
+    """Real tensor c[a1, ..., ak] = Tr[rho sigma_a1 x ... x sigma_ak] of a k-qubit
+    state, with sigma_0 the identity.
+
+    Raises NumericalError when an entry has an imaginary part above
+    IMAG_RESIDUE_ATOL, i.e. when rho is not Hermitian.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    k = n_sites(rho.shape[0])
+    t = rho.reshape((2,) * (2 * k))
+    for i in range(k):
+        # row index r of the next site leads, its column index c sits k - i
+        # axes later; Tr[rho sigma] pairs rho[r, c] with sigma[c, r]
+        t = np.tensordot(t, PAULI_BASIS, axes=([0, k - i], [2, 1]))
+    residue = float(np.max(np.abs(t.imag)))
+    if residue > IMAG_RESIDUE_ATOL:
+        raise NumericalError(f"Pauli expectations have imaginary residue {residue:.3e}")
+    return t.real
+
+
+def pauli_contract(coeffs, site_factors):
+    """Wigner values 2^-k sum_a coeffs[..., a] prod_i site_factors[i][:, a_i].
+
+    `coeffs` ends in k Pauli axes (leading axes are kept); `site_factors` holds
+    one (g, 4) array of Bloch factors per site, rows broadcast against each
+    other. Returns the values of the g points, shape (..., g).
+    """
+    *rest, last = np.broadcast_arrays(*site_factors)
+    out = coeffs @ last.T
+    for f in reversed(rest):
+        out = np.einsum("...ag,ga->...g", out, f)
+    return out / 2 ** len(site_factors)

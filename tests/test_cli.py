@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinphase import analysis
+from spinphase import acceptance, analysis
 from spinphase.analysis import SweepConfig, first_derivative, sweep
 from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, main
 from spinphase.models import ModelSpec, ground_state
@@ -270,6 +270,14 @@ class TestConfigHandling:
         assert run_cli(argv) == 2
         assert solves == []
         assert not (tmp_path / "x" / "phaseline.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed_exits_2_before_any_criterion(self, seed, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(acceptance, "run_all", lambda seed=0: runs.append(seed) or [])
+        assert run_cli(["verify", "--seed", seed]) == 2
+        assert runs == []
+        assert "--seed" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

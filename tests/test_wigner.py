@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from dense_oracles import density, kernel_multi, kron_all, partial_trace
+from dense_oracles import (density, kernel_multi, kron_all, partial_trace, pauli_contract,
+                           pauli_expectations)
 
+from spinphase.analysis import SweepConfig, ground_states, sweep
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
 from spinphase.qcore import SIGMA_Z, basis_vector, reduced_factor
-from spinphase.wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, bloch_factors,
-                              equal_angle_point, kernel_single, pauli_expectations,
+from spinphase.wigner import (CHUNK_BYTES, KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid,
+                              bloch_factors, equal_angle_point, kernel_single,
                               reconstruct_density, reference_state, sphere_field, wigner_value)
 
 SQ3 = np.sqrt(3.0)
@@ -208,7 +210,17 @@ def rand_mixed(rng, dim, rank=3):
 
 
 class TestPauliEvaluator:
-    """The Pauli-coefficient evaluator against the rotated-parity kron oracle."""
+    """The evaluator against the rotated-parity kron oracle, and the former
+    Pauli-coefficient evaluator, now a test oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_pauli_oracle(self, k):
+        rng = np.random.default_rng(110 + k)
+        state = rand_mixed(rng, 2**k)
+        pts = [rand_point(rng) for _ in range(k)]
+        pauli = pauli_contract(pauli_expectations(density(state)),
+                               [bloch_factors([t], [p]) for t, p in pts])[0]
+        assert wigner_value(state, pts) == pytest.approx(pauli, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_wigner_value_distinct_points_per_site(self, k):
@@ -261,6 +273,58 @@ class TestPauliEvaluator:
             pauli_expectations(rho)
         with pytest.raises(NumericalError):
             pauli_expectations(partial_trace(rho, (1, 2), 3))
+
+
+def sweep_oracle(cfg):
+    """Per-point rotated-parity values of every label along a sweep."""
+    states = [gs.state for _, gs in ground_states(cfg)]
+    point = [(cfg.theta, cfg.phi)]
+    return states, {sites: np.array([oracle_value(s, point * len(sites), sites) for s in states])
+                    for sites in cfg.labels}
+
+
+class TestBatchedEvaluator:
+    """Sphere rows by phi interpolation and whole-grid sweeps, each against the
+    rotated-parity oracle at every output point."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_sphere_rows_match_oracle(self, k):
+        rng = np.random.default_rng(120 + k)
+        n = max(k, 2)
+        state = rand_mixed(rng, 2**n, rank=2)
+        sites = tuple(range(n - k + 1, n + 1))
+        # 7 theta rows: both poles, and 7 * 13 nodes at k = 6 span two point chunks
+        for n_phi in sorted({2, 3, 7, 2 * k, 2 * k + 1}):
+            grid = SphereGrid(7, n_phi)
+            fld = sphere_field(state, sites, grid, n=n)
+            oracle = [[oracle_value(state, [(t, p)] * k, sites) for p in grid.phis]
+                      for t in grid.thetas]
+            assert np.max(np.abs(fld - oracle)) < 1e-12, n_phi
+
+    def test_sweep_across_chunk_boundary(self):
+        per_stack = CHUNK_BYTES // (16 * 4**6)  # six-site densities per stack
+        cfg = SweepConfig(spec=ModelSpec("ti", n=6), start=0.5, stop=0.5 + 0.01 * (per_stack + 2),
+                          step=0.01, labels=((1, 3), tuple(range(1, 7))), theta=0.7, phi=1.9)
+        assert len(cfg.params) > per_stack
+        line = sweep(cfg)
+        states, oracle = sweep_oracle(cfg)
+        for sites in cfg.labels:
+            per_point = [equal_angle_point(s, sites, cfg.theta, cfg.phi, n=6) for s in states]
+            assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
+            assert np.max(np.abs(line.values[sites] - per_point)) < 1e-12
+
+    @pytest.mark.parametrize("spec,start,policy,rank", [
+        (ModelSpec("xy", n=6, gamma=0.5), 1.1547005383792517, "mixture", 2),
+        (ModelSpec("ti", n=6, h=0.0), 0.0, "symmetric", 32),
+    ])
+    def test_mixed_rank_sweep(self, spec, start, policy, rank):
+        cfg = SweepConfig(spec=spec, start=start, stop=start + 0.04, step=0.01, policy=policy,
+                          labels=((1,), (1, 2, 4), tuple(range(1, 7))), theta=1.1, phi=0.4)
+        line = sweep(cfg)
+        states, oracle = sweep_oracle(cfg)
+        assert states[0].shape[1] == rank and states[-1].shape[1] < rank
+        for sites in cfg.labels:
+            assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
 
 
 class TestSphereField:
