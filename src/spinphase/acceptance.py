@@ -23,9 +23,8 @@ from .models import (ModelSpec, build_hamiltonian, ground_state, spin_parity_dia
                      ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
                      xy_factorization_point)
 from .qcore import label_name, reduced_factor
-from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, equal_angle_point, kernel_single,
-                     kernels, reconstruct_density, reference_state, sphere_field, wigner_value,
-                     wigner_values)
+from .wigner import (KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid, equal_angle_values, kernels,
+                     reconstruct_density, reference_state, sphere_field, wigner_values)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -62,15 +61,20 @@ def _rand_pure(rng, dim):
 
 def check_kernel_identities(rng):
     """1. Tr = 1 and eigenvalues (1 +- sqrt3)/2 at 1000 random points, tol 1e-12."""
-    worst_tr = 0.0
-    worst_eig = 0.0
-    for _ in range(1000):
-        k = kernel_single(*_rand_point(rng))
-        worst_tr = max(worst_tr, abs(np.trace(k).real - 1.0) + abs(np.trace(k).imag))
-        w = np.linalg.eigvalsh(k)
-        worst_eig = max(worst_eig, abs(w[0] - KERNEL_EIG_LO), abs(w[1] - KERNEL_EIG_HI))
+    k = kernels(*np.transpose([_rand_point(rng) for _ in range(1000)]))
+    tr = np.trace(k, axis1=-2, axis2=-1)
+    worst_tr = _max_norm(np.abs(tr.real - 1.0) + np.abs(tr.imag))
+    worst_eig = _max_norm(np.linalg.eigvalsh(k) - [KERNEL_EIG_LO, KERNEL_EIG_HI])
     ok = worst_tr < 1e-12 and worst_eig < 1e-12
     return ok, f"max trace dev {worst_tr:.2e}, max eigenvalue dev {worst_eig:.2e}"
+
+
+def _values(state, points):
+    """Wigner values of a k-qubit factor at p samples; `points` has shape (p, k, 2),
+    one (theta, phi) per site and sample."""
+    points = np.asarray(points)
+    site_kernels = [kernels(points[:, i, 0], points[:, i, 1]) for i in range(points.shape[1])]
+    return wigner_values([state], range(1, points.shape[1] + 1), site_kernels)[0]
 
 
 def _quadrature_marginal(state, retained_points, nodes=64):
@@ -92,11 +96,9 @@ def check_marginal_consistency(rng):
     for n in (2, 3):
         state = _rand_pure(rng, 2**n)
         reduced = reduced_factor(state, tuple(range(1, n)), n)
-        for _ in range(10):
-            retained = [_rand_point(rng) for _ in range(n - 1)]
-            by_quad = _quadrature_marginal(state, retained)
-            direct = wigner_value(reduced, retained)
-            worst = max(worst, abs(by_quad - direct))
+        retained = [[_rand_point(rng) for _ in range(n - 1)] for _ in range(10)]
+        by_quad = [_quadrature_marginal(state, points) for points in retained]
+        worst = max(worst, _max_norm(np.subtract(by_quad, _values(reduced, retained))))
     return worst < 1e-8, f"max |quadrature - partial trace| = {worst:.2e}"
 
 
@@ -105,11 +107,8 @@ def check_reconstruction(rng):
     worst = 0.0
     for n, nsamp in ((1, 8), (2, 32)):
         state = _rand_pure(rng, 2**n)
-        samples = []
-        for _ in range(nsamp):
-            pts = [_rand_point(rng) for _ in range(n)]
-            samples.append((pts, wigner_value(state, pts)))
-        rec, _ = reconstruct_density(samples, n)
+        points = [[_rand_point(rng) for _ in range(n)] for _ in range(nsamp)]
+        rec, _ = reconstruct_density(zip(points, _values(state, points)), n)
         # the reconstruction is a density matrix, so it is compared with one
         worst = max(worst, float(np.linalg.norm(rec - state @ state.conj().T)))
     return worst < 1e-8, f"max Frobenius round-trip error {worst:.2e}"
@@ -150,8 +149,8 @@ def check_ti_pseudo_critical(rng):
 def check_ti_lambda0_values(rng):
     """6. rho_1(0,0) = (1+sqrt3)/2 and rho_tot(0,0) = ((1+sqrt3)/2)^6, tol 1e-10."""
     gs = ground_state(ModelSpec(family="ti", n=6, lam=0.0))
-    v1 = equal_angle_point(gs.state, (1,), 0.0, 0.0, n=6)
-    vtot = equal_angle_point(gs.state, tuple(range(1, 7)), 0.0, 0.0, n=6)
+    v1, vtot = (equal_angle_values([gs.state], sites, 0.0, 0.0, n=6)[0, 0]
+                for sites in ((1,), tuple(range(1, 7))))
     d1 = abs(v1 - (1 + SQRT3) / 2)
     dtot = abs(vtot - ((1 + SQRT3) / 2) ** 6)
     ok = d1 <= 1e-10 and dtot <= 1e-10
@@ -236,11 +235,9 @@ def check_xy_factorization_value(rng):
     rows = factorization_value_check(gamma, CANONICAL_LABELS_6, n=n)
     dev_product = dev_limit = 0.0
     for (_, expected), sites in zip(rows, CANONICAL_LABELS_6):
-        for v in products:
-            value = equal_angle_point(v, sites, 0.0, 0.0, n=n)
-            dev_product = max(dev_product, abs(value - expected))
+        *values, value = equal_angle_values([*products, limit.state], sites, 0.0, 0.0, n=n)[:, 0]
+        dev_product = max(dev_product, _max_norm(np.subtract(values, expected)))
         w_plus, w_minus = parity_state_values(gamma, len(sites), n)
-        value = equal_angle_point(limit.state, sites, 0.0, 0.0, n=n)
         dev_limit = max(dev_limit, abs(value - 0.5 * (w_plus + w_minus)))
     ok = (residual <= tol and limit.degeneracy == 2 and dev_product <= tol
           and dev_limit <= tol)
@@ -266,7 +263,7 @@ def check_xxz_werner_values(rng):
     gs = ground_state(ModelSpec(family="xxz", n=6, delta=1.0))
     worst_exact = worst_printed = 0.0
     for sites, target in exact.items():
-        got = equal_angle_point(gs.state, sites, 0.0, 0.0, n=6)
+        got = equal_angle_values([gs.state], sites, 0.0, 0.0, n=6)[0, 0]
         worst_exact = max(worst_exact, abs(got - target))
         worst_printed = max(worst_printed, abs(got - printed[sites]))
     ok = worst_exact <= 1e-10 and worst_printed <= 1e-3

@@ -10,7 +10,7 @@ from .errors import ConfigError, NumericalError, PolicyError
 from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
                      xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, validate_label, validate_labels
-from .wigner import SQRT3, _check_point, equal_angle_values
+from .wigner import SQRT3, check_angles, equal_angle_values
 
 # correlation subsets explored for the 6-site ring: one representative per
 # translation/reflection class for each subset size
@@ -61,7 +61,7 @@ class SweepConfig:
     phi: float = 0.0
 
     def __post_init__(self):
-        _check_point(self.theta, self.phi)  # before any grid point is solved
+        check_angles(self.theta, self.phi)  # before any grid point is solved
         if len(self.params) < 2:  # the derivative needs two points
             raise ConfigError("a sweep needs at least two grid points")
         labels = validate_labels(self.labels, self.spec.n) or \
@@ -149,9 +149,12 @@ def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
 def find_derivative_extrema(line, label):
     """Interior local extrema of the first-derivative series.
 
-    Each extremum is refined with a 3-point parabolic fit; its magnitude is
-    the fitted extremal derivative. Extrema within the numerical noise floor
-    EXTREMUM_NOISE_FLOOR x max(1, max|value|) of the series median are dropped.
+    Neighbouring samples within the noise floor EXTREMUM_NOISE_FLOOR x
+    max(1, max|value|) of each other form one run, so rounding cannot split a
+    plateau. A run whose two outside neighbours both lie above it (below it) is
+    a minimum (maximum), unless its mean is within the floor of the series
+    median. A one-sample run is refined by a 3-point parabolic fit, whose vertex
+    gives location and magnitude; a longer run reports its centre and its mean.
     """
     y = line.series(label)
     if len(y) < 5:
@@ -161,16 +164,23 @@ def find_derivative_extrema(line, label):
     med = float(np.median(d))
     floor = EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y))))
     name = label_name(validate_label(label, line.config.spec.n), line.config.spec.n)
+    steps = np.diff(d)
+    edges = np.flatnonzero(np.abs(steps) > floor)  # a run ends at each edge
     out = []
-    for i in range(1, len(d) - 1):
-        is_min = d[i] < d[i - 1] and d[i] < d[i + 1]
-        is_max = d[i] > d[i - 1] and d[i] > d[i + 1]
-        if not (is_min or is_max) or abs(d[i] - med) <= floor:
+    for left, right in zip(edges, edges[1:]):
+        if (steps[left] < 0) == (steps[right] < 0):
+            continue  # the series rises (or falls) through the run
+        lo, hi = left + 1, right  # the run d[lo..hi]
+        mean = float(np.mean(d[lo:hi + 1]))
+        if abs(mean - med) <= floor:
             continue
-        xv, yv = _parabolic_vertex(x[i - 1], x[i], x[i + 1], d[i - 1], d[i], d[i + 1])
+        if lo == hi:
+            xv, yv = _parabolic_vertex(x[lo - 1], x[lo], x[lo + 1], d[lo - 1], d[lo], d[lo + 1])
+        else:
+            xv, yv = 0.5 * (x[lo] + x[hi]), mean
         out.append(CriticalPoint(kind="derivative_extremum", location=float(xv),
                                  magnitude=float(yv), label=name,
-                                 detail="minimum" if is_min else "maximum"))
+                                 detail="minimum" if steps[left] < 0 else "maximum"))
     return out
 
 

@@ -72,7 +72,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(outdir, config, files, critical_points=None, started=None):
+def write_manifest(outdir, config, files, started=None):
     manifest = {
         "tool": "spinphase",
         "version": __version__,
@@ -81,8 +81,6 @@ def write_manifest(outdir, config, files, critical_points=None, started=None):
         "finished_utc": _utcnow(),
         "files": {os.path.basename(p): _sha256(p) for p in files},
     }
-    if critical_points is not None:
-        manifest["critical_points"] = critical_points
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
@@ -286,8 +284,8 @@ PLOT_STUBS = {"phaseline": ("plot_phaseline.py", PHASELINE_PLOT_STUB),
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its data files under cfg["out"] and returns them with
-# its critical-point payload (or None); `main` adds the plot stub and manifest
+# subcommands: each writes its data files under cfg["out"] and returns their
+# paths; `main` adds the plot stub and the manifest, which names each by sha256
 
 
 def cmd_phaseline(cfg):
@@ -319,10 +317,9 @@ def cmd_phaseline(cfg):
         for sites in labels:
             points.extend(find_derivative_extrema(line, sites))
     points.extend(find_sector_crossings(line))
-    payload = [dataclasses.asdict(p) for p in points]
     critical_path = os.path.join(cfg["out"], "criticalpoints.json")
-    write_json(critical_path, {"critical_points": payload})
-    return [phaseline_path, derivative_path, critical_path], payload
+    write_json(critical_path, {"critical_points": [dataclasses.asdict(p) for p in points]})
+    return [phaseline_path, derivative_path, critical_path]
 
 
 def _write_sphere_files(outdir, state, labels, grid, n):
@@ -342,7 +339,7 @@ def cmd_sphere(cfg):
     spec = _model_spec(cfg, cfg["param-value"])
     labels, grid = _labels(cfg, spec.n), SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
     gs = ground_state(spec, policy=cfg["policy"])
-    return _write_sphere_files(cfg["out"], gs.state, labels, grid, spec.n), None
+    return _write_sphere_files(cfg["out"], gs.state, labels, grid, spec.n)
 
 
 def cmd_animate(cfg):
@@ -358,7 +355,7 @@ def cmd_animate(cfg):
     files.append(os.path.join(cfg["out"], "frames.csv"))
     write_csv(files[-1], {"frame": list(map(str, range(len(params)))),
                           "param": list(map(fmt, params))})
-    return files, None
+    return files
 
 
 def _formula_values(cfg):
@@ -395,7 +392,7 @@ def cmd_formulas(cfg):
         print("\t".join(row))
     path = os.path.join(cfg["out"], "formulas.csv")
     write_csv(path, columns)
-    return [path], None
+    return [path]
 
 
 def cmd_verify(cfg):
@@ -460,12 +457,12 @@ def main(argv=None):
         started = _utcnow()
         outdir = _ensure_outdir(cfg)
         # looked up at call time, so a wrapper rebound to the module-level name runs
-        files, critical_points = globals()[f"cmd_{args.subcommand}"](cfg)
+        files = globals()[f"cmd_{args.subcommand}"](cfg)
         if args.subcommand in PLOT_STUBS:
             name, stub = PLOT_STUBS[args.subcommand]
             files.append(os.path.join(outdir, name))
             _atomic_write(files[-1], stub.encode("utf-8"))
-        write_manifest(outdir, cfg, files, critical_points=critical_points, started=started)
+        write_manifest(outdir, cfg, files, started=started)
         return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

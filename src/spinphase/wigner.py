@@ -7,9 +7,13 @@ for a batch of points. A state is a factor A, rho = A A^dagger (see `qcore`).
 Every Wigner value W = Tr[rho K_1 x ... x K_k] comes from one evaluator,
 `wigner_values`: it forms the reduced density M M^dagger of the reduced factor
 M (`qcore.reduced_factor`) and contracts each site's kernel into it, one site
-at a time, batched over states or phase points. The kernel as the rotated
-parity R (1 + sqrt(3) sigma_z)/2 R^dagger, and the former Pauli-expectation
-evaluator, are the independent oracles of the tests.
+at a time, batched over states or phase points; `equal_angle_values` puts
+every site at one point. There is no scalar form: one value is the [0, 0]
+entry of a call with one state and one point. Angles are checked in one
+place, `check_angles`, which `bloch_factors` runs on every angle it is given,
+so a bad angle raises ValueError on every path from angles to values. The
+kernel as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger, and the
+former Pauli-expectation evaluator, are the independent oracles of the tests.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                    n_sites, reduced_factor)
+                    reduced_factor)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -28,22 +32,30 @@ KERNEL_EIG_HI = 0.5 * (1.0 + SQRT3)
 KERNEL_EIG_LO = 0.5 * (1.0 - SQRT3)
 
 CHUNK_BYTES = 2**20  # working set of one evaluator chunk: densities, or what is left of them
-_ANGLE_SLACK = 1e-9
+ANGLE_SLACK = 1e-9
 
 
-def _check_point(theta, phi):
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+def check_angles(theta, phi):
+    """The one phase-point rule, for scalar and array angles alike: every angle
+    finite, theta in [0, pi] and phi in [0, 2*pi), each within ANGLE_SLACK;
+    else ValueError naming the first offending angle."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise ValueError("phase point angles must be finite")
-    if theta < -_ANGLE_SLACK or theta > np.pi + _ANGLE_SLACK:
-        raise ValueError(f"theta={theta} outside [0, pi]")
-    if phi < -_ANGLE_SLACK or phi >= 2 * np.pi + _ANGLE_SLACK:
-        raise ValueError(f"phi={phi} outside [0, 2*pi)")
+    bad = theta[(theta < -ANGLE_SLACK) | (theta > np.pi + ANGLE_SLACK)]
+    if bad.size:
+        raise ValueError(f"theta={bad[0]} outside [0, pi]")
+    bad = phi[(phi < -ANGLE_SLACK) | (phi >= 2 * np.pi + ANGLE_SLACK)]
+    if bad.size:
+        raise ValueError(f"phi={bad[0]} outside [0, 2*pi)")
+    return theta, phi
 
 
 def bloch_factors(theta, phi):
     """Pauli components Tr[sigma_b K] = (1, sqrt3 nx, sqrt3 ny, sqrt3 nz) of the
-    kernel at (theta, phi); array angles give one row of four per point."""
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    kernel at (theta, phi), after `check_angles`; array angles give one row of
+    four per point."""
+    theta, phi = check_angles(theta, phi)
     st = np.sin(theta)
     return np.stack([np.ones_like(theta), SQRT3 * st * np.cos(phi), SQRT3 * st * np.sin(phi),
                      SQRT3 * np.cos(theta)], axis=-1)
@@ -63,12 +75,6 @@ def kernels(thetas, phis):
     return np.tensordot(bloch_factors(thetas, phis), PAULI_BASIS, axes=(-1, 0)) / 2
 
 
-def kernel_single(theta, phi):
-    """Single-qubit displaced parity kernel at one phase point."""
-    _check_point(theta, phi)
-    return kernels(theta, phi)
-
-
 def wigner_values(states, sites, site_kernels, n=None):
     """The one Wigner evaluator: Tr[rho (K_1 x ... x K_k)] of every state factor in
     `states` reduced to `sites`, for every row of the per-site kernel stacks
@@ -79,10 +85,13 @@ def wigner_values(states, sites, site_kernels, n=None):
     the site's transposed kernel. The densities, and the rest the first site
     leaves of them, are formed in chunks of about CHUNK_BYTES.
     """
-    sites, states = tuple(sites), list(states)
+    sites, states, site_kernels = tuple(sites), list(states), list(map(np.asarray, site_kernels))
     k = len(sites)
     if len(site_kernels) != k:
         raise ValueError(f"expected {k} phase points, got {len(site_kernels)}")
+    for kern in site_kernels:
+        if kern.ndim not in (2, 3) or kern.shape[-2:] != (2, 2):
+            raise ValueError(f"a site's kernels must be (p, 2, 2) or (2, 2), got {kern.shape}")
     kts = np.broadcast_arrays(*(np.swapaxes(kern, -1, -2).reshape(-1, 1, 4)
                                 for kern in site_kernels))
     order = [axis for i in range(k) for axis in (i, k + i)]
@@ -103,26 +112,10 @@ def wigner_values(states, sites, site_kernels, n=None):
     return values
 
 
-def wigner_value(state, points):
-    """Wigner function Tr[rho * kernel(points)] of an n-qubit state factor.
-
-    `points` is a sequence of (theta, phi), one entry per qubit.
-    """
-    site_kernels = [kernel_single(t, p) for t, p in points]
-    return float(wigner_values([state], range(1, n_sites(len(state)) + 1), site_kernels)[0, 0])
-
-
 def equal_angle_values(states, sites, thetas, phis, n=None):
     """Values with all k sites at one point, shape (len(states), number of points)."""
     sites = tuple(sites)
     return wigner_values(states, sites, [kernels(thetas, phis)] * len(sites), n)
-
-
-def equal_angle_point(state, sites, theta, phi, n=None):
-    """Equal-angle slice of the reduced Wigner function for a site subset: the
-    value of the state factor reduced to `sites`, every retained sphere at (theta, phi)."""
-    _check_point(theta, phi)
-    return float(equal_angle_values([state], sites, theta, phi, n)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from spinphase.errors import NumericalError
 from spinphase.models import (DEGENERACY_TOL_FACTOR, TIE_TOL_FACTOR, build_hamiltonian,
                               pick_sector, symmetry_diagonal)
 from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
-from spinphase.wigner import PAULI_BASIS, kernel_single
+from spinphase.wigner import PAULI_BASIS, kernels
 
 IMAG_RESIDUE_ATOL = 1e-12
 
@@ -73,7 +73,7 @@ def kernel_multi(points, n=None):
     points = list(points)
     if n is not None and len(points) != n:
         raise ValueError(f"expected {n} phase points, got {len(points)}")
-    return kron_all([kernel_single(t, p) for (t, p) in points])
+    return kron_all([kernels(t, p) for (t, p) in points])
 
 
 def symmetric_by_rotation(spec):

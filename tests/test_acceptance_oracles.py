@@ -15,7 +15,7 @@ from spinphase.acceptance import XXZ_RHO124_DERIVATIVE_MIN, parity_state_values
 from spinphase.analysis import CANONICAL_LABELS_6, factorization_value_check
 from spinphase.models import (ModelSpec, ground_state, spin_parity_diagonal,
                               xy_factorization_point)
-from spinphase.wigner import equal_angle_point
+from spinphase.wigner import equal_angle_values
 
 N = 6
 
@@ -66,7 +66,7 @@ def test_parity_sector_ground_states_match_closed_form(gamma):
         state = _sector_state(gs.state, parity)
         for sites in CANONICAL_LABELS_6:
             expected = closed_form_parity_values(gamma, len(sites))[index]
-            assert equal_angle_point(state, sites, 0.0, 0.0, n=N) == pytest.approx(
+            assert equal_angle_values([state], sites, 0.0, 0.0, n=N)[0, 0] == pytest.approx(
                 expected, abs=1e-12), (parity, sites)
             assert parity_state_values(gamma, len(sites), N)[index] == pytest.approx(
                 expected, abs=1e-14)
@@ -81,7 +81,7 @@ def test_straddling_mean_tends_to_parity_mean_not_product_value():
     for offset in (1e-3, 1e-4):
         states = [ground_state(ModelSpec(family="xy", n=N, lam=lam, gamma=0.5)).state
                   for lam in (lam_f - offset, lam_f + offset)]
-        measured = np.mean([equal_angle_point(state, tot, 0.0, 0.0, n=N) for state in states])
+        measured = np.mean(equal_angle_values(states, tot, 0.0, 0.0, n=N))
         bias[offset] = abs(measured - limit)
         assert abs(measured - expected) > 0.08
     # O(offset): a tenfold smaller offset leaves about a tenth of the bias
@@ -148,9 +148,9 @@ def test_correlator_identities_match_program():
     rho13, rho124 = oracle_values(grid)
     for k, delta in enumerate(grid):
         state = ground_state(ModelSpec(family="xxz", n=N, delta=delta)).state
-        assert equal_angle_point(state, (1, 3), 0.0, 0.0, n=N) == pytest.approx(
+        assert equal_angle_values([state], (1, 3), 0.0, 0.0, n=N)[0, 0] == pytest.approx(
             rho13[k], abs=1e-12)
-        assert equal_angle_point(state, (1, 2, 4), 0.0, 0.0, n=N) == pytest.approx(
+        assert equal_angle_values([state], (1, 2, 4), 0.0, 0.0, n=N)[0, 0] == pytest.approx(
             rho124[k], abs=1e-12)
 
 

@@ -41,6 +41,14 @@ def xy_line():
     return sweep(cfg)
 
 
+@pytest.fixture(scope="module")
+def xxz_bench_line():
+    """The README xxz sweep at the benchmark's step 0.05."""
+    return sweep(SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0), start=-2.0,
+                             stop=10.0, step=0.05, labels=CANONICAL_LABELS_6,
+                             policy="aligned_up"))
+
+
 class TestSweep:
     def test_grid_is_deterministic_and_inclusive(self):
         cfg = ti_cfg(0.0, 1.0, 0.25)
@@ -147,6 +155,34 @@ class TestDerivativeExtrema:
         with pytest.raises(NumericalError):
             find_derivative_extrema(line, TOT6)
 
+    @pytest.mark.parametrize("index,bump", [(2, 0.0), (2, -1e-15), (2, 1e-15), (3, -1e-15),
+                                            (3, 1e-15)])
+    def test_two_equal_samples_are_one_minimum_at_their_midpoint(self, index, bump,
+                                                                 monkeypatch):
+        # rounding noise on either sample of a flat bottom must not decide the extremum
+        d = np.array([5.0, 4.0, 1.0, 1.0, 4.0, 5.0, 6.0])
+        d[index] += bump
+        monkeypatch.setattr(analysis, "first_derivative", lambda line, label: d)
+        point, = find_derivative_extrema(sweep(ti_cfg(0.0, 0.6, 0.1)), TOT6)
+        assert point.detail == "minimum"
+        assert point.location == pytest.approx(0.25, abs=1e-12)
+        assert point.magnitude == pytest.approx(1.0, abs=1e-14)
+
+    def test_longer_run_reports_its_centre_and_mean(self, monkeypatch):
+        d = np.array([-1.0, 2.0, 3.0, 3.0 + 1e-12, 3.0 - 1e-12, 2.5, 2.0])
+        monkeypatch.setattr(analysis, "first_derivative", lambda line, label: d)
+        point, = find_derivative_extrema(sweep(ti_cfg(0.0, 0.6, 0.1)), TOT6)
+        assert point.detail == "maximum"
+        assert point.location == pytest.approx(0.3, abs=1e-12)
+        assert point.magnitude == pytest.approx(3.0, abs=1e-12)
+
+    def test_benchmark_xxz_grid_minimum_next_to_the_jump_for_every_label(self, xxz_bench_line):
+        # d(-1.0) = d(-0.95) bit for bit for labels 1, 12345 and tot
+        for sites in CANONICAL_LABELS_6:
+            minima = [p.location for p in find_derivative_extrema(xxz_bench_line, sites)
+                      if p.detail == "minimum" and -1.0 <= p.location <= -0.95]
+            assert minima == [pytest.approx(-0.975, abs=1e-3)], sites
+
     def test_flat_series_reports_nothing(self):
         line = sweep(SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0),
                                  start=-2.0, stop=-1.2, step=0.05, labels=((1, 2),),
@@ -172,12 +208,9 @@ class TestJumps:
         for name in ("1", "tot"):
             assert any(abs(p.location + 1.0) <= 0.01 for p in jumps if p.label == name)
 
-    def test_benchmark_xxz_grid_jumps_once_per_label_at_minus_one(self):
+    def test_benchmark_xxz_grid_jumps_once_per_label_at_minus_one(self, xxz_bench_line):
         # the smooth slope above delta = -1 is not a jump: only the S_z crossing is
-        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6, delta=0.0), start=-2.0,
-                          stop=10.0, step=0.05, labels=CANONICAL_LABELS_6,
-                          policy="aligned_up")
-        jumps = of_kind(find_sector_crossings(sweep(cfg)), "jump")
+        jumps = of_kind(find_sector_crossings(xxz_bench_line), "jump")
         assert sorted(p.label for p in jumps) == sorted(NAMES6)
         assert [p.location for p in jumps] == [-1.0] * 12
 

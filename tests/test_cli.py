@@ -70,6 +70,14 @@ class TestPhaseline:
         assert manifest["config"]["model"] == "ti"
         assert manifest["config"]["param-stop"] == 0.4
 
+    def test_manifest_names_critical_points_by_checksum_only(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(PHASELINE_ARGS + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"]["criticalpoints.json"] == file_sha(out / "criticalpoints.json")
+        assert set(manifest) == {"tool", "version", "config", "started_utc", "finished_utc",
+                                 "files"}
+
     def test_critical_points_inside_range_with_known_labels(self, tmp_path):
         out = tmp_path / "xy"
         args = ["phaseline", "--model", "xy", "--gamma", "0.5", "--param-start", "1.0",

@@ -21,7 +21,7 @@ from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, g
                               xy_factorization_angle, xy_factorization_point)
 from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
                              herm_eig)
-from spinphase.wigner import equal_angle_point
+from spinphase.wigner import equal_angle_values
 
 SQ3 = math.sqrt(3.0)
 
@@ -297,7 +297,7 @@ class TestSymmetricPolicy:
         state = ground_state(replace(spec, n=n)).state
         for translates in translation_classes(n):
             for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
-                values = [equal_angle_point(state, sites, theta, phi, n=n)
+                values = [equal_angle_values([state], sites, theta, phi, n=n)[0, 0]
                           for sites in translates]
                 assert np.ptp(values) <= 1e-12, (translates[0], theta, phi)
 
@@ -316,8 +316,8 @@ class TestSymmetricPolicy:
             labels = [l for l in ((1,), (1, 2), (1, 3)) if max(l) <= n] + [tuple(range(1, n + 1))]
             for sites in labels:
                 for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
-                    assert equal_angle_point(gs.state, sites, theta, phi, n=n) == pytest.approx(
-                        equal_angle_point(oracle, sites, theta, phi, n=n), abs=1e-12), spec
+                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi, n=n)
+                    assert ours[0] == pytest.approx(theirs[0], abs=1e-12), spec
             compared += 1
         assert compared >= 50
 

@@ -8,9 +8,9 @@ from spinphase.analysis import SweepConfig, ground_states, sweep
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
 from spinphase.qcore import SIGMA_Z, basis_vector, reduced_factor
-from spinphase.wigner import (CHUNK_BYTES, KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid,
-                              bloch_factors, equal_angle_point, kernel_single,
-                              reconstruct_density, reference_state, sphere_field, wigner_value)
+from spinphase.wigner import (ANGLE_SLACK, CHUNK_BYTES, KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid,
+                              bloch_factors, equal_angle_values, kernels, reconstruct_density,
+                              reference_state, sphere_field, wigner_values)
 
 SQ3 = np.sqrt(3.0)
 HI = 0.5 * (1 + SQ3)
@@ -50,6 +50,15 @@ def rand_point(rng):
     return (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
 
 
+def values_at(state, samples):
+    """Wigner values of a k-qubit factor at p samples of k points each, by one
+    `wigner_values` call; `samples` has shape (p, k, 2)."""
+    samples = np.asarray(samples, dtype=float)
+    k = samples.shape[1]
+    return wigner_values([state], range(1, k + 1),
+                         [kernels(samples[:, i, 0], samples[:, i, 1]) for i in range(k)])[0]
+
+
 def rand_pure(rng, dim):
     psi = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
     return psi / np.linalg.norm(psi)
@@ -62,25 +71,23 @@ def werner(x):
 
 class TestKernelSingle:
     def test_north_pole_diagonal(self):
-        k = kernel_single(0.0, 0.0)
+        k = kernels(0.0, 0.0)
         assert np.max(np.abs(k - np.diag([HI, LO]))) < 1e-14
 
     def test_south_pole_swaps(self):
-        k = kernel_single(np.pi, 0.0)
+        k = kernels(np.pi, 0.0)
         assert np.max(np.abs(k - np.diag([LO, HI]))) < 1e-14
 
     def test_unit_trace_random(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            k = kernel_single(*rand_point(rng))
-            assert abs(np.trace(k) - 1.0) < 1e-13
+        k = kernels(*np.transpose([rand_point(rng) for _ in range(50)]))
+        assert np.max(np.abs(np.trace(k, axis1=1, axis2=2) - 1.0)) < 1e-13
 
     def test_spectrum_fixed(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            w = np.linalg.eigvalsh(kernel_single(*rand_point(rng)))
-            assert abs(w[0] - KERNEL_EIG_LO) < 1e-13
-            assert abs(w[1] - KERNEL_EIG_HI) < 1e-13
+        w = np.linalg.eigvalsh(kernels(*np.transpose([rand_point(rng) for _ in range(50)])))
+        assert np.max(np.abs(w[:, 0] - KERNEL_EIG_LO)) < 1e-13
+        assert np.max(np.abs(w[:, 1] - KERNEL_EIG_HI)) < 1e-13
 
     def test_third_euler_angle_has_no_effect(self):
         rng = np.random.default_rng(2)
@@ -88,26 +95,65 @@ class TestKernelSingle:
             theta, phi = rand_point(rng)
             extra = rng.uniform(0, 2 * np.pi)
             with_euler = rotated_parity(theta, phi, third_euler=extra)
-            assert np.max(np.abs(with_euler - kernel_single(theta, phi))) < 1e-13
+            assert np.max(np.abs(with_euler - kernels(theta, phi))) < 1e-13
 
     def test_batch_matches_rotated_construction(self):
         rng = np.random.default_rng(3)
         thetas = rng.uniform(0, np.pi, 40)
         phis = rng.uniform(0, 2 * np.pi, 40)
-        batch = bloch_factors(thetas, phis)
+        batch, stack = bloch_factors(thetas, phis), kernels(thetas, phis)
         for i in range(40):
             oracle = rotated_parity(thetas[i], phis[i])
-            assert np.max(np.abs(kernel_single(thetas[i], phis[i]) - oracle)) < 1e-13
+            assert np.max(np.abs(stack[i] - oracle)) < 1e-13
             # factors[b] = Tr[sigma_b K]
             assert np.max(np.abs(batch[i] - pauli_expectations(oracle))) < 1e-13
 
     def test_rejects_bad_angles(self):
         with pytest.raises(ValueError):
-            kernel_single(-0.5, 0.0)
+            kernels(-0.5, 0.0)
         with pytest.raises(ValueError):
-            kernel_single(0.5, 7.0)
+            kernels(0.5, 7.0)
         with pytest.raises(ValueError):
-            kernel_single(np.nan, 0.0)
+            kernels(np.nan, 0.0)
+
+
+# NaN, +-inf, theta outside [0, pi] and phi outside [0, 2*pi), past the slack
+BAD_POINTS = [(np.nan, 0.0), (0.3, np.nan), (np.inf, 0.0), (-np.inf, 0.0), (0.3, np.inf),
+              (0.3, -np.inf), (-1e-6, 0.0), (np.pi + 1e-6, 0.0), (7.0, 0.0), (0.3, -1e-6),
+              (0.3, 2 * np.pi + 1e-6), (0.3, 7.0)]
+
+
+class TestAngleCheck:
+    """Every public path checks its angles where the kernel is built."""
+
+    @pytest.mark.parametrize("theta,phi", BAD_POINTS)
+    def test_bad_angles_raise_on_every_path(self, theta, phi):
+        state = reference_state("up_up")
+        with pytest.raises(ValueError):
+            kernels(theta, phi)
+        with pytest.raises(ValueError):  # one bad point in a batch
+            kernels([0.1, theta, 0.2], [0.4, phi, 0.5])
+        with pytest.raises(ValueError):
+            equal_angle_values([state], (1, 2), theta, phi)
+        with pytest.raises(ValueError):
+            wigner_values([state], (1, 2), [kernels(0.1, 0.4), kernels(theta, phi)])
+        samples = [([(0.5 * i, 1.5 * i)], 0.5) for i in range(4)] + [([(theta, phi)], 0.5)]
+        with pytest.raises(ValueError):
+            reconstruct_density(samples, 1)
+        with pytest.raises(ValueError):
+            SweepConfig(spec=ModelSpec("ti", n=2), start=0.0, stop=0.1, step=0.1,
+                        theta=theta, phi=phi)
+
+    def test_range_ends_within_the_slack_are_accepted(self):
+        thetas = [0.0, np.pi, -0.5 * ANGLE_SLACK, np.pi + 0.5 * ANGLE_SLACK, 1.0]
+        phis = [0.0, 2 * np.pi - 1e-12, -0.5 * ANGLE_SLACK, 2 * np.pi, 1.0]
+        assert kernels(thetas, phis).shape == (5, 2, 2)
+        assert np.isfinite(equal_angle_values([reference_state("up")], (1,), thetas, phis)).all()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2,), (5, 3, 3), (2, 2, 2, 2)])
+    def test_kernel_stack_must_end_in_2_by_2(self, shape):
+        with pytest.raises(ValueError):
+            wigner_values([reference_state("up")], (1,), [np.ones(shape)])
 
 
 class TestKernelMulti:
@@ -137,53 +183,51 @@ class TestKernelMulti:
 
 class TestWignerValue:
     def test_up_state_at_pole(self):
-        assert wigner_value(basis_vector([0]), [(0.0, 0.0)]) == \
-            pytest.approx(HI, abs=1e-14)
+        assert values_at(basis_vector([0]), [[(0.0, 0.0)]])[0] == pytest.approx(HI, abs=1e-14)
 
     def test_maximally_mixed_is_half_everywhere(self):
         rng = np.random.default_rng(5)
         state = np.eye(2, dtype=complex) / np.sqrt(2)
-        for _ in range(10):
-            assert wigner_value(state, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
+        values = values_at(state, [[rand_point(rng)] for _ in range(10)])
+        assert np.max(np.abs(values - 0.5)) < 1e-13
 
     def test_singlet_is_minus_half_at_equal_points(self):
         state = reference_state("singlet")
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            p = rand_point(rng)
-            assert wigner_value(state, [p, p]) == pytest.approx(-0.5, abs=1e-12)
+        values = equal_angle_values([state], (1, 2), *np.transpose([rand_point(rng)
+                                                                    for _ in range(10)]))
+        assert np.max(np.abs(values + 0.5)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            wigner_value(np.eye(4) / 2, [(0.0, 0.0)])
+            wigner_values([np.eye(4) / 2], (1, 2), [kernels(0.0, 0.0)])
 
 
 class TestEqualAngle:
     def test_product_state_power(self):
         state = basis_vector([0] * 6)
-        got = equal_angle_point(state, tuple(range(1, 7)), 0.0, 0.0)
+        got = equal_angle_values([state], tuple(range(1, 7)), 0.0, 0.0)[0, 0]
         assert got == pytest.approx(HI**6, abs=1e-12)
 
     def test_ghz2_single_site_marginal(self):
         state = reference_state("ghz_plus", n=2)
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            t, p = rand_point(rng)
-            assert equal_angle_point(state, (1,), t, p) == pytest.approx(0.5, abs=1e-12)
+        values = equal_angle_values([state], (1,), *np.transpose([rand_point(rng)
+                                                                 for _ in range(5)]))
+        assert np.max(np.abs(values - 0.5)) < 1e-12
 
     def test_werner_closed_form(self):
         x = 0.7
         state = werner(x)
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            t, p = rand_point(rng)
-            assert equal_angle_point(state, (1, 2), t, p) == \
-                pytest.approx((1 - 3 * x) / 4, abs=1e-12)
+        values = equal_angle_values([state], (1, 2), *np.transpose([rand_point(rng)
+                                                                    for _ in range(5)]))
+        assert np.max(np.abs(values - (1 - 3 * x) / 4)) < 1e-12
 
     def test_werner_negative_exactly_when_entangled(self):
-        for x in (0.2, 1 / 3, 0.34, 0.9):
-            state = werner(x)
-            value = equal_angle_point(state, (1, 2), 0.3, 1.0)
+        xs = (0.2, 1 / 3, 0.34, 0.9)
+        values = equal_angle_values([werner(x) for x in xs], (1, 2), 0.3, 1.0)[:, 0]
+        for x, value in zip(xs, values):
             assert (value < 0) == (x > 1 / 3 + 1e-12)
 
     def test_matches_identity_padded_kernel_route(self):
@@ -193,14 +237,15 @@ class TestEqualAngle:
         for sites in [(1,), (2, 4), (1, 3, 4)]:
             t, p = rand_point(rng)
             direct = oracle_value(state, [(t, p)] * len(sites), sites)
-            assert equal_angle_point(state, sites, t, p, n=4) == pytest.approx(direct, abs=1e-12)
+            got = equal_angle_values([state], sites, t, p, n=4)[0, 0]
+            assert got == pytest.approx(direct, abs=1e-12)
 
     def test_cyclic_relabeling_invariance_for_ring_ground_state(self):
         gs = ground_state(ModelSpec(family="xy", n=6, lam=0.8, gamma=0.5))
         rng = np.random.default_rng(10)
         t, p = rand_point(rng)
-        a = equal_angle_point(gs.state, (1, 2), t, p, n=6)
-        b = equal_angle_point(gs.state, (2, 3), t, p, n=6)
+        a, b = (equal_angle_values([gs.state], sites, t, p, n=6)[0, 0]
+                for sites in ((1, 2), (2, 3)))
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -220,7 +265,7 @@ class TestPauliEvaluator:
         pts = [rand_point(rng) for _ in range(k)]
         pauli = pauli_contract(pauli_expectations(density(state)),
                                [bloch_factors([t], [p]) for t, p in pts])[0]
-        assert wigner_value(state, pts) == pytest.approx(pauli, abs=1e-12)
+        assert values_at(state, [pts])[0] == pytest.approx(pauli, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_wigner_value_distinct_points_per_site(self, k):
@@ -228,7 +273,8 @@ class TestPauliEvaluator:
         for _ in range(5):
             state = rand_mixed(rng, 2**k)
             pts = [rand_point(rng) for _ in range(k)]
-            assert wigner_value(state, pts) == pytest.approx(oracle_value(state, pts), abs=1e-12)
+            assert values_at(state, [pts])[0] == pytest.approx(oracle_value(state, pts),
+                                                              abs=1e-12)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(family="ti", n=6, lam=0.9),
@@ -241,7 +287,8 @@ class TestPauliEvaluator:
         for sites in [(1,), (1, 3), (1, 2, 4), (1, 2, 3, 5), tuple(range(1, 7))]:
             t, p = rand_point(rng)
             oracle = oracle_value(state, [(t, p)] * len(sites), sites)
-            assert equal_angle_point(state, sites, t, p, n=6) == pytest.approx(oracle, abs=1e-12)
+            got = equal_angle_values([state], sites, t, p, n=6)[0, 0]
+            assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_sphere_field_row(self):
         state = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
@@ -309,7 +356,8 @@ class TestBatchedEvaluator:
         line = sweep(cfg)
         states, oracle = sweep_oracle(cfg)
         for sites in cfg.labels:
-            per_point = [equal_angle_point(s, sites, cfg.theta, cfg.phi, n=6) for s in states]
+            per_point = [equal_angle_values([s], sites, cfg.theta, cfg.phi, n=6)[0, 0]
+                         for s in states]
             assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
             assert np.max(np.abs(line.values[sites] - per_point)) < 1e-12
 
@@ -343,10 +391,9 @@ class TestSphereField:
         state = rand_pure(rng, 2**3)
         grid = SphereGrid(5, 8)
         fld = sphere_field(state, (1, 3), grid, n=3)
-        for i, t in enumerate(grid.thetas):
-            for j, p in enumerate(grid.phis):
-                assert fld[i, j] == pytest.approx(
-                    equal_angle_point(state, (1, 3), t, p, n=3), abs=1e-12)
+        tt, pp = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
+        pointwise = equal_angle_values([state], (1, 3), tt.ravel(), pp.ravel(), n=3)
+        assert np.max(np.abs(fld - pointwise.reshape(fld.shape))) < 1e-12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -372,7 +419,7 @@ class TestReferenceStates:
     def test_ghz6_pole_value(self):
         # brute-force oracle: 0.5*(HI^6 + LO^6) = 3.25 exactly
         state = reference_state("ghz_plus", n=6)
-        got = wigner_value(state, [(0.0, 0.0)] * 6)
+        got = equal_angle_values([state], range(1, 7), 0.0, 0.0)[0, 0]
         assert got == pytest.approx(0.5 * (HI**6 + LO**6), abs=1e-12)
         assert got == pytest.approx(3.25, abs=1e-12)
 
@@ -382,13 +429,14 @@ class TestReferenceStates:
         kernel = np.kron(PARITY_POINT_OP, PARITY_POINT_OP)
         oracle = float(np.real(np.trace(density(state) @ kernel)))
         assert oracle == pytest.approx(-0.5, abs=1e-14)
-        assert wigner_value(state, [(0.0, 0.0)] * 2) == pytest.approx(oracle, abs=1e-14)
+        got = equal_angle_values([state], (1, 2), 0.0, 0.0)[0, 0]
+        assert got == pytest.approx(oracle, abs=1e-14)
 
     def test_mixed_single_uniform(self):
         rng = np.random.default_rng(12)
         state = reference_state("mixed_single")
-        for _ in range(5):
-            assert wigner_value(state, [rand_point(rng)]) == pytest.approx(0.5, abs=1e-13)
+        values = values_at(state, [[rand_point(rng)] for _ in range(5)])
+        assert np.max(np.abs(values - 0.5)) < 1e-13
 
     def test_ghz_mixture_equals_ghz_marginals(self):
         # dropping any site from GHZ leaves the coherence-free mixture
@@ -409,11 +457,8 @@ class TestReconstruction:
     def test_single_qubit_round_trip(self):
         rng = np.random.default_rng(13)
         state = rand_pure(rng, 2)
-        samples = []
-        for _ in range(8):
-            pts = [rand_point(rng)]
-            samples.append((pts, wigner_value(state, pts)))
-        rec, residual = reconstruct_density(samples, 1)
+        points = [[rand_point(rng)] for _ in range(8)]
+        rec, residual = reconstruct_density(zip(points, values_at(state, points)), 1)
         assert np.linalg.norm(rec - density(state)) < 1e-8
         assert residual < 1e-10
 
@@ -422,30 +467,24 @@ class TestReconstruction:
         x = 0.7
         singlet = density(reference_state("singlet"))
         state = werner(x)
-        samples = []
-        for _ in range(32):
-            pts = [rand_point(rng) for _ in range(2)]
-            samples.append((pts, wigner_value(state, pts)))
-        rec, _ = reconstruct_density(samples, 2)
+        points = [[rand_point(rng) for _ in range(2)] for _ in range(32)]
+        rec, _ = reconstruct_density(zip(points, values_at(state, points)), 2)
         x_hat = (4 * float(np.real(np.trace(rec @ singlet))) - 1) / 3
         assert abs(x_hat - x) < 1e-6
 
     def test_too_few_samples_rejected(self):
         rng = np.random.default_rng(15)
         state = rand_pure(rng, 2)
-        samples = []
-        for _ in range(3):
-            pts = [rand_point(rng)]
-            samples.append((pts, wigner_value(state, pts)))
+        points = [[rand_point(rng)] for _ in range(3)]
         with pytest.raises(NumericalError):
-            reconstruct_density(samples, 1)
+            reconstruct_density(zip(points, values_at(state, points)), 1)
 
     def test_rank_deficient_samples_rejected(self):
         # repeating one phase point cannot span the state space
         rng = np.random.default_rng(16)
         state = rand_pure(rng, 2)
         pts = [rand_point(rng)]
-        samples = [(pts, wigner_value(state, pts))] * 6
+        samples = [(pts, values_at(state, [pts])[0])] * 6
         with pytest.raises(NumericalError):
             reconstruct_density(samples, 1)
 
@@ -464,7 +503,7 @@ class TestMarginalQuadrature:
         for u, w in zip(glx, glw):
             theta = float(np.arccos(u))
             for phi in phis:
-                kern = np.kron(k_ret, kernel_single(theta, phi))
+                kern = np.kron(k_ret, kernels(theta, phi))
                 total += w * (2 * np.pi / nodes) * float(np.real(np.trace(rho @ kern)))
         return total / (2 * np.pi)
 
@@ -475,7 +514,7 @@ class TestMarginalQuadrature:
         for _ in range(3):
             p = rand_point(rng)
             got = self.quadrature_marginal(state, [p], 2)
-            assert got == pytest.approx(wigner_value(reduced, [p]), abs=1e-8)
+            assert got == pytest.approx(values_at(reduced, [[p]])[0], abs=1e-8)
 
     def test_iterated_marginal_gives_normalization(self):
         # peel one sphere off at a time; the final integral must be Tr rho = 1
@@ -486,6 +525,6 @@ class TestMarginalQuadrature:
                 probe = [rand_point(rng) for _ in range(k - 1)]
                 by_quad = self.quadrature_marginal(state, probe, k)
                 reduced = reduced_factor(state, tuple(range(1, k)), k)
-                assert by_quad == pytest.approx(wigner_value(reduced, probe), abs=1e-8)
+                assert by_quad == pytest.approx(values_at(reduced, [probe])[0], abs=1e-8)
                 state = reduced
             assert self.quadrature_marginal(state, [], 1) == pytest.approx(1.0, abs=1e-8)
