@@ -212,7 +212,7 @@ Columns:
   value      -- equal-angle Wigner value of the reduced state at the phase point
   energy     -- ground-state energy at this parameter
   degeneracy -- ground-space dimension within the degeneracy tolerance
-  parity     -- spin-parity quantum number (+1/-1, empty when indefinite)
+  parity     -- spin parity of the state's symmetry sectors (+1/-1, empty when they differ)
   gap        -- energy gap between the two lowest levels
 
 derivative.csv carries the same layout with `dvalue`, the finite-difference

@@ -27,7 +27,6 @@ DEGENERACY_TOL_FACTOR = 1e-9
 TIE_TOL_FACTOR = 1e-12
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
-_PARITY_DEFINITE_ATOL = 1e-6
 _ALIGNED_OVERLAP_ATOL = 1e-8
 _LIBRARY_BUFFERS = 16 * 2**20
 
@@ -157,19 +156,14 @@ def symmetry_diagonal(spec):
 
 @dataclass
 class GroundStateResult:
+    """What `ground_state` returns; see there for `state` and `parity`."""
+
     energy: float
     degeneracy: int
-    state: np.ndarray  # (2^n, r) factor A of the ground state rho = A A^dagger
+    state: np.ndarray  # (2^n, c) factor A of the ground state rho = A A^dagger
     parity: int | None
     gap: float
     levels: tuple  # (sectors, energies, tol) of `sector_energies`
-
-
-def _state_parity(state, n):
-    expect = float(np.sum(spin_parity_diagonal(n) @ np.abs(state) ** 2))
-    if abs(abs(expect) - 1.0) < _PARITY_DEFINITE_ATOL:
-        return 1 if expect > 0 else -1
-    return None
 
 
 def _sector_levels(H, sym):
@@ -204,14 +198,16 @@ def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy.
 
     H is built once; its real symmetry blocks give `levels`, the triple of
-    `sector_energies`. Eigenvalues of H within 1e-9 x spectral range of the
-    lowest form the ground space. A unique ground state is returned as-is.
-    Inside a degenerate space:
-      symmetric  -- the lowest state of the block of the sector that
-                    `pick_sector(*levels)` names, embedded in the full basis,
-                    as the uniform mixture of a tie left in that block,
-      mixture    -- maximally mixed state on the space,
+    `sector_energies`, and its one full eigensolve gives every state. The
+    eigenvalues within 1e-9 x spectral range of the lowest span the ground
+    space V (g columns); a unique ground state is V. Inside a degenerate space:
+      symmetric  -- V with the rows outside the `pick_sector(*levels)` sector
+                    zeroed, over its Frobenius norm: the uniform mixture of the
+                    r ground states in that sector (g columns of rank r),
+      mixture    -- V / sqrt(g), the maximally mixed state on the space,
       aligned_up -- the all-up product state, which must lie in the space.
+    `parity` is the spin parity shared by the sectors the state lies in (the
+    picked one, the all-up one, or each with a ground level), else None.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
@@ -223,6 +219,7 @@ def ground_state(spec, policy="symmetric"):
 
     if g == 1 or policy == "mixture":
         state = v[:, :g] / np.sqrt(g)
+        held = [s for s, low in zip(*levels[:2]) if low - w[0] <= ground_tol]
     elif policy == "aligned_up":
         up = all_up_vector(spec.n)
         overlap = float(np.linalg.norm(v[:, :g].conj().T @ up))
@@ -230,13 +227,13 @@ def ground_state(spec, policy="symmetric"):
             raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
                               f"(projection norm {overlap:.6f})")
         state = up[:, None]
+        held = [sym[0]]  # basis index 0 is the all-up state
     else:
-        inside = sym == levels[0][pick_sector(*levels)]
-        wb, vb = np.linalg.eigh(H[np.ix_(inside, inside)])
-        r = int(np.sum(wb - wb[0] <= ground_tol))
-        state = np.zeros((len(sym), r))
-        state[inside] = vb[:, :r] / np.sqrt(r)
-    return GroundStateResult(float(w[0]), g, state, _state_parity(state, spec.n),
+        held = [levels[0][pick_sector(*levels)]]
+        state = np.where((sym == held[0])[:, None], v[:, :g], 0.0)
+        state /= np.linalg.norm(state)
+    parity = {int(spin_parity_diagonal(spec.n)[sym == s][0]) for s in held}
+    return GroundStateResult(float(w[0]), g, state, parity.pop() if len(parity) == 1 else None,
                              float(w[1] - w[0]), levels)
 
 

@@ -87,6 +87,8 @@ def wigner_values(states, sites, site_kernels, n=None):
     """
     sites, states, site_kernels = tuple(sites), list(states), list(map(np.asarray, site_kernels))
     k = len(sites)
+    if not k:
+        raise ValueError("a Wigner value needs at least one site")
     if len(site_kernels) != k:
         raise ValueError(f"expected {k} phase points, got {len(site_kernels)}")
     for kern in site_kernels:

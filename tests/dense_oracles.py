@@ -7,17 +7,20 @@ matrices. `pauli_expectations` and `pauli_contract` are the former evaluator,
 which went through the 4^k Pauli expectations of a reduced density.
 `symmetric_by_rotation` is the former `symmetric` policy, which rotated the
 full degenerate ground space instead of solving the sector block.
+`state_parity` is the former parity of a ground state, measured on the state
+instead of read off the symmetry sectors it lies in.
 """
 
 import numpy as np
 
 from spinphase.errors import NumericalError
 from spinphase.models import (DEGENERACY_TOL_FACTOR, TIE_TOL_FACTOR, build_hamiltonian,
-                              pick_sector, symmetry_diagonal)
+                              pick_sector, spin_parity_diagonal, symmetry_diagonal)
 from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
 from spinphase.wigner import PAULI_BASIS, kernels
 
 IMAG_RESIDUE_ATOL = 1e-12
+PARITY_DEFINITE_ATOL = 1e-6
 
 
 def kron_all(ops):
@@ -95,6 +98,15 @@ def symmetric_by_rotation(spec):
     sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
     energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
     return vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]
+
+
+def state_parity(state, n):
+    """Spin parity of a state factor A: the expectation sum_b parity_b |A_b|^2
+    when it is +1 or -1 within PARITY_DEFINITE_ATOL, else None."""
+    expect = float(np.sum(spin_parity_diagonal(n) @ np.abs(state) ** 2))
+    if abs(abs(expect) - 1.0) < PARITY_DEFINITE_ATOL:
+        return 1 if expect > 0 else -1
+    return None
 
 
 def pauli_expectations(rho):

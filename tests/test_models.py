@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import density, embed, kron_all, symmetric_by_rotation
+from dense_oracles import density, embed, kron_all, state_parity, symmetric_by_rotation
 
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
@@ -19,8 +19,7 @@ from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, g
                               ti_classical_energy, ti_classical_mx, ti_classical_mz,
                               ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz_diagonal,
                               xy_factorization_angle, xy_factorization_point)
-from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                             herm_eig)
+from spinphase.qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector
 from spinphase.wigner import equal_angle_values
 
 SQ3 = math.sqrt(3.0)
@@ -308,7 +307,7 @@ class TestSymmetricPolicy:
             sectors, energies, tol = sector_energies(spec)
             assert gs.levels[0] == sectors and gs.levels[2] == tol
             assert np.array_equal(gs.levels[1], energies)
-            if gs.degeneracy == 1 or gs.state.shape[1] > 1:  # a residual tie is averaged
+            if gs.degeneracy == 1 or np.linalg.matrix_rank(gs.state) > 1:  # a tie is averaged
                 continue
             oracle = symmetric_by_rotation(spec)
             n = spec.n
@@ -323,16 +322,48 @@ class TestSymmetricPolicy:
 
     def test_one_full_eigensolve(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(models, "herm_eig", lambda a: calls.append(a) or herm_eig(a))
-        gs = ground_state(ModelSpec(family="xxz", n=5, delta=0.0))
-        assert gs.degeneracy == 4 and gs.state.shape[1] == 2
-        assert len(calls) == 1
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        spec = ModelSpec(family="xxz", n=5, delta=0.0)  # S_z = +-1/2, each a momentum +-k tie
+        for policy in models.POLICIES:
+            calls.clear()
+            if policy == "aligned_up":
+                with pytest.raises(PolicyError):
+                    ground_state(spec, policy)
+            else:
+                gs = ground_state(spec, policy)
+                assert gs.degeneracy == 4 and gs.state.shape[1] == 4
+                assert np.linalg.matrix_rank(gs.state) == (2 if policy == "symmetric" else 4)
+            assert len(calls) == 1, policy
 
     def test_zero_hamiltonian_is_the_parity_even_mixture(self):
         gs = ground_state(ModelSpec(family="xy", n=4, lam=0.0, h=0.0, gamma=0.5))
         assert gs.degeneracy == 16 and gs.parity == 1
         even = np.diag((1.0 + spin_parity_diagonal(4)) / 2)
         assert max_norm(density(gs.state) - even / 8) < 1e-15
+
+
+class TestParity:
+    """`parity` read off the sectors against the parity measured on the state."""
+
+    def test_sector_parity_matches_the_measured_parity(self):
+        # ti and xy are gapped here; an odd xxz ring's ground space spans the sectors
+        # S_z = +-s, half-integer and of opposite spin parity
+        generic = [spec for n in range(3, 9) for spec in (
+            ModelSpec(family="ti", n=n, lam=0.7), ModelSpec(family="xy", n=n, lam=1.3, gamma=0.5),
+            ModelSpec(family="xxz", n=n, delta=0.5), ModelSpec(family="xxz", n=n, delta=-3.0))]
+        seen = set()
+        for spec in itertools.chain(degenerate_specs(), generic):
+            for policy in models.POLICIES:
+                try:
+                    gs = ground_state(spec, policy)
+                except PolicyError:  # aligned_up, with the all-up state outside the space
+                    continue
+                assert gs.parity == state_parity(gs.state, spec.n), (spec, policy)
+                seen.add((policy, gs.degeneracy > 1, gs.parity))
+        for policy in models.POLICIES:
+            assert (policy, True, 1) in seen
+        assert {("symmetric", True, -1), ("mixture", True, None), ("mixture", False, -1)} <= seen
 
 
 class TestClassicalForms:
