@@ -7,9 +7,17 @@ Implemented families (periodic boundary, sigma_{N+1} = sigma_1):
 
 The xy family reduces to ti at gamma = 1; the xxz spectrum depends only on
 the relative sign of J and delta (staggered-flip similarity).
+
+H is a real dense matrix on the basis index. Its symmetry (spin parity for
+ti/xy, total S_z for xxz) is held as a diagonal, and each block of it is
+solved by one real `eigh`, which gives the sector levels. Up to
+FULL_SOLVE_MAX_N sites the ground space comes from the complex solve of the
+full H, whose rounding the recorded 6-site outputs pin; longer chains take
+the spectrum and the ground space from the blocks alone.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -28,6 +36,10 @@ TIE_TOL_FACTOR = 1e-12
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
 _ALIGNED_OVERLAP_ATOL = 1e-8
+# Largest chain whose ground space comes from the complex solve of the full H.
+# Its rounding is pinned by every recorded n <= 6 output; longer chains are
+# solved by their real symmetry blocks alone.
+FULL_SOLVE_MAX_N = 6
 _LIBRARY_BUFFERS = 16 * 2**20
 
 
@@ -46,6 +58,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}, expected one of {FAMILIES}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ConfigError(f"chain length n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ConfigError("chain length n must be at least 2")
         need, have = dense_working_set(self.n), physical_memory()
@@ -71,11 +85,13 @@ class ModelSpec:
 
 
 def dense_working_set(n):
-    """Bytes held while an n-site ground state is solved, in units of 4^n
-    bytes: the real H (8), its complex copy in `herm_eig` (16), the copy that
-    `eigh` overwrites with eigenvectors (16), the returned eigenvectors (16)
-    and the `eigh` workspace (32); plus a fixed allowance for the buffers of
-    the BLAS and LAPACK libraries."""
+    """Bytes held while an n-site ground state is solved by the complex full
+    solve, in units of 4^n bytes: the real H (8), its complex copy in
+    `herm_eig` (16), the copy that `eigh` overwrites with eigenvectors (16),
+    the returned eigenvectors (16) and the `eigh` workspace (32); plus a fixed
+    allowance for the buffers of the BLAS and LAPACK libraries. Above
+    FULL_SOLVE_MAX_N sites only the real H and its symmetry blocks are held,
+    and this stays an upper bound."""
     return 88 * 4**n + _LIBRARY_BUFFERS
 
 
@@ -166,11 +182,17 @@ class GroundStateResult:
     levels: tuple  # (sectors, energies, tol) of `sector_energies`
 
 
-def _sector_levels(H, sym):
+def _sector_blocks(H, sym):
+    """(sectors, masks, eigs): the values of `sym` in increasing order, the rows
+    of each, and the real `eigh` (w, v) of each one's block of H."""
     sectors = np.unique(sym)
-    levels = [np.linalg.eigvalsh(H[np.ix_(sym == s, sym == s)]) for s in sectors]
-    spread = max(w[-1] for w in levels) - min(w[0] for w in levels)
-    return (tuple(float(s) for s in sectors), np.array([w[0] for w in levels]),
+    masks = [sym == s for s in sectors]
+    return sectors, masks, [np.linalg.eigh(H[np.ix_(m, m)]) for m in masks]
+
+
+def _levels(sectors, eigs):
+    spread = max(w[-1] for w, _ in eigs) - min(w[0] for w, _ in eigs)
+    return (tuple(float(s) for s in sectors), np.array([w[0] for w, _ in eigs]),
             TIE_TOL_FACTOR * max(float(spread), 1.0))
 
 
@@ -179,7 +201,8 @@ def sector_energies(spec):
     ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
     max(spectral range, 1). Returns (sectors, energies, tol) with the sector
     values in increasing order."""
-    return _sector_levels(build_hamiltonian(spec), symmetry_diagonal(spec))
+    sectors, _, eigs = _sector_blocks(build_hamiltonian(spec), symmetry_diagonal(spec))
+    return _levels(sectors, eigs)
 
 
 def pick_sector(sectors, energies, tol):
@@ -197,13 +220,16 @@ def pick_sector(sectors, energies, tol):
 def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy.
 
-    H is built once; its real symmetry blocks give `levels`, the triple of
-    `sector_energies`, and its one full eigensolve gives every state. The
-    eigenvalues within 1e-9 x spectral range of the lowest span the ground
+    H is built once and each of its real symmetry blocks is solved once; their
+    lowest levels are `levels`, the triple of `sector_energies`. Up to
+    FULL_SOLVE_MAX_N sites the spectrum w and its eigenvectors come from the
+    complex solve of the full H; above, w is the sorted union of the block
+    spectra and the eigenvectors are the blocks' own, each embedded in 2^n rows.
+    The eigenvalues within 1e-9 x spectral range of the lowest span the ground
     space V (g columns); a unique ground state is V. Inside a degenerate space:
-      symmetric  -- V with the rows outside the `pick_sector(*levels)` sector
-                    zeroed, over its Frobenius norm: the uniform mixture of the
-                    r ground states in that sector (g columns of rank r),
+      symmetric  -- the uniform mixture of the r ground states in the
+                    `pick_sector(*levels)` sector: V with the rows outside the
+                    sector zeroed, over its Frobenius norm (g columns of rank r),
       mixture    -- V / sqrt(g), the maximally mixed state on the space,
       aligned_up -- the all-up product state, which must lie in the space.
     `parity` is the spin parity shared by the sectors the state lies in (the
@@ -212,25 +238,39 @@ def ground_state(spec, policy="symmetric"):
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
     H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
-    levels = _sector_levels(H, sym)
-    w, v = herm_eig(H)
+    sectors, masks, eigs = _sector_blocks(H, sym)
+    levels = _levels(sectors, eigs)
+    full = spec.n <= FULL_SOLVE_MAX_N
+    if full:
+        w, v = herm_eig(H)
+    else:
+        w = np.sort(np.concatenate([wb for wb, _ in eigs]))
     ground_tol = DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
     g = int(np.sum(w - w[0] <= ground_tol))
+    if full:
+        V = v[:, :g]
+    else:  # each sector's ground columns, embedded; their count sums to g
+        V, c = np.zeros((len(sym), g)), 0
+        for m, (wb, vb) in zip(masks, eigs):
+            r = int(np.sum(wb - w[0] <= ground_tol))
+            V[m, c:c + r] = vb[:, :r]
+            c += r
 
     if g == 1 or policy == "mixture":
-        state = v[:, :g] / np.sqrt(g)
+        state = V / np.sqrt(g)
         held = [s for s, low in zip(*levels[:2]) if low - w[0] <= ground_tol]
     elif policy == "aligned_up":
         up = all_up_vector(spec.n)
-        overlap = float(np.linalg.norm(v[:, :g].conj().T @ up))
+        overlap = float(np.linalg.norm(V.conj().T @ up))
         if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
             raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
                               f"(projection norm {overlap:.6f})")
         state = up[:, None]
         held = [sym[0]]  # basis index 0 is the all-up state
     else:
-        held = [levels[0][pick_sector(*levels)]]
-        state = np.where((sym == held[0])[:, None], v[:, :g], 0.0)
+        k = pick_sector(*levels)
+        held = [levels[0][k]]
+        state = np.where(masks[k][:, None], V, 0.0)
         state /= np.linalg.norm(state)
     parity = {int(spin_parity_diagonal(spec.n)[sym == s][0]) for s in held}
     return GroundStateResult(float(w[0]), g, state, parity.pop() if len(parity) == 1 else None,

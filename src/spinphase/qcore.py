@@ -3,8 +3,10 @@
 Conventions used throughout the package:
   * site indices are 1-based; site 1 is the leftmost tensor factor,
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
-  * operators are dense complex arrays of dimension 2^n, but the chain
-    Hamiltonians are real and a symmetry is its diagonal (see `models`),
+  * the Pauli matrices are complex 2 x 2 arrays; the chain Hamiltonians are
+    real dense arrays of dimension 2^n and a symmetry is its diagonal (see
+    `models`); `herm_eig` solves a complex Hermitian matrix, which `models`
+    does only for the full H of a short chain,
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger: a
     pure state is one column (a 1-D vector is the r = 1 case), a mixture one
     column per weighted component.

@@ -15,11 +15,13 @@ from dense_oracles import density, embed, kron_all, state_parity, symmetric_by_r
 from spinphase import models
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
-                              sector_energies, spin_parity_diagonal, staggered_flip_diagonal,
-                              ti_classical_energy, ti_classical_mx, ti_classical_mz,
+                              pick_sector, sector_energies, spin_parity_diagonal,
+                              staggered_flip_diagonal, symmetry_diagonal, ti_classical_energy,
+                              ti_classical_mx, ti_classical_mz,
                               ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz_diagonal,
                               xy_factorization_angle, xy_factorization_point)
-from spinphase.qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector
+from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
+                             herm_eig)
 from spinphase.wigner import equal_angle_values
 
 SQ3 = math.sqrt(3.0)
@@ -146,6 +148,11 @@ class TestHamiltonians:
             ModelSpec(family="xy", n=4, gamma=1.5)
         with pytest.raises(ConfigError):
             ModelSpec(family="ti", n=4, lam=math.nan)
+
+    @pytest.mark.parametrize("n", [6.0, 6.5, "6", True], ids=repr)
+    def test_non_integer_n_is_config_error(self, n):
+        with pytest.raises(ConfigError, match="integer"):
+            ModelSpec(family="ti", n=n)
 
 
 class TestSymmetryOperators:
@@ -321,26 +328,114 @@ class TestSymmetricPolicy:
         assert compared >= 50
 
     def test_one_full_eigensolve(self, monkeypatch):
+        # one real eigh per symmetry block, and the complex full solve only up to
+        # FULL_SOLVE_MAX_N sites; above, no eigh sees a 2^n-row matrix
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-        spec = ModelSpec(family="xxz", n=5, delta=0.0)  # S_z = +-1/2, each a momentum +-k tie
-        for policy in models.POLICIES:
-            calls.clear()
-            if policy == "aligned_up":
-                with pytest.raises(PolicyError):
-                    ground_state(spec, policy)
-            else:
-                gs = ground_state(spec, policy)
-                assert gs.degeneracy == 4 and gs.state.shape[1] == 4
-                assert np.linalg.matrix_rank(gs.state) == (2 if policy == "symmetric" else 4)
-            assert len(calls) == 1, policy
+        cases = [  # (spec, degeneracy, rank under symmetric)
+            (ModelSpec(family="xxz", n=5, delta=0.0), 4, 2),  # S_z = +-1/2, each a momentum +-k tie
+            (ModelSpec(family="xxz", n=8, delta=-2.0), 2, 1),  # the two aligned states
+        ]
+        for spec, degeneracy, rank in cases:
+            dim, blocks = 2**spec.n, spec.n + 1
+            full = spec.n <= models.FULL_SOLVE_MAX_N
+            for policy in models.POLICIES:
+                calls.clear()
+                if policy == "aligned_up" and full:
+                    with pytest.raises(PolicyError):
+                        ground_state(spec, policy)
+                else:
+                    gs = ground_state(spec, policy)
+                    assert gs.degeneracy == degeneracy
+                    if policy != "aligned_up":
+                        assert gs.state.shape[1] == degeneracy
+                        assert np.linalg.matrix_rank(gs.state) == (
+                            rank if policy == "symmetric" else degeneracy)
+                real = [a for a in calls if a.dtype == np.float64 and a.shape[0] < dim]
+                solved = [a for a in calls if a.dtype == complex and a.shape == (dim, dim)]
+                assert len(real) == blocks and sum(a.shape[0] for a in real) == dim, policy
+                assert len(solved) == full and len(calls) == blocks + full, policy
 
     def test_zero_hamiltonian_is_the_parity_even_mixture(self):
         gs = ground_state(ModelSpec(family="xy", n=4, lam=0.0, h=0.0, gamma=0.5))
         assert gs.degeneracy == 16 and gs.parity == 1
         even = np.diag((1.0 + spin_parity_diagonal(4)) / 2)
         assert max_norm(density(gs.state) - even / 8) < 1e-15
+
+
+def block_solve_specs():
+    """Chains for the block-path differential tests: ti in a field and without
+    one (degenerate), xy at gamma = 0.5 on either side of and at its first parity
+    crossing (the factorization point), xxz at the ferromagnetic point
+    (degenerate) and on either side of the isotropic one; at n = 7, 8 and 9 (the
+    generic ones at 7 and 8), and ti at lambda = 1 at n = 10."""
+    lam_f = xy_factorization_point(0.5)
+    generic = [ModelSpec(family="ti", lam=0.5), ModelSpec(family="ti", lam=1.0),
+               ModelSpec(family="xy", lam=1.15, gamma=0.5),
+               ModelSpec(family="xy", lam=1.16, gamma=0.5),
+               ModelSpec(family="xxz", delta=0.5), ModelSpec(family="xxz", delta=2.0)]
+    degenerate = [ModelSpec(family="ti", lam=1.0, h=0.0),
+                  ModelSpec(family="xy", lam=lam_f, gamma=0.5),
+                  ModelSpec(family="xxz", delta=-1.0)]
+    specs = [replace(spec, n=n) for n in (7, 8) for spec in generic + degenerate]
+    specs += [replace(spec, n=9) for spec in degenerate + generic[-1:]]
+    return specs + [ModelSpec(family="ti", n=10, lam=1.0)]
+
+
+def spec_id(spec):
+    param = spec.delta if spec.family == "xxz" else spec.lam
+    return f"{spec.family}-n{spec.n}-{param:g}" + ("-h0" if spec.h == 0 else "")
+
+
+class TestBlockSolve:
+    """Above FULL_SOLVE_MAX_N sites the ground state comes from the real symmetry
+    blocks alone; the complex full solve of H is the oracle."""
+
+    LABELS = ((1,), (1, 2))
+    POINTS = ((0.0, 0.0), (0.7, 1.1))
+
+    @pytest.mark.parametrize("spec", block_solve_specs(), ids=spec_id)
+    def test_matches_the_full_solve(self, spec, monkeypatch):
+        n, dim = spec.n, 2**spec.n
+        assert n > models.FULL_SOLVE_MAX_N
+        w, v = herm_eig(build_hamiltonian(spec))
+        g = int(np.sum(w - w[0] <= models.DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)))
+        up = all_up_vector(n)
+        up_in_space = np.linalg.norm(v[:, :g].conj().T @ up) >= 1.0 - 1e-8
+        eighs = []
+        eigh = np.linalg.eigh
+        for policy in models.POLICIES:
+            with monkeypatch.context() as m:
+                m.setattr(models, "herm_eig", lambda a: pytest.fail("complex full solve"))
+                m.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+                try:
+                    gs = ground_state(spec, policy)
+                except PolicyError:
+                    assert policy == "aligned_up" and not up_in_space, spec
+                    continue
+            assert gs.energy == pytest.approx(w[0], abs=1e-12)
+            assert gs.gap == pytest.approx(w[1] - w[0], abs=1e-12)
+            assert gs.degeneracy == g
+            assert gs.state.shape[1] == (1 if policy == "aligned_up" else g)
+            if policy == "mixture" or g == 1:
+                oracle = v[:, :g] / np.sqrt(g)
+            elif policy == "aligned_up":
+                assert up_in_space
+                oracle = up
+            elif np.linalg.matrix_rank(gs.state) == 1:
+                oracle = symmetric_by_rotation(spec)
+            else:  # a tie inside the picked sector: V projected onto it, as at n <= 6
+                levels = sector_energies(spec)
+                inside = symmetry_diagonal(spec) == levels[0][pick_sector(*levels)]
+                oracle = np.where(inside[:, None], v[:, :g], 0.0)
+                oracle /= np.linalg.norm(oracle)
+            assert gs.parity == state_parity(oracle, n), policy
+            for sites in (*self.LABELS, tuple(range(1, n + 1))):
+                for theta, phi in self.POINTS:
+                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi, n=n)
+                    assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
+        assert all(a.dtype == np.float64 and a.shape[0] < dim for a in eighs)
 
 
 class TestParity:
@@ -440,18 +535,24 @@ class TestMemoryGuard:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_working_set_bounds_measured_peak(self):
         # VmHWM is the child's own peak RSS in KiB; its ru_maxrss would also
-        # carry the peak of the process that spawned it
-        code = ("from spinphase.models import ModelSpec, ground_state\n"
+        # carry the peak of the process that spawned it. xxz at n = 8 runs the
+        # complex full solve that the formula sizes; ti at n = 10 runs its two
+        # parity blocks alone, the larger of the block solves.
+        code = ("import sys\n"
+                "from spinphase import models\n"
                 "def peak():\n"
                 "    with open('/proc/self/status') as fh:\n"
                 "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
+                "family, n, models.FULL_SOLVE_MAX_N = sys.argv[1], *map(int, sys.argv[2:])\n"
                 "before = peak()\n"
-                "ground_state(ModelSpec(family='xxz', n=8, delta=0.5))\n"
+                "models.ground_state(models.ModelSpec(family=family, n=n, lam=1.0, delta=0.5))\n"
                 "print(peak() - before)\n")
         src = os.path.dirname(os.path.dirname(models.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=src))
-        assert 0 < int(out.stdout) * 1024 <= dense_working_set(8)
+        for family, n, full_max in (("xxz", 8, 8), ("ti", 10, models.FULL_SOLVE_MAX_N)):
+            out = subprocess.run([sys.executable, "-c", code, family, str(n), str(full_max)],
+                                 capture_output=True, text=True, check=True,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            assert 0 < int(out.stdout) * 1024 <= dense_working_set(n), n
 
     def test_too_long_chain_is_config_error(self, monkeypatch):
         monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(6) - 1)
