@@ -79,7 +79,7 @@ def write_manifest(outdir, config, files, started=None):
         "config": config,
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "files": {os.path.basename(p): _sha256(p) for p in files},
+        "files": {os.path.relpath(p, outdir): _sha256(p) for p in files},
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
@@ -241,7 +241,8 @@ plt.savefig("phaseline.png", dpi=200)
 
 SPHERE_PLOT_STUB = '''\
 #!/usr/bin/env python3
-"""Render the sphere_<label>.csv files produced alongside this script.
+"""Render each sphere_<label>.csv beside this script or in a frame_XXXX
+directory below it to a PNG beside the CSV, wherever the script is run from.
 
 Columns (theta-major ordering):
   theta -- polar angle in [0, pi], inclusive endpoints
@@ -252,11 +253,13 @@ Values are raw (not clipped or normalized); aligned product states exceed 1.
 """
 import csv
 import glob
+import os
 
 import matplotlib.pyplot as plt
 import numpy as np
 
-for path in sorted(glob.glob("sphere_*.csv")):
+os.chdir(os.path.dirname(os.path.abspath(__file__)))
+for path in sorted(glob.glob("**/sphere_*.csv", recursive=True)):
     thetas, phis, values = [], [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):

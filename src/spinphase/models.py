@@ -10,10 +10,10 @@ the relative sign of J and delta (staggered-flip similarity).
 
 H is a real dense matrix on the basis index. Its symmetry (spin parity for
 ti/xy, total S_z for xxz) is held as a diagonal, and each block of it is
-solved by one real `eigh`, which gives the sector levels. Up to
-FULL_SOLVE_MAX_N sites the ground space comes from the complex solve of the
-full H, whose rounding the recorded 6-site outputs pin; longer chains take
-the spectrum and the ground space from the blocks alone.
+solved by one real `eigh`, which gives the sector levels and the whole
+spectrum at every n. Up to FULL_SOLVE_MAX_N sites the ground-space vectors
+come from the complex solve of the full H, whose rounding the recorded 6-site
+outputs pin; longer chains take them from the blocks too.
 """
 
 import math
@@ -36,9 +36,9 @@ TIE_TOL_FACTOR = 1e-12
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
 _ALIGNED_OVERLAP_ATOL = 1e-8
-# Largest chain whose ground space comes from the complex solve of the full H.
-# Its rounding is pinned by every recorded n <= 6 output; longer chains are
-# solved by their real symmetry blocks alone.
+# Largest chain whose ground-space vectors come from the complex solve of the
+# full H. Their rounding is pinned by every recorded n <= 6 output; longer
+# chains take them from their real symmetry blocks, as every chain its spectrum.
 FULL_SOLVE_MAX_N = 6
 _LIBRARY_BUFFERS = 16 * 2**20
 
@@ -85,14 +85,15 @@ class ModelSpec:
 
 
 def dense_working_set(n):
-    """Bytes held while an n-site ground state is solved by the complex full
-    solve, in units of 4^n bytes: the real H (8), its complex copy in
-    `herm_eig` (16), the copy that `eigh` overwrites with eigenvectors (16),
-    the returned eigenvectors (16) and the `eigh` workspace (32); plus a fixed
-    allowance for the buffers of the BLAS and LAPACK libraries. Above
-    FULL_SOLVE_MAX_N sites only the real H and its symmetry blocks are held,
-    and this stays an upper bound."""
-    return 88 * 4**n + _LIBRARY_BUFFERS
+    """Bytes held while an n-site ground state is solved from its symmetry
+    blocks, in units of 4^n bytes summed as if nothing were freed (the
+    allocator may keep freed blocks): the real H (8), every block's
+    eigenvectors (4; no block has over half the rows), one block's `eigh` as its
+    slice, LAPACK's copy, workspace and result (10), and the ground-space factor
+    and the state built from it (16 when every level is a ground level); plus an
+    allowance for the BLAS and LAPACK buffers, which also holds the complex full
+    solve of at most FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB)."""
+    return 38 * 4**n + _LIBRARY_BUFFERS
 
 
 def physical_memory():
@@ -221,12 +222,13 @@ def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy.
 
     H is built once and each of its real symmetry blocks is solved once; their
-    lowest levels are `levels`, the triple of `sector_energies`. Up to
-    FULL_SOLVE_MAX_N sites the spectrum w and its eigenvectors come from the
-    complex solve of the full H; above, w is the sorted union of the block
-    spectra and the eigenvectors are the blocks' own, each embedded in 2^n rows.
-    The eigenvalues within 1e-9 x spectral range of the lowest span the ground
-    space V (g columns); a unique ground state is V. Inside a degenerate space:
+    lowest levels are `levels`, the triple of `sector_energies`, and the sorted
+    union of their spectra is the spectrum w that gives `energy` and `gap`.
+    Each sector's ground levels are those within 1e-9 x spectral range of the
+    lowest; the g of them together span the ground space V. Its vectors are
+    the first g columns of the complex solve of the full H up to
+    FULL_SOLVE_MAX_N sites, and above that each block's ground columns,
+    embedded in 2^n rows. A unique ground state is V. Inside a degenerate space:
       symmetric  -- the uniform mixture of the r ground states in the
                     `pick_sector(*levels)` sector: V with the rows outside the
                     sector zeroed, over its Frobenius norm (g columns of rank r),
@@ -240,33 +242,28 @@ def ground_state(spec, policy="symmetric"):
     H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
     sectors, masks, eigs = _sector_blocks(H, sym)
     levels = _levels(sectors, eigs)
-    full = spec.n <= FULL_SOLVE_MAX_N
-    if full:
-        w, v = herm_eig(H)
-    else:
-        w = np.sort(np.concatenate([wb for wb, _ in eigs]))
+    w = np.sort(np.concatenate([wb for wb, _ in eigs]))
     ground_tol = DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
-    g = int(np.sum(w - w[0] <= ground_tol))
-    if full:
-        V = v[:, :g]
-    else:  # each sector's ground columns, embedded; their count sums to g
+    counts = [int(np.count_nonzero(wb - w[0] <= ground_tol)) for wb, _ in eigs]
+    g = sum(counts)
+    if spec.n <= FULL_SOLVE_MAX_N:  # the vectors whose rounding the 6-site outputs pin
+        V = herm_eig(H)[1][:, :g]
+    else:  # each sector's ground columns, embedded
         V, c = np.zeros((len(sym), g)), 0
-        for m, (wb, vb) in zip(masks, eigs):
-            r = int(np.sum(wb - w[0] <= ground_tol))
+        for m, r, (_, vb) in zip(masks, counts, eigs):
             V[m, c:c + r] = vb[:, :r]
             c += r
 
     if g == 1 or policy == "mixture":
         state = V / np.sqrt(g)
-        held = [s for s, low in zip(*levels[:2]) if low - w[0] <= ground_tol]
+        held = [s for s, r in zip(sectors, counts) if r]
     elif policy == "aligned_up":
-        up = all_up_vector(spec.n)
-        overlap = float(np.linalg.norm(V.conj().T @ up))
+        overlap = float(np.linalg.norm(V[0]))  # basis index 0 is the all-up state
         if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
             raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
                               f"(projection norm {overlap:.6f})")
-        state = up[:, None]
-        held = [sym[0]]  # basis index 0 is the all-up state
+        state = all_up_vector(spec.n)[:, None]
+        held = [sym[0]]
     else:
         k = pick_sector(*levels)
         held = [levels[0][k]]

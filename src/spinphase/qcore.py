@@ -6,7 +6,7 @@ Conventions used throughout the package:
   * the Pauli matrices are complex 2 x 2 arrays; the chain Hamiltonians are
     real dense arrays of dimension 2^n and a symmetry is its diagonal (see
     `models`); `herm_eig` solves a complex Hermitian matrix, which `models`
-    does only for the full H of a short chain,
+    does only for the ground vectors of a short chain's full H,
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger: a
     pure state is one column (a 1-D vector is the r = 1 case), a mixture one
     column per weighted component.

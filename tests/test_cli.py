@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +166,21 @@ class TestAnimate:
         run_cli(args + ["--out", str(out_b)])
         man_a = json.loads((out_a / "manifest.json").read_text())["files"]
         man_b = json.loads((out_b / "manifest.json").read_text())["files"]
+        assert {f"frame_{k:04d}/sphere_1.csv" for k in range(3)} <= set(man_a)
         assert man_a == man_b
+
+    def test_manifest_lists_every_file_by_its_relative_path(self, tmp_path):
+        out = tmp_path / "anim"
+        assert run_cli(["animate", "--model", "xy", "--gamma", "0.5", "--param-start", "1.10",
+                        "--param-stop", "1.20", "--param-step", "0.025", "--labels", "1,tot",
+                        "--grid-theta", "3", "--grid-phi", "4", "--out", str(out)]) == 0
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        written.remove("manifest.json")
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(written) == 5 * 2 + 2  # a CSV per frame and label, frames.csv, the stub
+        assert set(listed) == written
+        for name, digest in listed.items():
+            assert file_sha(out / name) == digest, name
 
     def test_policy_failure_names_the_parameter_and_leaves_no_frame(self, tmp_path, capsys):
         out = tmp_path / "anim"
@@ -450,6 +466,30 @@ class TestPlotStubs:
         compile(source, str(stub), "exec")
         for column in ("theta", "phi", "value"):
             assert column in source
+
+    @pytest.mark.parametrize("command", ["sphere", "animate"])
+    def test_sphere_stub_renders_every_csv(self, tmp_path, command):
+        # a stand-in matplotlib.pyplot that prints each path passed to savefig; the
+        # stub reads the CSVs below its own directory, wherever it is run from
+        fake = tmp_path / "fake" / "matplotlib"
+        fake.mkdir(parents=True)
+        (fake / "__init__.py").write_text("")
+        (fake / "pyplot.py").write_text(
+            "def savefig(path, **kwargs):\n"
+            "    print(path)\n"
+            "def __getattr__(name):\n"
+            "    return lambda *args, **kwargs: None\n")
+        out = tmp_path / "out"
+        args = (["sphere", "--param-value", "0.0"] if command == "sphere" else
+                ["animate", "--param-start", "0.0", "--param-stop", "0.2", "--param-step", "0.1"])
+        assert run_cli(args + ["--model", "ti", "--labels", "1,12", "--grid-theta", "3",
+                               "--grid-phi", "4", "--out", str(out)]) == 0
+        csvs = sorted(p.relative_to(out).as_posix() for p in out.rglob("sphere_*.csv"))
+        assert len(csvs) == (2 if command == "sphere" else 6)
+        done = subprocess.run([sys.executable, str(out / "plot_sphere.py")], cwd=tmp_path,
+                              check=True, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(fake.parent)))
+        assert done.stdout.split() == [p.replace(".csv", ".png") for p in csvs]
 
 
 def render_rows(header, rows):

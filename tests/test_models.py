@@ -364,6 +364,35 @@ class TestSymmetricPolicy:
         assert max_norm(density(gs.state) - even / 8) < 1e-15
 
 
+class TestOneSpectrum:
+    """Every scalar of `ground_state` comes from the one real `eigh` per symmetry
+    block, at every n: the energy is the lowest sector level and the gap is
+    read off the sorted union of the block spectra, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("family, params", [
+        ("ti", [dict(lam=0.5), dict(lam=1.0), dict(lam=1.0, h=0.0)]),
+        ("xy", [dict(lam=1.3, gamma=0.5), dict(lam=xy_factorization_point(0.5), gamma=0.5)]),
+        ("xxz", [dict(delta=0.5), dict(delta=-1.0), dict(delta=-2.0)]),
+    ], ids=["ti", "xy", "xxz"])
+    def test_scalars_come_from_the_block_spectra(self, n, family, params):
+        for spec in (ModelSpec(family=family, n=n, **p) for p in params):
+            H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
+            blocks = [np.linalg.eigh(H[np.ix_(sym == s, sym == s)])[0] for s in np.unique(sym)]
+            w = np.sort(np.concatenate(blocks))
+            tol = models.DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
+            g = sum(int(np.sum(wb - w[0] <= tol)) for wb in blocks)
+            for policy in models.POLICIES:
+                try:
+                    gs = ground_state(spec, policy)
+                except PolicyError:
+                    assert policy == "aligned_up", spec
+                    continue
+                assert gs.energy == min(gs.levels[1]), (spec, policy)
+                assert gs.gap == w[1] - w[0], (spec, policy)
+                assert gs.degeneracy == g, (spec, policy)
+
+
 def block_solve_specs():
     """Chains for the block-path differential tests: ti in a field and without
     one (degenerate), xy at gamma = 0.5 on either side of and at its first parity
@@ -530,29 +559,31 @@ class TestMemoryGuard:
     The memory figure is monkeypatched; nothing large is allocated."""
 
     def test_working_set_formula(self):
-        assert dense_working_set(6) == 88 * 4**6 + 16 * 2**20
+        assert dense_working_set(6) == 38 * 4**6 + 16 * 2**20
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_working_set_bounds_measured_peak(self):
         # VmHWM is the child's own peak RSS in KiB; its ru_maxrss would also
-        # carry the peak of the process that spawned it. xxz at n = 8 runs the
-        # complex full solve that the formula sizes; ti at n = 10 runs its two
-        # parity blocks alone, the larger of the block solves.
+        # carry the peak of the process that spawned it. ti at lambda = 1 solves
+        # two parity blocks of 2^(n-1) rows; without coupling or field every
+        # level is a ground level, so the ground space has 2^n columns.
         code = ("import sys\n"
                 "from spinphase import models\n"
                 "def peak():\n"
                 "    with open('/proc/self/status') as fh:\n"
                 "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
-                "family, n, models.FULL_SOLVE_MAX_N = sys.argv[1], *map(int, sys.argv[2:])\n"
+                "n, lam, h, policy = sys.argv[1:]\n"
+                "spec = models.ModelSpec(family='ti', n=int(n), lam=float(lam), h=float(h))\n"
                 "before = peak()\n"
-                "models.ground_state(models.ModelSpec(family=family, n=n, lam=1.0, delta=0.5))\n"
+                "models.ground_state(spec, policy)\n"
                 "print(peak() - before)\n")
         src = os.path.dirname(os.path.dirname(models.__file__))
-        for family, n, full_max in (("xxz", 8, 8), ("ti", 10, models.FULL_SOLVE_MAX_N)):
-            out = subprocess.run([sys.executable, "-c", code, family, str(n), str(full_max)],
+        for n, lam, h, policy in ((10, 1.0, 1.0, "symmetric"), (11, 1.0, 1.0, "symmetric"),
+                                  (10, 0.0, 0.0, "mixture")):
+            out = subprocess.run([sys.executable, "-c", code, str(n), str(lam), str(h), policy],
                                  capture_output=True, text=True, check=True,
                                  env=dict(os.environ, PYTHONPATH=src))
-            assert 0 < int(out.stdout) * 1024 <= dense_working_set(n), n
+            assert 0 < int(out.stdout) * 1024 <= dense_working_set(n), (n, lam, h)
 
     def test_too_long_chain_is_config_error(self, monkeypatch):
         monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(6) - 1)
