@@ -5,6 +5,7 @@ symmetry-sector level crossings with the jumps of every label across them."""
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError, PolicyError
 from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
@@ -23,7 +24,7 @@ CANONICAL_LABELS_6 = (
 DEFAULT_EPSILON = 1e-4
 
 EXTREMUM_NOISE_FLOOR = 1e-8
-CROSSING_BRACKET = 1e-8  # bisection width of a sector crossing in the parameter
+CROSSING_BRACKET = 1e-8  # brentq xtol of a sector crossing in the parameter
 
 
 def grid_values(start, stop, step):
@@ -189,11 +190,12 @@ def find_sector_crossings(line):
     the sweep, and the jump of every label across each of them.
 
     At each grid point `pick_sector` names the ground sector from the sweep's
-    `line.levels`. Where it changes, the bracket is bisected to CROSSING_BRACKET
-    on "still the old sector", by `sector_energies` at each midpoint. If the two
-    sectors tie within the tie tolerance at either end of the bracket, that
-    end is an exact hit, located at the grid point without bisection, so the
-    sign of rounding noise cannot move it. Each crossing gives a
+    `line.levels`. Where it changes, the crossing is the root of the two
+    sectors' level difference E_b - E_a, found from `sector_energies` by Brent's
+    method (`scipy.optimize.brentq`) to CROSSING_BRACKET. If the two sectors tie
+    within the tie tolerance at either end of the bracket, that end is an exact
+    hit, located at the grid point without a root search, so the sign of
+    rounding noise cannot move it. Each crossing gives a
     `sector_crossing` point (label "global", detail "<from> -> <to>",
     magnitude the |slope| of the two sectors' energy difference over the
     bracket). Each label whose value steps across the crossing by more than
@@ -213,15 +215,12 @@ def find_sector_crossings(line):
         hits = [k for k, gap in zip((i, i + 1), gaps) if abs(gap) <= levels[k][2]]
         if hits:
             loc, lo, hi = x[hits[0]], max(hits[0] - 1, 0), min(hits[0] + 1, len(x) - 1)
-        else:
-            left, right = x[i], x[i + 1]
-            while right - left > CROSSING_BRACKET:
-                mid = 0.5 * (left + right)
-                if pick_sector(*sector_energies(spec.with_param(mid))) == a:
-                    left = mid
-                else:
-                    right = mid
-            loc, lo, hi = 0.5 * (left + right), i, i + 1
+        else:  # a is picked at x_i, b at x_{i+1} and neither end ties, so E_b - E_a is > tol
+            # at x_i and < -tol at x_{i+1}; brentq's end values are the grid's own bits
+            def gap(value):
+                energies = sector_energies(spec.with_param(value))[1]
+                return energies[b] - energies[a]
+            loc, lo, hi = brentq(gap, x[i], x[i + 1], xtol=CROSSING_BRACKET), i, i + 1
         out.append(CriticalPoint(kind="sector_crossing", location=float(loc),
                                  magnitude=float(abs(gaps[1] - gaps[0]) / (x[i + 1] - x[i])),
                                  label="global", detail=f"{sectors[a]:g} -> {sectors[b]:g}"))

@@ -204,7 +204,7 @@ def _ensure_outdir(cfg):
 
 PHASELINE_PLOT_STUB = '''\
 #!/usr/bin/env python3
-"""Render phaseline.csv produced alongside this script.
+"""Render phaseline.csv produced alongside this script, wherever it is run from.
 
 Columns:
   param      -- swept coupling (lambda for ti/xy, delta for xxz)
@@ -219,10 +219,12 @@ derivative.csv carries the same layout with `dvalue`, the finite-difference
 first derivative of `value` with respect to `param`.
 """
 import csv
+import os
 from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
+os.chdir(os.path.dirname(os.path.abspath(__file__)))
 series = defaultdict(lambda: ([], []))
 with open("phaseline.csv", newline="") as fh:
     for row in csv.DictReader(fh):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spinphase import analysis
-from spinphase.analysis import (CANONICAL_LABELS_6, SweepConfig, canonical_labels,
-                                count_sign_changes, factorization_value_check,
+from spinphase.analysis import (CANONICAL_LABELS_6, CROSSING_BRACKET, SweepConfig,
+                                canonical_labels, count_sign_changes, factorization_value_check,
                                 find_derivative_extrema, find_sector_crossings,
                                 first_derivative, sweep)
 from spinphase.errors import ConfigError, NumericalError, PolicyError
@@ -229,13 +229,22 @@ def crossings(cfg):
     return crossings_of(sweep(cfg))
 
 
+def assert_crossings_carry_a_jump_for_every_label(cfg, locations):
+    points = find_sector_crossings(sweep(cfg))
+    found = of_kind(points, "sector_crossing")
+    assert [p.location for p in found] == locations
+    for crossing in found:
+        labels = {p.label for p in of_kind(points, "jump") if p.location == crossing.location}
+        assert labels == {label_name(l, cfg.spec.n) for l in cfg.labels}
+
+
 class TestParityCrossings:
     def test_xy_gamma_05_factorization_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5),
                           start=1.0, stop=1.3, step=0.01, labels=((1,),))
         points = crossings(cfg)
         assert len(points) == 1
-        assert points[0].location == pytest.approx(2 / SQ3, abs=1e-6)
+        assert points[0].location == pytest.approx(2 / SQ3, abs=CROSSING_BRACKET)
         assert points[0].kind == "sector_crossing"
         assert points[0].label == "global"
         assert points[0].detail == "1 -> -1"
@@ -245,7 +254,7 @@ class TestParityCrossings:
                           start=1.5, stop=1.8, step=0.01, labels=((1,),))
         points = crossings(cfg)
         assert len(points) == 1
-        assert points[0].location == pytest.approx(5.0 / 3.0, abs=1e-6)
+        assert points[0].location == pytest.approx(5.0 / 3.0, abs=CROSSING_BRACKET)
 
     # all S_z sectors share the ground level at xxz delta = -1, grid point 10 here
     XXZ_HIT = dict(spec=ModelSpec(family="xxz", n=6), start=-1.5, stop=-0.5, step=0.05,
@@ -282,6 +291,17 @@ class TestParityCrossings:
         assert [p.location for p in crossings_of(line)] == [-1.0]
         assert calls == []
 
+    def test_a_bracketed_crossing_takes_few_level_solves(self, monkeypatch):
+        # the root of the two sectors' level difference, not a bisection (about 20 solves)
+        line = sweep(SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5),
+                                 start=1.0, stop=1.3, step=0.01, labels=((1,),)))
+        calls = []
+        monkeypatch.setattr(analysis, "sector_energies",
+                            lambda spec: calls.append(spec) or sector_energies(spec))
+        assert [p.location for p in crossings_of(line)] == [pytest.approx(2 / SQ3,
+                                                                          abs=CROSSING_BRACKET)]
+        assert 0 < len(calls) <= 10
+
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),
                           start=0.01, stop=5.0, step=0.25, labels=((1,),))
@@ -303,14 +323,17 @@ class TestSectorCrossings:
     def test_readme_xy_grid_crossings_carry_a_jump_for_every_label(self):
         cfg = SweepConfig(spec=ModelSpec(family="xy", n=6, gamma=0.5), start=0.0,
                           stop=2.0, step=0.005)
-        points = find_sector_crossings(sweep(cfg))
-        found = of_kind(points, "sector_crossing")
-        assert [p.location for p in found] == [pytest.approx(2 / SQ3, abs=1e-6),
-                                               pytest.approx(1.5404, abs=1e-4)]
-        for crossing in found:
-            labels = {p.label for p in of_kind(points, "jump")
-                      if p.location == crossing.location}
-            assert labels == NAMES6
+        assert_crossings_carry_a_jump_for_every_label(
+            cfg, [pytest.approx(2 / SQ3, abs=1e-6), pytest.approx(1.5404, abs=1e-4)])
+
+    def test_xy_n8_crossings_are_the_free_fermion_roots(self):
+        # the three parity flips of the 8-site ring at gamma = 0.5 on [0.5, 2]: the
+        # factorization point 2/sqrt3 and the roots of E_R - E_NS of the Jordan-Wigner solution
+        cfg = SweepConfig(spec=ModelSpec(family="xy", n=8, gamma=0.5), start=0.5,
+                          stop=2.0, step=0.01)
+        assert_crossings_carry_a_jump_for_every_label(
+            cfg, [pytest.approx(2 / SQ3, abs=CROSSING_BRACKET),
+                  pytest.approx(1.3385, abs=1e-4), pytest.approx(1.9942, abs=1e-4)])
 
     def test_isotropic_ferro_point_picks_the_top_sector(self):
         spec = ModelSpec(family="xxz", n=6, delta=-1.0)

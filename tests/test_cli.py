@@ -467,11 +467,11 @@ class TestPlotStubs:
         for column in ("theta", "phi", "value"):
             assert column in source
 
-    @pytest.mark.parametrize("command", ["sphere", "animate"])
-    def test_sphere_stub_renders_every_csv(self, tmp_path, command):
-        # a stand-in matplotlib.pyplot that prints each path passed to savefig; the
-        # stub reads the CSVs below its own directory, wherever it is run from
-        fake = tmp_path / "fake" / "matplotlib"
+    @staticmethod
+    def run_stub(stub, cwd):
+        """Run a plot stub from `cwd` with a stand-in matplotlib.pyplot that prints
+        each path passed to savefig; returns the printed paths."""
+        fake = cwd / "fake" / "matplotlib"
         fake.mkdir(parents=True)
         (fake / "__init__.py").write_text("")
         (fake / "pyplot.py").write_text(
@@ -479,6 +479,20 @@ class TestPlotStubs:
             "    print(path)\n"
             "def __getattr__(name):\n"
             "    return lambda *args, **kwargs: None\n")
+        done = subprocess.run([sys.executable, str(stub)], cwd=cwd, check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(fake.parent)))
+        return done.stdout.split()
+
+    def test_phaseline_stub_renders_from_anywhere(self, tmp_path):
+        # the stub reads the phaseline.csv beside it, wherever it is run from
+        out = tmp_path / "run"
+        assert run_cli(PHASELINE_ARGS + ["--out", str(out)]) == 0
+        assert self.run_stub(out / "plot_phaseline.py", tmp_path) == ["phaseline.png"]
+
+    @pytest.mark.parametrize("command", ["sphere", "animate"])
+    def test_sphere_stub_renders_every_csv(self, tmp_path, command):
+        # the stub reads the CSVs below its own directory, wherever it is run from
         out = tmp_path / "out"
         args = (["sphere", "--param-value", "0.0"] if command == "sphere" else
                 ["animate", "--param-start", "0.0", "--param-stop", "0.2", "--param-step", "0.1"])
@@ -486,10 +500,8 @@ class TestPlotStubs:
                                "--grid-phi", "4", "--out", str(out)]) == 0
         csvs = sorted(p.relative_to(out).as_posix() for p in out.rglob("sphere_*.csv"))
         assert len(csvs) == (2 if command == "sphere" else 6)
-        done = subprocess.run([sys.executable, str(out / "plot_sphere.py")], cwd=tmp_path,
-                              check=True, capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(fake.parent)))
-        assert done.stdout.split() == [p.replace(".csv", ".png") for p in csvs]
+        assert self.run_stub(out / "plot_sphere.py", tmp_path) == \
+            [p.replace(".csv", ".png") for p in csvs]
 
 
 def render_rows(header, rows):
