@@ -95,7 +95,7 @@ def check_marginal_consistency(rng):
     worst = 0.0
     for n in (2, 3):
         state = _rand_pure(rng, 2**n)
-        reduced = reduced_factor(state, tuple(range(1, n)), n)
+        reduced = reduced_factor(state, tuple(range(1, n)))
         retained = [[_rand_point(rng) for _ in range(n - 1)] for _ in range(10)]
         by_quad = [_quadrature_marginal(state, points) for points in retained]
         worst = max(worst, _max_norm(np.subtract(by_quad, _values(reduced, retained))))
@@ -149,7 +149,7 @@ def check_ti_pseudo_critical(rng):
 def check_ti_lambda0_values(rng):
     """6. rho_1(0,0) = (1+sqrt3)/2 and rho_tot(0,0) = ((1+sqrt3)/2)^6, tol 1e-10."""
     gs = ground_state(ModelSpec(family="ti", n=6, lam=0.0))
-    v1, vtot = (equal_angle_values([gs.state], sites, 0.0, 0.0, n=6)[0, 0]
+    v1, vtot = (equal_angle_values([gs.state], sites, 0.0, 0.0)[0, 0]
                 for sites in ((1,), tuple(range(1, 7))))
     d1 = abs(v1 - (1 + SQRT3) / 2)
     dtot = abs(vtot - ((1 + SQRT3) / 2) ** 6)
@@ -169,7 +169,7 @@ def _parity_flip_midpoints(line):
 
 def check_xy_jumps_and_crossing(rng):
     """7. XY gamma=0.5: jumps at 1.1547 +- step and 1.545 +- 0.02 with parity
-    flips at both; bisected crossing at 2/sqrt(3) within 1e-6."""
+    flips at both; crossing (root by Brent's method) at 2/sqrt(3) within 1e-6."""
     step = 0.005
     spec = ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5)
     tot = tuple(range(1, 7))
@@ -188,7 +188,7 @@ def check_xy_jumps_and_crossing(rng):
     ok = has_first and has_second and flip_first and flip_second and cross_ok
     cross_loc = crossings[0].location if crossings else float("nan")
     return ok, (f"jumps {[round(j, 4) for j in jumps]}, parity flips "
-                f"{[round(f, 4) for f in flips]}, bisected crossing {cross_loc:.9f}")
+                f"{[round(f, 4) for f in flips]}, crossing by Brent's method {cross_loc:.9f}")
 
 
 def parity_state_values(gamma, k, n=6):
@@ -235,7 +235,7 @@ def check_xy_factorization_value(rng):
     rows = factorization_value_check(gamma, CANONICAL_LABELS_6, n=n)
     dev_product = dev_limit = 0.0
     for (_, expected), sites in zip(rows, CANONICAL_LABELS_6):
-        *values, value = equal_angle_values([*products, limit.state], sites, 0.0, 0.0, n=n)[:, 0]
+        *values, value = equal_angle_values([*products, limit.state], sites, 0.0, 0.0)[:, 0]
         dev_product = max(dev_product, _max_norm(np.subtract(values, expected)))
         w_plus, w_minus = parity_state_values(gamma, len(sites), n)
         dev_limit = max(dev_limit, abs(value - 0.5 * (w_plus + w_minus)))
@@ -263,7 +263,7 @@ def check_xxz_werner_values(rng):
     gs = ground_state(ModelSpec(family="xxz", n=6, delta=1.0))
     worst_exact = worst_printed = 0.0
     for sites, target in exact.items():
-        got = equal_angle_values([gs.state], sites, 0.0, 0.0, n=6)[0, 0]
+        got = equal_angle_values([gs.state], sites, 0.0, 0.0)[0, 0]
         worst_exact = max(worst_exact, abs(got - target))
         worst_printed = max(worst_printed, abs(got - printed[sites]))
     ok = worst_exact <= 1e-10 and worst_printed <= 1e-3
@@ -360,7 +360,7 @@ def check_ghz_equator(rng):
     """12. Equal-angle equator of GHZ_z+(N) shows exactly 2N sign changes."""
     grid = SphereGrid(3, 360)  # row 1 is the equator
     counts = {n: count_sign_changes(sphere_field(reference_state("ghz_plus", n=n),
-                                                 tuple(range(1, n + 1)), grid, n=n)[1])
+                                                 tuple(range(1, n + 1)), grid)[1])
               for n in range(2, 7)}
     ok = all(counts[n] == 2 * n for n in counts)
     return ok, f"sign changes {counts}"
@@ -393,7 +393,8 @@ CRITERIA = (
     (4, "transverse-Ising closed forms at lambda = 0, 1", check_ti_closed_forms),
     (5, "TI N=6 pseudo-critical derivative minimum at 0.90 +- 0.05", check_ti_pseudo_critical),
     (6, "TI lambda=0 exact equal-angle values", check_ti_lambda0_values),
-    (7, "XY gamma=0.5 jumps, parity flips and bisected crossing", check_xy_jumps_and_crossing),
+    (7, "XY gamma=0.5 jumps, parity flips and crossing found by Brent's method",
+     check_xy_jumps_and_crossing),
     (8, "XY factorization point: product states exact, one-sided mean of parity states",
      check_xy_factorization_value),
     (9, "XXZ Delta=1 Werner correlation values", check_xxz_werner_values),

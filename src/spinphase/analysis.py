@@ -116,8 +116,8 @@ def sweep(cfg):
     """Phase line over the parameter grid: the ground state of `ground_states`
     at each value, and each label at the phase point by one call over the grid."""
     states = [gs for _, gs in ground_states(cfg)]
-    values = {label: equal_angle_values([gs.state for gs in states], label, cfg.theta, cfg.phi,
-                                        n=cfg.spec.n)[:, 0] for label in cfg.labels}
+    values = {label: equal_angle_values([gs.state for gs in states], label, cfg.theta,
+                                        cfg.phi)[:, 0] for label in cfg.labels}
     return PhaseLine(config=cfg, params=cfg.params, values=values,
                      energy=np.array([gs.energy for gs in states]),
                      degeneracy=np.array([gs.degeneracy for gs in states]),
@@ -216,9 +216,11 @@ def find_sector_crossings(line):
         if hits:
             loc, lo, hi = x[hits[0]], max(hits[0] - 1, 0), min(hits[0] + 1, len(x) - 1)
         else:  # a is picked at x_i, b at x_{i+1} and neither end ties, so E_b - E_a is > tol
-            # at x_i and < -tol at x_{i+1}; brentq's end values are the grid's own bits
+            # at x_i and < -tol at x_{i+1}; at those two ends brentq reads the sweep's levels
+            ends = {x[i]: levels[i][1], x[i + 1]: levels[i + 1][1]}
             def gap(value):
-                energies = sector_energies(spec.with_param(value))[1]
+                energies = (ends[value] if value in ends
+                            else sector_energies(spec.with_param(value))[1])
                 return energies[b] - energies[a]
             loc, lo, hi = brentq(gap, x[i], x[i + 1], xtol=CROSSING_BRACKET), i, i + 1
         out.append(CriticalPoint(kind="sector_crossing", location=float(loc),

@@ -332,7 +332,7 @@ def _write_sphere_files(outdir, state, labels, grid, n):
     angles = {"theta": [theta for theta in thetas for _ in phis], "phi": phis * len(thetas)}
     files = []
     for sites in labels:
-        values = sphere_field(state, sites, grid, n=n).ravel().tolist()
+        values = sphere_field(state, sites, grid).ravel().tolist()
         files.append(os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv"))
         write_csv(files[-1], {**angles, "value": list(map(fmt, values))})
     return files

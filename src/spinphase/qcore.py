@@ -7,9 +7,9 @@ Conventions used throughout the package:
     real dense arrays of dimension 2^n and a symmetry is its diagonal (see
     `models`); `herm_eig` solves a complex Hermitian matrix, which `models`
     does only for the ground vectors of a short chain's full H,
-  * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger: a
-    pure state is one column (a 1-D vector is the r = 1 case), a mixture one
-    column per weighted component.
+  * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger, and
+    n is read off its rows: a pure state is one column (a 1-D vector is the
+    r = 1 case), a mixture one column per weighted component.
 """
 
 import numpy as np
@@ -83,38 +83,34 @@ def validate_labels(labels, n):
 
 
 def label_name(sites, n):
-    """Compact name for a site subset: 'tot' for all sites, else the indices."""
+    """Name of a site subset: 'tot' for all sites, '135' if every site is below 10,
+    else '1.10', and '12.' for one site above 9, which '12' would read as {1, 2}."""
     sites = tuple(sites)
     if len(sites) == n:
         return "tot"
     if all(s <= 9 for s in sites):
         return "".join(str(s) for s in sites)
-    return ".".join(str(s) for s in sites)
+    return ".".join(str(s) for s in sites) + "." * (len(sites) == 1)
 
 
 def parse_label(text, n):
-    """Inverse of label_name: 'tot', '135', or dot-separated '1.3.10'."""
+    """Inverse of label_name: 'tot', '135', or dot-separated '1.3.10' or '12.'."""
     text = text.strip()
     if text == "tot":
         return tuple(range(1, n + 1))
-    if "." in text:
-        sites = [int(p) for p in text.split(".")]
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse correlation label {text!r}")
-        sites = [int(c) for c in text]
-    return validate_label(sites, n)
+    parts = [p for p in text.split(".") if p] if "." in text else list(text)
+    if not all(p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse correlation label {text!r}")
+    return validate_label([int(p) for p in parts], n)
 
 
-def reduced_factor(state, keep, n=None):
-    """Factor M of the reduced state on the sites in `keep` (1-based, increasing),
-    Tr_rest[A A^dagger] = M M^dagger: the kept sites' axes of A move to the front
-    and every other axis folds into the columns, so M M^dagger sums over them."""
+def reduced_factor(state, keep):
+    """Factor M, Tr_rest[A A^dagger] = M M^dagger, of the reduced state on the sites
+    in `keep` (1-based, increasing) of a factor A whose 2^n rows give n: the kept
+    sites' axes of A move to the front and the rest fold into the columns, which
+    M M^dagger sums over."""
     state = np.asarray(state, dtype=complex)
-    if n is None:
-        n = n_sites(state.shape[0])
-    elif state.shape[0] != 2**n:
-        raise ValueError(f"state dimension {state.shape[0]} does not match n={n}")
+    n = n_sites(state.shape[0])
     keep = validate_label(keep, n)
     rest = [i for i in range(n + 1) if i + 1 not in keep]  # axis n is the columns
     t = state.reshape((2,) * n + (-1,)).transpose([s - 1 for s in keep] + rest)

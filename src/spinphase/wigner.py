@@ -3,7 +3,7 @@
 The single-qubit kernel at phase point (theta, phi) is the Bloch form
 K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
 cos theta); `bloch_factors` gives its Pauli components and `kernels` builds K
-for a batch of points. A state is a factor A, rho = A A^dagger (see `qcore`).
+for a batch of points. A state is a factor A, rho = A A^dagger, whose 2^n rows give n.
 Every Wigner value W = Tr[rho K_1 x ... x K_k] comes from one evaluator,
 `wigner_values`: it forms the reduced density M M^dagger of the reduced factor
 M (`qcore.reduced_factor`) and contracts each site's kernel into it, one site
@@ -75,7 +75,7 @@ def kernels(thetas, phis):
     return np.tensordot(bloch_factors(thetas, phis), PAULI_BASIS, axes=(-1, 0)) / 2
 
 
-def wigner_values(states, sites, site_kernels, n=None):
+def wigner_values(states, sites, site_kernels):
     """The one Wigner evaluator: Tr[rho (K_1 x ... x K_k)] of every state factor in
     `states` reduced to `sites`, for every row of the per-site kernel stacks
     `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape (len(states), p).
@@ -103,7 +103,7 @@ def wigner_values(states, sites, site_kernels, n=None):
         chunk = states[s0:s0 + per_stack]
         rho = np.empty((len(chunk),) + (2,) * (2 * k), dtype=complex)
         for row, state in zip(rho, chunk):
-            m = reduced_factor(state, sites, n)
+            m = reduced_factor(state, sites)
             row[...] = (m @ m.conj().T).reshape((2,) * (2 * k)).transpose(order)
         step = max(1, CHUNK_BYTES // (rho.nbytes // 4))
         for p0 in range(0, values.shape[1], step):
@@ -114,10 +114,10 @@ def wigner_values(states, sites, site_kernels, n=None):
     return values
 
 
-def equal_angle_values(states, sites, thetas, phis, n=None):
+def equal_angle_values(states, sites, thetas, phis):
     """Values with all k sites at one point, shape (len(states), number of points)."""
     sites = tuple(sites)
-    return wigner_values(states, sites, [kernels(thetas, phis)] * len(sites), n)
+    return wigner_values(states, sites, [kernels(thetas, phis)] * len(sites))
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class SphereGrid:
         return np.arange(self.n_phi) * (2 * np.pi / self.n_phi)
 
 
-def sphere_field(state, sites, grid=SphereGrid(), n=None):
+def sphere_field(state, sites, grid=SphereGrid()):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
     Returns the (n_theta, n_phi) array of the values at (thetas[i], phis[j]).
@@ -153,7 +153,7 @@ def sphere_field(state, sites, grid=SphereGrid(), n=None):
     nodes = 2 * len(sites) + 1
     node_phis = np.arange(nodes) * (2 * np.pi / nodes)
     tt, pp = np.meshgrid(grid.thetas, node_phis, indexing="ij")
-    rows = equal_angle_values([state], sites, tt.ravel(), pp.ravel(), n).reshape(-1, nodes)
+    rows = equal_angle_values([state], sites, tt.ravel(), pp.ravel()).reshape(-1, nodes)
     x = grid.phis - node_phis[:, None]
     interp = 1 + 2 * sum(np.cos(m * x) for m in range(1, len(sites) + 1))
     return rows @ (interp / nodes)

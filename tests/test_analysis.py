@@ -292,15 +292,17 @@ class TestParityCrossings:
         assert calls == []
 
     def test_a_bracketed_crossing_takes_few_level_solves(self, monkeypatch):
-        # the root of the two sectors' level difference, not a bisection (about 20 solves)
+        # the root of the two sectors' level difference, not a bisection (about 20 solves);
+        # at the bracket's grid ends the root search reads the sweep's own levels
         line = sweep(SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5),
                                  start=1.0, stop=1.3, step=0.01, labels=((1,),)))
         calls = []
         monkeypatch.setattr(analysis, "sector_energies",
-                            lambda spec: calls.append(spec) or sector_energies(spec))
+                            lambda spec: calls.append(spec.lam) or sector_energies(spec))
         assert [p.location for p in crossings_of(line)] == [pytest.approx(2 / SQ3,
                                                                           abs=CROSSING_BRACKET)]
-        assert 0 < len(calls) <= 10
+        assert not set(calls) & set(line.params.tolist())
+        assert 0 < len(calls) <= 4
 
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),

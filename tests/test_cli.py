@@ -540,7 +540,7 @@ class TestColumnWriter:
         assert run_cli(["sphere", "--model", "ti", "--param-value", "0.7", "--labels", "12",
                         "--grid-theta", "7", "--grid-phi", "12", "--out", str(out)]) == 0
         grid = SphereGrid(7, 12)
-        field = sphere_field(ground_state(ModelSpec("ti", lam=0.7)).state, (1, 2), grid, n=6)
+        field = sphere_field(ground_state(ModelSpec("ti", lam=0.7)).state, (1, 2), grid)
         rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
                 for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
         assert (out / "sphere_12.csv").read_bytes() == render_rows(("theta", "phi", "value"), rows)

@@ -303,7 +303,7 @@ class TestSymmetricPolicy:
         state = ground_state(replace(spec, n=n)).state
         for translates in translation_classes(n):
             for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
-                values = [equal_angle_values([state], sites, theta, phi, n=n)[0, 0]
+                values = [equal_angle_values([state], sites, theta, phi)[0, 0]
                           for sites in translates]
                 assert np.ptp(values) <= 1e-12, (translates[0], theta, phi)
 
@@ -322,7 +322,7 @@ class TestSymmetricPolicy:
             labels = [l for l in ((1,), (1, 2), (1, 3)) if max(l) <= n] + [tuple(range(1, n + 1))]
             for sites in labels:
                 for theta, phi in ((0.0, 0.0), (0.7, 1.1)):
-                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi, n=n)
+                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), spec
             compared += 1
         assert compared >= 50
@@ -462,7 +462,7 @@ class TestBlockSolve:
             assert gs.parity == state_parity(oracle, n), policy
             for sites in (*self.LABELS, tuple(range(1, n + 1))):
                 for theta, phi in self.POINTS:
-                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi, n=n)
+                    ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
         assert all(a.dtype == np.float64 and a.shape[0] < dim for a in eighs)
 

@@ -185,7 +185,7 @@ class TestReducedFactor:
             rho = density(a)
             for k in range(1, n + 1):
                 for keep in itertools.combinations(range(1, n + 1), k):
-                    m = reduced_factor(a, keep, n)
+                    m = reduced_factor(a, keep)
                     assert m.shape == (2**k, 2 ** (n - k) * rank)
                     assert np.max(np.abs(m @ m.conj().T - partial_trace(rho, keep, n))) < 1e-14
 
@@ -196,9 +196,9 @@ class TestReducedFactor:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            reduced_factor(np.ones((8, 2)), (4,), 3)
+            reduced_factor(np.ones((8, 2)), (4,))
         with pytest.raises(ValueError):
-            reduced_factor(np.ones((8, 2)), (1,), 4)
+            reduced_factor(np.ones((6, 2)), (1,))
 
 
 class TestLabels:
@@ -217,6 +217,16 @@ class TestLabels:
         assert parse_label("tot", 6) == tuple(range(1, 7))
         assert parse_label("1.3.10", 10) == (1, 3, 10)
         assert label_name((1, 10), 12) == "1.10"
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_every_label_has_its_own_name_and_reads_back(self, n):
+        # a single site above 9 ends in a dot: '12.' is site 12, '12' the sites {1, 2}
+        labels = [sites for k in range(1, n + 1)
+                  for sites in itertools.combinations(range(1, n + 1), k)]
+        names = [label_name(sites, n) for sites in labels]
+        assert len(set(names)) == len(labels)
+        assert [parse_label(name, n) for name in names] == labels
+        assert (label_name((10,), n), parse_label("10.", n)) == ("10.", (10,))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -244,14 +244,14 @@ class TestEqualAngle:
         for sites in [(1,), (2, 4), (1, 3, 4)]:
             t, p = rand_point(rng)
             direct = oracle_value(state, [(t, p)] * len(sites), sites)
-            got = equal_angle_values([state], sites, t, p, n=4)[0, 0]
+            got = equal_angle_values([state], sites, t, p)[0, 0]
             assert got == pytest.approx(direct, abs=1e-12)
 
     def test_cyclic_relabeling_invariance_for_ring_ground_state(self):
         gs = ground_state(ModelSpec(family="xy", n=6, lam=0.8, gamma=0.5))
         rng = np.random.default_rng(10)
         t, p = rand_point(rng)
-        a, b = (equal_angle_values([gs.state], sites, t, p, n=6)[0, 0]
+        a, b = (equal_angle_values([gs.state], sites, t, p)[0, 0]
                 for sites in ((1, 2), (2, 3)))
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -294,14 +294,14 @@ class TestPauliEvaluator:
         for sites in [(1,), (1, 3), (1, 2, 4), (1, 2, 3, 5), tuple(range(1, 7))]:
             t, p = rand_point(rng)
             oracle = oracle_value(state, [(t, p)] * len(sites), sites)
-            got = equal_angle_values([state], sites, t, p, n=6)[0, 0]
+            got = equal_angle_values([state], sites, t, p)[0, 0]
             assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_sphere_field_row(self):
         state = ground_state(ModelSpec(family="xxz", n=6, delta=0.5)).state
         grid = SphereGrid(7, 24)
         sites = (1, 2, 4)
-        row = sphere_field(state, sites, grid, n=6)[2]
+        row = sphere_field(state, sites, grid)[2]
         theta = grid.thetas[2]
         oracle = [oracle_value(state, [(theta, p)] * 3, sites) for p in grid.phis]
         assert np.max(np.abs(row - oracle)) < 1e-12
@@ -350,7 +350,7 @@ class TestBatchedEvaluator:
         # 7 theta rows: both poles, and 7 * 13 nodes at k = 6 span two point chunks
         for n_phi in sorted({2, 3, 7, 2 * k, 2 * k + 1}):
             grid = SphereGrid(7, n_phi)
-            fld = sphere_field(state, sites, grid, n=n)
+            fld = sphere_field(state, sites, grid)
             oracle = [[oracle_value(state, [(t, p)] * k, sites) for p in grid.phis]
                       for t in grid.thetas]
             assert np.max(np.abs(fld - oracle)) < 1e-12, n_phi
@@ -363,7 +363,7 @@ class TestBatchedEvaluator:
         line = sweep(cfg)
         states, oracle = sweep_oracle(cfg)
         for sites in cfg.labels:
-            per_point = [equal_angle_values([s], sites, cfg.theta, cfg.phi, n=6)[0, 0]
+            per_point = [equal_angle_values([s], sites, cfg.theta, cfg.phi)[0, 0]
                          for s in states]
             assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
             assert np.max(np.abs(line.values[sites] - per_point)) < 1e-12
@@ -398,9 +398,9 @@ class TestSphereField:
         rng = np.random.default_rng(11)
         state = rand_pure(rng, 2**3)
         grid = SphereGrid(5, 8)
-        fld = sphere_field(state, (1, 3), grid, n=3)
+        fld = sphere_field(state, (1, 3), grid)
         tt, pp = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
-        pointwise = equal_angle_values([state], (1, 3), tt.ravel(), pp.ravel(), n=3)
+        pointwise = equal_angle_values([state], (1, 3), tt.ravel(), pp.ravel())
         assert np.max(np.abs(fld - pointwise.reshape(fld.shape))) < 1e-12
 
     def test_grid_validation(self):
@@ -518,7 +518,7 @@ class TestMarginalQuadrature:
     def test_marginal_matches_partial_trace_n2(self):
         rng = np.random.default_rng(17)
         state = rand_pure(rng, 4)
-        reduced = reduced_factor(state, (1,), 2)
+        reduced = reduced_factor(state, (1,))
         for _ in range(3):
             p = rand_point(rng)
             got = self.quadrature_marginal(state, [p], 2)
@@ -532,7 +532,7 @@ class TestMarginalQuadrature:
             for k in range(n, 1, -1):
                 probe = [rand_point(rng) for _ in range(k - 1)]
                 by_quad = self.quadrature_marginal(state, probe, k)
-                reduced = reduced_factor(state, tuple(range(1, k)), k)
+                reduced = reduced_factor(state, tuple(range(1, k)))
                 assert by_quad == pytest.approx(values_at(reduced, [probe])[0], abs=1e-8)
                 state = reduced
             assert self.quadrature_marginal(state, [], 1) == pytest.approx(1.0, abs=1e-8)
