@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (CANONICAL_LABELS_6, DEFAULT_EPSILON, SweepConfig, count_sign_changes,
+from .analysis import (CANONICAL_LABELS_6, SweepConfig, count_sign_changes,
                        factorization_value_check, find_derivative_extrema,
                        find_sector_crossings, sweep)
 from .cli import main
@@ -35,7 +35,7 @@ SQRT3 = math.sqrt(3.0)
 XXZ_RHO124_DERIVATIVE_MIN = 1.266
 # criterion 10's aligned-up sweep (start, stop, step) and the end of its constancy clause
 XXZ_SWEEP = (-2.0, 3.0, 0.01)
-XXZ_PLATEAU_STOP = -1.0 - DEFAULT_EPSILON
+XXZ_PLATEAU_STOP = -1.0 - 1e-4
 
 
 @dataclass

@@ -20,9 +20,6 @@ CANONICAL_LABELS_6 = (
     (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
 )
 
-# finite stand-in for the "just above the transition" evaluation point
-DEFAULT_EPSILON = 1e-4
-
 EXTREMUM_NOISE_FLOOR = 1e-8
 CROSSING_BRACKET = 1e-8  # brentq xtol of a sector crossing in the parameter
 

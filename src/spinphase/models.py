@@ -30,8 +30,8 @@ from .qcore import all_up_vector, herm_eig
 FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
 
-DEGENERACY_TOL_FACTOR = 1e-9
-# two energies within TIE_TOL_FACTOR x max(spectral range, 1) count as equal
+# two energies within TIE_TOL_FACTOR x max(spectral range, 1) count as equal: the
+# one rule for degenerate ground levels, sector ties and exact crossing hits
 TIE_TOL_FACTOR = 1e-12
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 200
@@ -213,7 +213,7 @@ def pick_sector(sectors, energies, tol):
     low = min(energies)
     best = None
     for k, (sector, energy) in enumerate(zip(sectors, energies)):
-        if energy <= low + tol and (best is None or sector > sectors[best]):
+        if energy - low <= tol and (best is None or sector > sectors[best]):
             best = k
     return best
 
@@ -224,8 +224,9 @@ def ground_state(spec, policy="symmetric"):
     H is built once and each of its real symmetry blocks is solved once; their
     lowest levels are `levels`, the triple of `sector_energies`, and the sorted
     union of their spectra is the spectrum w that gives `energy` and `gap`.
-    Each sector's ground levels are those within 1e-9 x spectral range of the
-    lowest; the g of them together span the ground space V. Its vectors are
+    A level within the tie tolerance `levels[2]` of the lowest is a ground level,
+    the rule `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly
+    when `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors are
     the first g columns of the complex solve of the full H up to
     FULL_SOLVE_MAX_N sites, and above that each block's ground columns,
     embedded in 2^n rows. A unique ground state is V. Inside a degenerate space:
@@ -243,8 +244,7 @@ def ground_state(spec, policy="symmetric"):
     sectors, masks, eigs = _sector_blocks(H, sym)
     levels = _levels(sectors, eigs)
     w = np.sort(np.concatenate([wb for wb, _ in eigs]))
-    ground_tol = DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
-    counts = [int(np.count_nonzero(wb - w[0] <= ground_tol)) for wb, _ in eigs]
+    counts = [int(np.count_nonzero(wb - w[0] <= levels[2])) for wb, _ in eigs]
     g = sum(counts)
     if spec.n <= FULL_SOLVE_MAX_N:  # the vectors whose rounding the 6-site outputs pin
         V = herm_eig(H)[1][:, :g]
@@ -362,5 +362,5 @@ __all__ = [
     "sector_energies", "pick_sector", "ground_state",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
-    "DEGENERACY_TOL_FACTOR", "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",
+    "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",
 ]

@@ -14,8 +14,8 @@ instead of read off the symmetry sectors it lies in.
 import numpy as np
 
 from spinphase.errors import NumericalError
-from spinphase.models import (DEGENERACY_TOL_FACTOR, TIE_TOL_FACTOR, build_hamiltonian,
-                              pick_sector, spin_parity_diagonal, symmetry_diagonal)
+from spinphase.models import (TIE_TOL_FACTOR, build_hamiltonian, pick_sector,
+                              spin_parity_diagonal, symmetry_diagonal)
 from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
 from spinphase.wigner import PAULI_BASIS, kernels
 
@@ -88,8 +88,8 @@ def symmetric_by_rotation(spec):
     """
     H = build_hamiltonian(spec)
     w, v = herm_eig(H)
-    spread = float(w[-1] - w[0])
-    g = int(np.sum(w - w[0] <= DEGENERACY_TOL_FACTOR * max(spread, 1.0)))
+    tol = TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
+    g = int(np.sum(w - w[0] <= tol))
     V = v[:, :g]
     sym = symmetry_diagonal(spec)
     block = V.conj().T @ (sym[:, None] * V)
@@ -97,7 +97,7 @@ def symmetric_by_rotation(spec):
     vecs = [V @ rot[:, k] for k in range(g)]
     sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
     energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
-    return vecs[pick_sector(sectors, energies, TIE_TOL_FACTOR * max(spread, 1.0))][:, None]
+    return vecs[pick_sector(sectors, energies, tol)][:, None]
 
 
 def state_parity(state, n):

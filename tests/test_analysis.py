@@ -338,14 +338,18 @@ class TestSectorCrossings:
                   pytest.approx(1.3385, abs=1e-4), pytest.approx(1.9942, abs=1e-4)])
 
     def test_isotropic_ferro_point_picks_the_top_sector(self):
-        spec = ModelSpec(family="xxz", n=6, delta=-1.0)
-        sectors, energies, tol = sector_energies(spec)
-        assert np.ptp(energies[[sectors.index(s) for s in (-3.0, 0.0, 3.0)]]) <= tol
-        assert sectors[pick_sector(sectors, energies, tol)] == 3.0
-        gs = ground_state(spec)
-        assert gs.degeneracy == 7
-        sz = float(total_sz_diagonal(6) @ np.sum(np.abs(gs.state) ** 2, axis=1))
-        assert sz == pytest.approx(3.0, abs=1e-12)
+        # an even ring's ground space is the spin-n/2 multiplet, one level in each of
+        # the n + 1 sectors; an odd ring is frustrated and keeps the two aligned states
+        for n in range(2, 11):
+            spec = ModelSpec(family="xxz", n=n, delta=-1.0)
+            sectors, energies, tol = sector_energies(spec)
+            tied = [s for s, e in zip(sectors, energies) if e - min(energies) <= tol]
+            assert tied == (list(sectors) if n % 2 == 0 else [-n / 2, n / 2]), n
+            assert sectors[pick_sector(sectors, energies, tol)] == n / 2
+            gs = ground_state(spec)
+            assert gs.degeneracy == len(tied), n
+            sz = float(total_sz_diagonal(n) @ np.sum(np.abs(gs.state) ** 2, axis=1))
+            assert sz == pytest.approx(n / 2, abs=1e-12), n
 
     def test_pick_sector_rule(self):
         # lowest energy wins; within tol the most positive sector; equal sectors, the first

@@ -380,7 +380,7 @@ class TestOneSpectrum:
             H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
             blocks = [np.linalg.eigh(H[np.ix_(sym == s, sym == s)])[0] for s in np.unique(sym)]
             w = np.sort(np.concatenate(blocks))
-            tol = models.DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
+            tol = models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
             g = sum(int(np.sum(wb - w[0] <= tol)) for wb in blocks)
             for policy in models.POLICIES:
                 try:
@@ -391,6 +391,35 @@ class TestOneSpectrum:
                 assert gs.energy == min(gs.levels[1]), (spec, policy)
                 assert gs.gap == w[1] - w[0], (spec, policy)
                 assert gs.degeneracy == g, (spec, policy)
+
+    @pytest.mark.parametrize("n", [6, 7])  # the complex full solve and the block path
+    @pytest.mark.parametrize("offset", [0.0, 1e-8, -1e-8, 1e-9, 1e-10])
+    def test_degenerate_exactly_when_the_gap_is_a_tie(self, n, offset):
+        # next to the first parity crossing the gap is resolved, 4.5e-11 at n = 6 and
+        # lambda_f + 1e-10, and one tolerance decides the degeneracy and the sector tie
+        spec = ModelSpec(family="xy", n=n, lam=xy_factorization_point(0.5) + offset, gamma=0.5)
+        results = {}
+        for policy in models.POLICIES:
+            try:
+                gs = ground_state(spec, policy)
+            except PolicyError:
+                assert policy == "aligned_up", offset
+                continue
+            assert (gs.degeneracy > 1) == (gs.gap <= gs.levels[2]), policy
+            results[policy] = gs
+        sym, mix = results["symmetric"], results["mixture"]
+        assert (mix.degeneracy > 1) == (offset == 0.0)
+        if mix.degeneracy == 1:  # one unique ground state, whatever the policy
+            assert mix.parity == sym.parity is not None
+            for sites in ((1,), (1, 2), tuple(range(1, n + 1))):
+                values = equal_angle_values([sym.state, mix.state], sites, 0.7, 1.1)
+                assert np.array_equal(values[0], values[1]), sites
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exact_degeneracies_count_under_the_tie_tolerance(self, n):
+        # exact degeneracies split by rounding alone, far below 1e-12 x range
+        assert ground_state(ModelSpec(family="ti", n=n, lam=0.0, h=0.0)).degeneracy == 2**n
+        assert ground_state(ModelSpec(family="ti", n=n, lam=1.0, h=0.0)).degeneracy == 2
 
 
 def block_solve_specs():
@@ -429,7 +458,7 @@ class TestBlockSolve:
         n, dim = spec.n, 2**spec.n
         assert n > models.FULL_SOLVE_MAX_N
         w, v = herm_eig(build_hamiltonian(spec))
-        g = int(np.sum(w - w[0] <= models.DEGENERACY_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)))
+        g = int(np.sum(w - w[0] <= models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)))
         up = all_up_vector(n)
         up_in_space = np.linalg.norm(v[:, :g].conj().T @ up) >= 1.0 - 1e-8
         eighs = []
@@ -550,8 +579,9 @@ class TestFactorization:
         # the two lowest opposite-parity levels touch at the factorization coupling
         gamma = 0.5
         lam_f = xy_factorization_point(gamma)
-        gs = ground_state(ModelSpec(family="xy", n=6, lam=lam_f, gamma=gamma))
-        assert gs.degeneracy == 2
+        for n in range(2, 11):
+            gs = ground_state(ModelSpec(family="xy", n=n, lam=lam_f, gamma=gamma))
+            assert gs.degeneracy == 2, n
 
 
 class TestMemoryGuard:
