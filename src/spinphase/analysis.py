@@ -8,8 +8,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .models import (ModelSpec, ground_state, pick_sector, sector_energies,
-                     xy_factorization_angle, xy_factorization_point)
+from . import models
+from .models import (ModelSpec, pick_sector, sector_energies, xy_factorization_angle,
+                     xy_factorization_point)
 from .qcore import label_name, validate_label, validate_labels
 from .wigner import SQRT3, check_angles, equal_angle_values
 
@@ -98,14 +99,16 @@ class CriticalPoint:
 
 
 def ground_states(cfg):
-    """Yield (param, ground state per the sweep's policy) along the grid of `cfg`;
-    a policy failure is re-raised with the offending parameter value."""
-    for value in cfg.params:
-        spec = cfg.spec.with_param(value)
+    """Yield (param, ground state per the sweep's policy) along the grid of `cfg`,
+    from the stacked solve `models.ground_states`; a policy failure is re-raised
+    with the offending parameter value."""
+    params = cfg.params
+    results = models.ground_states(cfg.spec, params, cfg.policy)
+    for value in params:
         try:
-            gs = ground_state(spec, policy=cfg.policy)
+            gs = next(results)
         except PolicyError as exc:
-            raise PolicyError(f"{exc} (at {spec.sweep_param} = {value:.6g})") from exc
+            raise PolicyError(f"{exc} (at {cfg.spec.sweep_param} = {value:.6g})") from exc
         yield value, gs
 
 

@@ -14,6 +14,12 @@ solved by one real `eigh`, which gives the sector levels and the whole
 spectrum at every n. Up to FULL_SOLVE_MAX_N sites the ground-space vectors
 come from the complex solve of the full H, whose rounding the recorded 6-site
 outputs pin; longer chains take them from the blocks too.
+
+A sweep is one stacked solve: `ground_states` builds a chunk of grid points'
+Hamiltonians as one (p, 2^n, 2^n) stack, with chunks of
+max(1, CHUNK_BYTES // (32 x 4^n)) points, and solves every block over the
+stack in one call. `ground_state`, `sector_energies` and `build_hamiltonian`
+are its one-point case, so there is one solver path.
 """
 
 import math
@@ -25,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, NumericalError, PolicyError
-from .qcore import all_up_vector, herm_eig
+from .qcore import CHUNK_BYTES, all_up_vector, herm_eig
 
 FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
@@ -92,7 +98,14 @@ def dense_working_set(n):
     slice, LAPACK's copy, workspace and result (10), and the ground-space factor
     and the state built from it (16 when every level is a ground level); plus an
     allowance for the BLAS and LAPACK buffers, which also holds the complex full
-    solve of at most FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB)."""
+    solve of at most FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB).
+
+    A sweep's chunk of p > 1 points (`ground_states`) never exceeds it: p > 1
+    only while p x 32 x 4^n <= CHUNK_BYTES (n <= 7), so the whole chunk's
+    stacked arrays, at most (38 + 88) x 4^n bytes a point, stay under
+    4 x CHUNK_BYTES (4 MiB), inside the allowance; from n = 8 up a chunk is
+    one point, solved as `ground_state` solves it, and the previous chunk's
+    arrays are freed before the next is built."""
     return 38 * 4**n + _LIBRARY_BUFFERS
 
 
@@ -112,39 +125,49 @@ def _z_signs(n):
     return np.array([1.0 - 2.0 * ((rows >> (n - i)) & 1) for i in range(1, n + 1)])
 
 
-def build_hamiltonian(spec):
-    """Dense real Hamiltonian of the chain described by `spec`.
+def _sweep_value(spec):
+    return spec.delta if spec.family == "xxz" else spec.lam
+
+
+def _build(spec, values, z):
+    """Stack (len(values), 2^n, 2^n) of the real Hamiltonians of `spec` with its
+    sweep parameter (lam, or delta for xxz) at each of `values`; `z` is `_z_signs(n)`.
 
     Built on the basis index: site i (1-based, site 1 the leftmost tensor
     factor) is bit n - i, set for a down spin. Bond (i, j) maps row b to
     column b ^ (1 << (n-i) | 1 << (n-j)); sigma_x sigma_x is +1 there, and
     sigma_y sigma_y is -1 when the two bits are equal and +1 when they differ.
     Every entry gets the same float operations, in the same bond order, as
-    the Kronecker-product construction, so the result equals that matrix's
+    the Kronecker-product construction, so each matrix equals that matrix's
     real part bit for bit (its imaginary part is zero).
     """
     n = spec.n
-    dim = 2**n
-    rows = np.arange(dim)
-    z = _z_signs(n)
-    H = np.zeros((dim, dim))
-    diag = np.zeros(dim)
+    rows = np.arange(2**n)
+    values = np.asarray(values, dtype=float)[:, None]
+    H = np.zeros((len(values), 2**n, 2**n))
+    diag = np.zeros((len(values), 2**n))
     for i, j in _bond_pairs(n):
         cols = rows ^ (1 << (n - i) | 1 << (n - j))
         zz = z[i - 1] * z[j - 1]
         if spec.family == "ti":
-            H[rows, cols] -= spec.lam
+            H[:, rows, cols] -= values
         elif spec.family == "xy":
-            H[rows, cols] -= spec.lam / 2 * (1 + spec.gamma)
-            H[rows, cols] -= spec.lam / 2 * (1 - spec.gamma) * -zz
+            H[:, rows, cols] -= values / 2 * (1 + spec.gamma)
+            H[:, rows, cols] -= values / 2 * (1 - spec.gamma) * -zz
         else:
-            H[rows, cols] += spec.j / 4 * (1.0 - zz)
-            diag += spec.j / 4 * (0.0 + spec.delta * zz)
+            H[:, rows, cols] += spec.j / 4 * (1.0 - zz)
+            diag += spec.j / 4 * (0.0 + values * zz)
     if spec.family != "xxz":
         for zi in z:
             diag -= spec.h * zi
-    H[rows, rows] = diag
+    H[:, rows, rows] = diag
     return H
+
+
+def build_hamiltonian(spec):
+    """Dense real Hamiltonian of the chain described by `spec`: the one-point
+    stack of `_build`, which a sweep's chunks are built by."""
+    return _build(spec, [_sweep_value(spec)], _z_signs(spec.n))[0]
 
 
 def spin_parity_diagonal(n):
@@ -183,18 +206,42 @@ class GroundStateResult:
     levels: tuple  # (sectors, energies, tol) of `sector_energies`
 
 
-def _sector_blocks(H, sym):
-    """(sectors, masks, eigs): the values of `sym` in increasing order, the rows
-    of each, and the real `eigh` (w, v) of each one's block of H."""
-    sectors = np.unique(sym)
-    masks = [sym == s for s in sectors]
-    return sectors, masks, [np.linalg.eigh(H[np.ix_(m, m)]) for m in masks]
+@dataclass(frozen=True)
+class _Basis:
+    """What a sweep computes once: the z signs, the values of
+    `symmetry_diagonal` in increasing order (the sectors), each sector's basis
+    indices and spin parity, and the position of the all-up state's sector."""
+
+    z: np.ndarray
+    sectors: tuple
+    index: list
+    parity: list
+    up: int
+
+    @classmethod
+    def of(cls, spec):
+        z = _z_signs(spec.n)
+        parity = np.prod(z, axis=0)  # spin_parity_diagonal
+        sym = np.sum(z, axis=0) / 2 if spec.family == "xxz" else parity  # symmetry_diagonal
+        sectors = np.unique(sym)
+        index = [np.flatnonzero(sym == s) for s in sectors]
+        return cls(z, tuple(float(s) for s in sectors), index,
+                   [int(parity[i[0]]) for i in index], int(np.searchsorted(sectors, sym[0])))
 
 
-def _levels(sectors, eigs):
-    spread = max(w[-1] for w, _ in eigs) - min(w[0] for w, _ in eigs)
-    return (tuple(float(s) for s in sectors), np.array([w[0] for w, _ in eigs]),
-            TIE_TOL_FACTOR * max(float(spread), 1.0))
+def _solve(spec, values, basis):
+    """The stacked H at `values` and the real `eigh` (w, v) of each symmetry
+    block, one call per block over the stack."""
+    H = _build(spec, values, basis.z)
+    return H, [np.linalg.eigh(H[:, i[:, None], i]) for i in basis.index]
+
+
+def _levels(basis, eigs):
+    """Per point of a stacked solve, the (sectors, energies, tol) of `sector_energies`."""
+    lows = np.stack([w[:, 0] for w, _ in eigs], axis=1)
+    spread = np.max([w[:, -1] for w, _ in eigs], axis=0) - lows.min(axis=1)
+    tols = TIE_TOL_FACTOR * np.maximum(spread, 1.0)
+    return [(basis.sectors, low, float(tol)) for low, tol in zip(lows, tols)]
 
 
 def sector_energies(spec):
@@ -202,8 +249,8 @@ def sector_energies(spec):
     ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
     max(spectral range, 1). Returns (sectors, energies, tol) with the sector
     values in increasing order."""
-    sectors, _, eigs = _sector_blocks(build_hamiltonian(spec), symmetry_diagonal(spec))
-    return _levels(sectors, eigs)
+    basis = _Basis.of(spec)
+    return _levels(basis, _solve(spec, [_sweep_value(spec)], basis)[1])[0]
 
 
 def pick_sector(sectors, energies, tol):
@@ -219,7 +266,8 @@ def pick_sector(sectors, energies, tol):
 
 
 def ground_state(spec, policy="symmetric"):
-    """Ground state of the chain with a symmetry-respecting degeneracy policy.
+    """Ground state of the chain with a symmetry-respecting degeneracy policy:
+    the one-point case of `ground_states`.
 
     H is built once and each of its real symmetry blocks is solved once; their
     lowest levels are `levels`, the triple of `sector_energies`, and the sorted
@@ -238,40 +286,68 @@ def ground_state(spec, policy="symmetric"):
     `parity` is the spin parity shared by the sectors the state lies in (the
     picked one, the all-up one, or each with a ground level), else None.
     """
+    return next(ground_states(spec, [_sweep_value(spec)], policy))
+
+
+def ground_states(spec, values, policy="symmetric"):
+    """Yield the `ground_state` of `spec` with its sweep parameter (lam, or delta
+    for xxz) at each of `values`, in order, each result as it is reached.
+
+    The grid is built and solved in chunks of max(1, CHUNK_BYTES // (32 x 4^n))
+    points (8 at n = 6, 1 from n = 8 up): one stacked H, one `eigh` per symmetry
+    block over the stack and, up to FULL_SOLVE_MAX_N sites, one `herm_eig` over
+    it, with the same float operations as a one-point solve, so every result
+    equals that point's own `ground_state` bit for bit. A chunk's arrays are
+    released before the next chunk is built. A policy failure is raised at its
+    own point, after the points before it are yielded.
+    """
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
-    H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
-    sectors, masks, eigs = _sector_blocks(H, sym)
-    levels = _levels(sectors, eigs)
-    w = np.sort(np.concatenate([wb for wb, _ in eigs]))
-    counts = [int(np.count_nonzero(wb - w[0] <= levels[2])) for wb, _ in eigs]
-    g = sum(counts)
-    if spec.n <= FULL_SOLVE_MAX_N:  # the vectors whose rounding the 6-site outputs pin
-        V = herm_eig(H)[1][:, :g]
-    else:  # each sector's ground columns, embedded
-        V, c = np.zeros((len(sym), g)), 0
-        for m, r, (_, vb) in zip(masks, counts, eigs):
-            V[m, c:c + r] = vb[:, :r]
-            c += r
+    basis = _Basis.of(spec)
+    values = np.asarray(values, dtype=float)
+    size = max(1, CHUNK_BYTES // (32 * 4**spec.n))
+    for start in range(0, len(values), size):
+        yield from _chunk_ground_states(spec, values[start:start + size], policy, basis)
 
-    if g == 1 or policy == "mixture":
-        state = V / np.sqrt(g)
-        held = [s for s, r in zip(sectors, counts) if r]
-    elif policy == "aligned_up":
-        overlap = float(np.linalg.norm(V[0]))  # basis index 0 is the all-up state
-        if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
-            raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
-                              f"(projection norm {overlap:.6f})")
-        state = all_up_vector(spec.n)[:, None]
-        held = [sym[0]]
-    else:
-        k = pick_sector(*levels)
-        held = [levels[0][k]]
-        state = np.where(masks[k][:, None], V, 0.0)
-        state /= np.linalg.norm(state)
-    parity = {int(spin_parity_diagonal(spec.n)[sym == s][0]) for s in held}
-    return GroundStateResult(float(w[0]), g, state, parity.pop() if len(parity) == 1 else None,
-                             float(w[1] - w[0]), levels)
+
+def _chunk_ground_states(spec, values, policy, basis):
+    """`ground_states` of one chunk; its arrays die with this generator."""
+    H, eigs = _solve(spec, values, basis)
+    spectra = np.sort(np.concatenate([w for w, _ in eigs], axis=1), axis=1)
+    levels = _levels(basis, eigs)
+    tols = np.array([level[2] for level in levels])[:, None]
+    counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1) for w, _ in eigs],
+                      axis=1)
+    full = herm_eig(H)[1] if spec.n <= FULL_SOLVE_MAX_N else None  # vectors the 6-site outputs pin
+    for p, (w, level, count) in enumerate(zip(spectra, levels, counts.tolist())):
+        g = sum(count)
+        if full is not None:
+            V = full[p][:, :g]
+        else:  # each sector's ground columns, embedded
+            V, c = np.zeros((H.shape[1], g)), 0
+            for rows, r, (_, vb) in zip(basis.index, count, eigs):
+                V[rows, c:c + r] = vb[p][:, :r]
+                c += r
+
+        if g == 1 or policy == "mixture":
+            state = V / np.sqrt(g)
+            held = [b for b, r in enumerate(count) if r]
+        elif policy == "aligned_up":
+            overlap = float(np.linalg.norm(V[0]))  # basis index 0 is the all-up state
+            if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
+                raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
+                                  f"(projection norm {overlap:.6f})")
+            state = all_up_vector(spec.n)[:, None]
+            held = [basis.up]
+        else:
+            k = pick_sector(*level)
+            held = [k]
+            state = np.zeros_like(V)
+            state[basis.index[k]] = V[basis.index[k]]
+            state /= np.linalg.norm(state)
+        parity = {basis.parity[b] for b in held}
+        yield GroundStateResult(float(w[0]), g, state, parity.pop() if len(parity) == 1 else None,
+                                float(w[1] - w[0]), level)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +435,7 @@ def xy_factorization_angle(gamma):
 __all__ = [
     "FAMILIES", "POLICIES", "ModelSpec", "GroundStateResult", "build_hamiltonian",
     "spin_parity_diagonal", "staggered_flip_diagonal", "total_sz_diagonal", "symmetry_diagonal",
-    "sector_energies", "pick_sector", "ground_state",
+    "sector_energies", "pick_sector", "ground_state", "ground_states",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
     "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",

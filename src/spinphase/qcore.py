@@ -5,11 +5,14 @@ Conventions used throughout the package:
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
   * the Pauli matrices are complex 2 x 2 arrays; the chain Hamiltonians are
     real dense arrays of dimension 2^n and a symmetry is its diagonal (see
-    `models`); `herm_eig` solves a complex Hermitian matrix, which `models`
-    does only for the ground vectors of a short chain's full H,
+    `models`); `herm_eig` solves a complex Hermitian matrix or a stack of
+    them, which `models` does only for the ground vectors of a short chain's
+    full H,
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger, and
     n is read off its rows: a pure state is one column (a 1-D vector is the
-    r = 1 case), a mixture one column per weighted component.
+    r = 1 case), a mixture one column per weighted component,
+  * stacked work (a sweep's Hamiltonians and solves in `models`, a chunk's
+    densities in `wigner`) is sized in chunks from the one budget CHUNK_BYTES.
 """
 
 import numpy as np
@@ -21,6 +24,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+CHUNK_BYTES = 2**20  # working set of one chunk of stacked matrices, in both layers
+
 
 def n_sites(dim):
     """Number of qubits for a Hilbert-space dimension; rejects non powers of 2."""
@@ -31,16 +36,17 @@ def n_sites(dim):
 
 
 def herm_eig(a):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack (..., m, m).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and the
     eigenvector columns orthonormal. Each column's phase is fixed by making
     its largest-magnitude component real and positive, so results are
-    deterministic across runs. Hermiticity is not checked: `eigh` reads only
-    the lower triangle.
+    deterministic across runs; a stack gives, matrix by matrix, what each
+    matrix alone gives. Hermiticity is not checked: `eigh` reads only the
+    lower triangle.
     """
     w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
-    ph = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    ph = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
     mag = np.hypot(ph.real, ph.imag)  # as abs() of one scalar; np.abs on arrays rounds otherwise
     keep = mag > 0
     np.multiply(v, ph.conj() / np.where(keep, mag, 1.0), out=v, where=keep)
@@ -108,10 +114,13 @@ def reduced_factor(state, keep):
     """Factor M, Tr_rest[A A^dagger] = M M^dagger, of the reduced state on the sites
     in `keep` (1-based, increasing) of a factor A whose 2^n rows give n: the kept
     sites' axes of A move to the front and the rest fold into the columns, which
-    M M^dagger sums over."""
+    M M^dagger sums over. A stack (q, 2^n, r) of same-shape factors gives the
+    stack (q, 2^k, -1) of their reduced factors, by one transpose."""
     state = np.asarray(state, dtype=complex)
-    n = n_sites(state.shape[0])
+    lead = max(state.ndim - 2, 0)  # a 1-D vector or a (2^n, r) factor has no stack axis
+    n = n_sites(state.shape[lead])
     keep = validate_label(keep, n)
     rest = [i for i in range(n + 1) if i + 1 not in keep]  # axis n is the columns
-    t = state.reshape((2,) * n + (-1,)).transpose([s - 1 for s in keep] + rest)
-    return t.reshape(2 ** len(keep), -1)
+    t = state.reshape(state.shape[:lead] + (2,) * n + (-1,))
+    t = t.transpose([*range(lead), *(lead + s - 1 for s in keep), *(lead + i for i in rest)])
+    return t.reshape(state.shape[:lead] + (2 ** len(keep), -1))

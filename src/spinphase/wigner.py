@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                    reduced_factor)
+from .qcore import (CHUNK_BYTES, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector,
+                    basis_vector, reduced_factor)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -31,7 +31,6 @@ PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 KERNEL_EIG_HI = 0.5 * (1.0 + SQRT3)
 KERNEL_EIG_LO = 0.5 * (1.0 - SQRT3)
 
-CHUNK_BYTES = 2**20  # working set of one evaluator chunk: densities, or what is left of them
 ANGLE_SLACK = 1e-9
 
 
@@ -83,9 +82,12 @@ def wigner_values(states, sites, site_kernels):
     rho = M M^dagger of the reduced factor is laid out with each site's (row,
     column) index pair adjacent, so one matmul per site sums that pair against
     the site's transposed kernel. The densities, and the rest the first site
-    leaves of them, are formed in chunks of about CHUNK_BYTES.
+    leaves of them, are formed in chunks of about CHUNK_BYTES; a chunk's
+    consecutive same-shape states are reduced as one stack of at most
+    CHUNK_BYTES, by one transpose and one batched matmul.
     """
-    sites, states, site_kernels = tuple(sites), list(states), list(map(np.asarray, site_kernels))
+    sites, site_kernels = tuple(sites), list(map(np.asarray, site_kernels))
+    states = [np.asarray(state).reshape(len(state), -1) for state in states]  # 1-D: one column
     k = len(sites)
     if not k:
         raise ValueError("a Wigner value needs at least one site")
@@ -102,9 +104,10 @@ def wigner_values(states, sites, site_kernels):
     for s0 in range(0, len(states), per_stack):
         chunk = states[s0:s0 + per_stack]
         rho = np.empty((len(chunk),) + (2,) * (2 * k), dtype=complex)
-        for row, state in zip(rho, chunk):
-            m = reduced_factor(state, sites)
-            row[...] = (m @ m.conj().T).reshape((2,) * (2 * k)).transpose(order)
+        for a, b in _same_shape_runs(chunk):
+            m = reduced_factor(np.array(chunk[a:b], dtype=complex), sites)
+            rho[a:b] = (m @ m.conj().swapaxes(1, 2)).reshape(rho[a:b].shape).transpose(
+                [0, *(1 + axis for axis in order)])
         step = max(1, CHUNK_BYTES // (rho.nbytes // 4))
         for p0 in range(0, values.shape[1], step):
             out = rho.reshape(len(chunk), 1, -1)
@@ -112,6 +115,19 @@ def wigner_values(states, sites, site_kernels):
                 out = (kt[p0:p0 + step] @ out.reshape(*out.shape[:2], 4, -1))[..., 0, :]
             values[s0:s0 + len(chunk), p0:p0 + step] = out[..., 0].real
     return values
+
+
+def _same_shape_runs(states):
+    """(a, b) runs of consecutive states of one 2-D shape, each of at most
+    CHUNK_BYTES as complex (at least one state)."""
+    a = 0
+    while a < len(states):
+        shape, b = states[a].shape, a + 1
+        per_run = max(1, CHUNK_BYTES // (16 * states[a].size))
+        while b < len(states) and b - a < per_run and states[b].shape == shape:
+            b += 1
+        yield a, b
+        a = b
 
 
 def equal_angle_values(states, sites, thetas, phis):

@@ -192,6 +192,17 @@ class TestAnimate:
         assert not (out / "frame_0000").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_policy_failure_inside_a_chunk_is_raised_at_its_own_point(self, tmp_path, capsys):
+        # the three points are one stacked chunk; lambda = 0 (h = 0) is fully degenerate
+        # and holds the all-up state, so its frame is written before lambda = 0.05 fails
+        out = tmp_path / "anim"
+        args = ["animate", "--model", "ti", "--n", "4", "--h", "0", "--policy", "aligned-up",
+                "--param-start", "0", "--param-stop", "0.1", "--param-step", "0.05",
+                "--labels", "1", "--out", str(out)]
+        assert run_cli(args) == 3
+        assert "(at lambda = 0.05)" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["frame_0000"]
+
     def test_pole_value_flips_sign_across_factorization(self, tmp_path):
         out = tmp_path / "anim"
         args = ["animate", "--model", "xy", "--gamma", "0.5", "--param-start", "1.10",
@@ -286,8 +297,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("point", [["--phase-theta", "4"], ["--phase-phi", "nan"]])
     def test_bad_phase_point_exits_2_before_any_solve(self, point, monkeypatch, tmp_path):
         solves = []
-        real = analysis.ground_state
-        monkeypatch.setattr(analysis, "ground_state",
+        real = analysis.models.ground_states  # the stacked solve every sweep walks
+        monkeypatch.setattr(analysis.models, "ground_states",
                             lambda *args, **kwargs: solves.append(args) or real(*args, **kwargs))
         argv = ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "1",
                 "--param-step", "0.1", *point, "--out", str(tmp_path / "x")]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dense_oracles import density, embed, kron_all, state_parity, symmetric_by_rotation
 
 from spinphase import models
+from spinphase.analysis import grid_values
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
                               pick_sector, sector_energies, spin_parity_diagonal,
@@ -352,9 +353,10 @@ class TestSymmetricPolicy:
                         assert gs.state.shape[1] == degeneracy
                         assert np.linalg.matrix_rank(gs.state) == (
                             rank if policy == "symmetric" else degeneracy)
-                real = [a for a in calls if a.dtype == np.float64 and a.shape[0] < dim]
-                solved = [a for a in calls if a.dtype == complex and a.shape == (dim, dim)]
-                assert len(real) == blocks and sum(a.shape[0] for a in real) == dim, policy
+                # a stacked input's first axis counts points: its last is the matrix size
+                real = [a for a in calls if a.dtype == np.float64 and a.shape[-1] < dim]
+                solved = [a for a in calls if a.dtype == complex and a.shape[-2:] == (dim, dim)]
+                assert len(real) == blocks and sum(a.shape[-1] for a in real) == dim, policy
                 assert len(solved) == full and len(calls) == blocks + full, policy
 
     def test_zero_hamiltonian_is_the_parity_even_mixture(self):
@@ -493,7 +495,99 @@ class TestBlockSolve:
                 for theta, phi in self.POINTS:
                     ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
-        assert all(a.dtype == np.float64 and a.shape[0] < dim for a in eighs)
+        assert all(a.dtype == np.float64 and a.shape[-1] < dim for a in eighs)  # last axis: size
+
+
+def assert_same_result(got, want):
+    """Two ground-state results equal bit for bit, signed zeros included."""
+    assert got.state.dtype == want.state.dtype and got.state.shape == want.state.shape
+    assert got.state.tobytes() == want.state.tobytes()
+    assert (got.energy, got.gap, got.degeneracy, got.parity) == \
+        (want.energy, want.gap, want.degeneracy, want.parity)
+    assert got.levels[0] == want.levels[0] and got.levels[2] == want.levels[2]
+    assert got.levels[1].tobytes() == want.levels[1].tobytes()
+
+
+STACKED_GRIDS = {  # (spec, start, stop, step, policy)
+    # Delta = -1 hits the grid: states of 1, 2 and 7 columns in one sweep
+    "xxz-n6-symmetric": (ModelSpec(family="xxz"), -1.5, 1.5, 0.05, "symmetric"),
+    "xxz-n6-aligned": (ModelSpec(family="xxz"), -2.0, -0.5, 0.05, "aligned_up"),
+    "xy-n6-mixture": (ModelSpec(family="xy", gamma=0.5), 0.0, 2.0, 0.05, "mixture"),
+    "ti-n6-h0": (ModelSpec(family="ti", h=0.0), 0.0, 1.0, 0.1, "symmetric"),
+    # three parity crossings, the first at the factorization point
+    "xy-n9-symmetric": (ModelSpec(family="xy", n=9, gamma=0.5), 1.1, 1.8, 0.05, "symmetric"),
+    "xxz-n7-mixture": (ModelSpec(family="xxz", n=7), -2.0, 3.0, 0.25, "mixture"),
+}
+
+
+class TestStackedSolve:
+    """A sweep's Hamiltonians are built and solved as stacks, in chunks of
+    CHUNK_BYTES // (32 x 4^n) points; every result equals its point's own
+    one-point solve bit for bit, whatever the chunk."""
+
+    @pytest.mark.parametrize("name", STACKED_GRIDS)
+    def test_grid_matches_the_one_point_solves(self, name, monkeypatch):
+        spec, start, stop, step, policy = STACKED_GRIDS[name]
+        grid = grid_values(start, stop, step)
+        want = [ground_state(spec.with_param(value), policy) for value in grid]
+        per_point = 32 * 4**spec.n
+        for chunk_bytes in (models.CHUNK_BYTES, 0, per_point * len(grid)):  # default, 1, all
+            monkeypatch.setattr(models, "CHUNK_BYTES", chunk_bytes)
+            got = list(models.ground_states(spec, grid, policy))
+            assert len(got) == len(grid)
+            for g, w in zip(got, want):
+                assert_same_result(g, w)
+        if name == "xxz-n6-symmetric":
+            assert {w.state.shape[1] for w in want} == {1, 2, 7}
+        if name == "xy-n9-symmetric":
+            picked = [pick_sector(*w.levels) for w in want]
+            assert sum(a != b for a, b in zip(picked, picked[1:])) == 3
+
+    def test_chunk_sizes(self, monkeypatch):
+        sizes = []
+        build = models._build
+        monkeypatch.setattr(models, "_build", lambda spec, values, z: sizes.append(len(values))
+                            or build(spec, values, z))
+        for n, chunks in ((6, [8, 8, 4]), (7, [2] * 10), (8, [1] * 20)):
+            sizes.clear()
+            assert len(list(models.ground_states(ModelSpec(family="ti", n=n),
+                                                 np.linspace(0.5, 1.5, 20)))) == 20
+            assert sizes == chunks, n
+
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_stacked_build_matches_the_one_point_build_and_the_kron_oracle(self, family, n):
+        spec = ModelSpec(family=family, n=n, h=0.3, gamma=0.4, j=-0.7)
+        values = [-1.3, 0.0, 0.45, 2.0]
+        stack = models._build(spec, values, models._z_signs(n))
+        assert stack.shape == (len(values), 2**n, 2**n) and stack.dtype == np.float64
+        for h, value in zip(stack, values):
+            one = spec.with_param(value)
+            assert h.tobytes() == build_hamiltonian(one).tobytes()
+            assert np.asarray(h, dtype=complex).tobytes() == kron_hamiltonian(one).tobytes()
+
+    def test_stacked_herm_eig_matches_each_matrix(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+        spec = ModelSpec(family="xxz")  # degenerate levels at delta = -1
+        for stack in (a + a.conj().swapaxes(1, 2),
+                      np.array([build_hamiltonian(spec.with_param(d)) for d in (-2, -1, 0.5, 1)])):
+            w, v = herm_eig(stack)
+            for k, matrix in enumerate(stack):
+                wk, vk = herm_eig(matrix)
+                assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
+            # the phase fix: each column's largest-magnitude entry is real and positive
+            top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None, :], axis=1)
+            assert max_norm(top.imag) < 1e-15 and np.all(top.real > 0)
+
+    def test_policy_failure_is_raised_at_its_own_point(self):
+        # at h = 0 the all-up state leaves the ground space once lambda > 0; the
+        # three points share one chunk, and the first is yielded before the failure
+        spec = ModelSpec(family="ti", n=4, h=0.0)
+        results = models.ground_states(spec, [0.0, 0.05, 0.1], "aligned_up")
+        assert next(results).degeneracy == 16
+        with pytest.raises(PolicyError, match="all-up state not in the ground space"):
+            next(results)
 
 
 class TestParity:
@@ -602,18 +696,26 @@ class TestMemoryGuard:
                 "def peak():\n"
                 "    with open('/proc/self/status') as fh:\n"
                 "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
-                "n, lam, h, policy = sys.argv[1:]\n"
+                "n, lam, h, policy = sys.argv[1:5]\n"
                 "spec = models.ModelSpec(family='ti', n=int(n), lam=float(lam), h=float(h))\n"
                 "before = peak()\n"
-                "models.ground_state(spec, policy)\n"
+                "if sys.argv[5:]:  # a sweep: kept results, as `sweep` keeps them\n"
+                "    kept = list(models.ground_states(spec, [float(v) for v in sys.argv[5:]], policy))\n"
+                "else:\n"
+                "    models.ground_state(spec, policy)\n"
                 "print(peak() - before)\n")
         src = os.path.dirname(os.path.dirname(models.__file__))
-        for n, lam, h, policy in ((10, 1.0, 1.0, "symmetric"), (11, 1.0, 1.0, "symmetric"),
-                                  (10, 0.0, 0.0, "mixture")):
-            out = subprocess.run([sys.executable, "-c", code, str(n), str(lam), str(h), policy],
+        # the 3-point sweep solves one point per chunk at n = 10, and each chunk's
+        # arrays must be gone before the next is built
+        for n, lam, h, policy, *grid in ((10, 1.0, 1.0, "symmetric"),
+                                         (11, 1.0, 1.0, "symmetric"),
+                                         (10, 0.0, 0.0, "mixture"),
+                                         (10, 1.0, 1.0, "symmetric", 0.95, 1.0, 1.05)):
+            argv = [str(a) for a in (n, lam, h, policy, *grid)]
+            out = subprocess.run([sys.executable, "-c", code, *argv],
                                  capture_output=True, text=True, check=True,
                                  env=dict(os.environ, PYTHONPATH=src))
-            assert 0 < int(out.stdout) * 1024 <= dense_working_set(n), (n, lam, h)
+            assert 0 < int(out.stdout) * 1024 <= dense_working_set(n), argv
 
     def test_too_long_chain_is_config_error(self, monkeypatch):
         monkeypatch.setattr(models, "physical_memory", lambda: dense_working_set(6) - 1)
