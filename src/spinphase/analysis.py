@@ -2,10 +2,10 @@
 detection of their critical features: first-derivative extrema, and the
 symmetry-sector level crossings with the jumps of every label across them."""
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError, PolicyError
 from . import models
@@ -22,7 +22,7 @@ CANONICAL_LABELS_6 = (
 )
 
 EXTREMUM_NOISE_FLOOR = 1e-8
-CROSSING_BRACKET = 1e-8  # brentq xtol of a sector crossing in the parameter
+CROSSING_BRACKET = 1e-8  # absolute tolerance of a sector crossing's root in the parameter
 
 
 def grid_values(start, stop, step):
@@ -147,6 +147,14 @@ def _parabolic_vertex(x0, x1, x2, y0, y1, y2):
     return xv, yv
 
 
+def _median(values):
+    """`np.median` of a series without NaN, bit for bit, without the `numpy.ma`
+    import that the first `np.median` call makes."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def find_derivative_extrema(line, label):
     """Interior local extrema of the first-derivative series.
 
@@ -162,7 +170,7 @@ def find_derivative_extrema(line, label):
         raise NumericalError("derivative extrema need a series of at least 5 points")
     d = first_derivative(line, label)
     x = line.params
-    med = float(np.median(d))
+    med = _median(d)
     floor = EXTREMUM_NOISE_FLOOR * max(1.0, float(np.max(np.abs(y))))
     name = label_name(validate_label(label, line.config.spec.n), line.config.spec.n)
     steps = np.diff(d)
@@ -185,6 +193,59 @@ def find_derivative_extrema(line, label):
     return out
 
 
+def _brent_root(f, a, b):
+    """Root of f between a and b by Brent's method (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), as scipy's C `brentq`
+    does it with xtol CROSSING_BRACKET and its defaults, rtol 4 eps and 100
+    iterations: the same float operations in the same order, so the root and
+    every point f is evaluated at are that routine's, bit for bit.
+
+    Returns once f is 0 or the bracket's half-width is below
+    (xtol + rtol |x|) / 2 about the best point x; a zero at either end returns
+    that end. Ends of the same sign raise ValueError, and no convergence in
+    100 steps raises RuntimeError.
+    """
+    xtol, rtol = CROSSING_BRACKET, 4 * sys.float_info.epsilon
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre  # the bracket is [xcur, xblk]
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short interpolated step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations, "
+                       f"value is {xcur}")
+
+
 def find_sector_crossings(line):
     """Level crossings between the lowest levels of two symmetry sectors along
     the sweep, and the jump of every label across each of them.
@@ -192,7 +253,7 @@ def find_sector_crossings(line):
     At each grid point `pick_sector` names the ground sector from the sweep's
     `line.levels`. Where it changes, the crossing is the root of the two
     sectors' level difference E_b - E_a, found from `sector_energies` by Brent's
-    method (`scipy.optimize.brentq`) to CROSSING_BRACKET. If the two sectors tie
+    method (`_brent_root`) to CROSSING_BRACKET. If the two sectors tie
     within the tie tolerance at either end of the bracket, that end is an exact
     hit, located at the grid point without a root search, so the sign of
     rounding noise cannot move it. Each crossing gives a
@@ -216,13 +277,13 @@ def find_sector_crossings(line):
         if hits:
             loc, lo, hi = x[hits[0]], max(hits[0] - 1, 0), min(hits[0] + 1, len(x) - 1)
         else:  # a is picked at x_i, b at x_{i+1} and neither end ties, so E_b - E_a is > tol
-            # at x_i and < -tol at x_{i+1}; at those two ends brentq reads the sweep's levels
+            # at x_i and < -tol at x_{i+1}; at those two ends the root search reads the sweep's levels
             ends = {x[i]: levels[i][1], x[i + 1]: levels[i + 1][1]}
             def gap(value):
                 energies = (ends[value] if value in ends
                             else sector_energies(spec.with_param(value))[1])
                 return energies[b] - energies[a]
-            loc, lo, hi = brentq(gap, x[i], x[i + 1], xtol=CROSSING_BRACKET), i, i + 1
+            loc, lo, hi = _brent_root(gap, x[i], x[i + 1]), i, i + 1
         out.append(CriticalPoint(kind="sector_crossing", location=float(loc),
                                  magnitude=float(abs(gaps[1] - gaps[0]) / (x[i + 1] - x[i])),
                                  label="global", detail=f"{sectors[a]:g} -> {sectors[b]:g}"))

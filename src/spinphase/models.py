@@ -28,7 +28,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, NumericalError, PolicyError
 from .qcore import CHUNK_BYTES, all_up_vector, herm_eig
@@ -223,10 +222,10 @@ class _Basis:
         z = _z_signs(spec.n)
         parity = np.prod(z, axis=0)  # spin_parity_diagonal
         sym = np.sum(z, axis=0) / 2 if spec.family == "xxz" else parity  # symmetry_diagonal
-        sectors = np.unique(sym)
+        sectors = sorted(set(sym.tolist()))  # np.unique, without its numpy.ma import
         index = [np.flatnonzero(sym == s) for s in sectors]
-        return cls(z, tuple(float(s) for s in sectors), index,
-                   [int(parity[i[0]]) for i in index], int(np.searchsorted(sectors, sym[0])))
+        return cls(z, tuple(sectors), index, [int(parity[i[0]]) for i in index],
+                   sectors.index(sym[0]))
 
 
 def _solve(spec, values, basis):
@@ -374,6 +373,8 @@ def ti_classical_mz(lam):
 
 
 def _quad(f, lo, hi, what):
+    from scipy.integrate import quad  # here, so only the formulas pay for its import
+
     value, err = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=0.0, limit=QUAD_LIMIT)
     if err > 10 * QUAD_ABS_TOL:
         raise NumericalError(f"{what}: quadrature error estimate {err:.3e} exceeds tolerance")

@@ -40,8 +40,9 @@ def herm_eig(a):
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and the
     eigenvector columns orthonormal. Each column's phase is fixed by making
-    its largest-magnitude component real and positive, so results are
-    deterministic across runs; a stack gives, matrix by matrix, what each
+    its largest-magnitude component positive and real up to rounding (an
+    imaginary part of about 1e-17 can remain), so results are deterministic
+    across runs; a stack gives, matrix by matrix, what each
     matrix alone gives. Hermiticity is not checked: `eigh` reads only the
     lower triangle.
     """

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spinphase import analysis
 from spinphase.analysis import (CANONICAL_LABELS_6, CROSSING_BRACKET, SweepConfig,
@@ -356,6 +357,113 @@ class TestSectorCrossings:
         assert pick_sector([1.0, -1.0], [0.0, -0.5], 1e-12) == 1
         assert pick_sector([-1.0, 1.0, 0.0], [0.0, 5e-13, -5e-13], 1e-12) == 1
         assert pick_sector([1.0, 1.0], [0.0, 0.0], 1e-12) == 0
+
+
+brent_root = analysis._brent_root  # the port itself, while a test wraps the module's name
+
+
+def recorded(f, points):
+    """f, with every point it is evaluated at appended to `points`."""
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g
+
+
+def assert_port_is_brentq(f, a, b):
+    """`_brent_root` gives scipy's `brentq` root from the same evaluation points, bit
+    for bit, at CROSSING_BRACKET and brentq's default rtol and iteration count."""
+    want, got = [], []
+    root = brentq(recorded(f, want), a, b, xtol=CROSSING_BRACKET)
+    assert brent_root(recorded(f, got), a, b) == root
+    assert got == want
+    return root
+
+
+class TestBrentRoot:
+    """The scipy-free Brent root finder against `scipy.optimize.brentq`."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.tanh(40.0 * (x - 0.3)), 1.0, -1.0),  # steep, bracket reversed
+        (lambda x: (x - 1.0 / 3.0) ** 3, -2.0, 5.0),  # a triple root: mostly bisection
+        (lambda x: math.exp(x) - 1e-3, -10.0, 0.0),
+        (lambda x: math.atan(x - 0.7) + 0.3 * math.sin(5.0 * (x - 0.7)), -3.0, 4.0),
+    ])
+    def test_analytic_functions(self, f, a, b):
+        assert_port_is_brentq(f, a, b)
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(11)
+        for k in range(400):
+            r, c = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+            a, b = r - rng.uniform(1e-6, 4.0), r + rng.uniform(1e-6, 4.0)
+            f = [lambda x: math.tanh(c * (x - r)) + 0.1 * (x - r) ** 3,
+                 lambda x: math.exp(c * (x - r)) - 1.0,
+                 lambda x: math.atan(x - r) + 0.3 * math.sin(c * (x - r)),
+                 lambda x: (x - r) ** 3 + c * (x - r)][k % 4]
+            assert_port_is_brentq(f, *((a, b) if k % 3 else (b, a)))
+
+    def run_crossings(self, monkeypatch, cfg):
+        """The sector crossings of the line of `cfg`, each root search checked
+        against brentq on the detector's own gap function."""
+        roots = []
+
+        def checked(f, a, b):
+            roots.append(assert_port_is_brentq(f, a, b))
+            return roots[-1]
+        monkeypatch.setattr(analysis, "_brent_root", checked)
+        found = [p.location for p in crossings(cfg)]
+        assert set(roots) <= set(found)
+        return found, roots
+
+    def test_sector_gaps_of_the_n9_xy_line(self, monkeypatch):
+        # the CI n = 9 line at step 0.05: the same three parity crossings
+        cfg = SweepConfig(spec=ModelSpec(family="xy", n=9, gamma=0.5), start=1.1, stop=1.8,
+                          step=0.05, labels=((1,),))
+        found, roots = self.run_crossings(monkeypatch, cfg)
+        assert len(found) == len(roots) == 3
+        assert found[0] == pytest.approx(2 / SQ3, abs=CROSSING_BRACKET)
+
+    def test_sector_gaps_of_a_shifted_xxz_grid(self, monkeypatch):
+        # a grid shifted off delta = -1, so the ferromagnetic crossing is bracketed
+        cfg = SweepConfig(spec=ModelSpec(family="xxz", n=6), start=-1.513, stop=-0.5,
+                          step=0.05, labels=((1,),), policy="aligned_up")
+        found, roots = self.run_crossings(monkeypatch, cfg)
+        assert len(found) == len(roots) == 1
+        assert found[0] == pytest.approx(-1.0, abs=CROSSING_BRACKET)
+
+    def test_same_sign_ends_raise_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 3.0), (-2.0, 0.5)])
+    def test_a_zero_at_an_end_returns_that_end(self, a, b):
+        assert assert_port_is_brentq(lambda x: x - 0.5, a, b) == 0.5
+
+    def test_no_convergence_raises_runtime_error(self):
+        # |f| is 1 at every point, so each step bisects, and halving a bracket of
+        # 2e300 down to the tolerance takes about 1000 steps, far more than 100
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+        want, got = [], []
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            brentq(recorded(step, want), -1e300, 1e300, xtol=CROSSING_BRACKET)
+        with pytest.raises(RuntimeError, match="did not converge in 100 iterations"):
+            brent_root(recorded(step, got), -1e300, 1e300)
+        assert got == want
+
+
+class TestMedian:
+    """The median stand-in of the extremum detector against `np.median`."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 10, 241])
+    def test_equals_numpy_with_ties(self, length):
+        rng = np.random.default_rng(length)
+        for values in (rng.normal(size=length), rng.integers(0, 3, size=length) * 0.1,
+                       np.full(length, -0.25), rng.normal(size=length) * 1e-300):
+            assert analysis._median(values) == float(np.median(values))
 
 
 class TestFactorizationValueCheck:

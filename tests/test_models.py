@@ -168,6 +168,15 @@ class TestSymmetryOperators:
             flip = kron_all([SIGMA_Z if i % 2 == 0 else IDENTITY_2 for i in range(1, n + 1)])
             assert np.array_equal(np.diag(staggered_flip_diagonal(n)), flip)
 
+    @pytest.mark.parametrize("family", ["ti", "xy", "xxz"])
+    def test_basis_sectors_are_the_distinct_symmetry_values(self, family):
+        # a sweep's sectors come from a sorted set, as np.unique would give them
+        for n in range(2, 11):
+            spec = ModelSpec(family=family, n=n)
+            sym, basis = symmetry_diagonal(spec), models._Basis.of(spec)
+            assert basis.sectors == tuple(np.unique(sym).tolist()), n
+            assert basis.up == int(np.searchsorted(np.unique(sym), sym[0])), n
+
     def test_parity_n1_is_sigma_z(self):
         assert np.array_equal(np.diag(spin_parity_diagonal(1)), SIGMA_Z)
 
