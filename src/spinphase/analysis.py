@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PolicyError
+from .errors import ConfigError, NumericalError
 from . import models
 from .models import (ModelSpec, pick_sector, sector_energies, xy_factorization_angle,
                      xy_factorization_point)
@@ -98,24 +98,11 @@ class CriticalPoint:
     detail: str | None = None
 
 
-def ground_states(cfg):
-    """Yield (param, ground state per the sweep's policy) along the grid of `cfg`,
-    from the stacked solve `models.ground_states`; a policy failure is re-raised
-    with the offending parameter value."""
-    params = cfg.params
-    results = models.ground_states(cfg.spec, params, cfg.policy)
-    for value in params:
-        try:
-            gs = next(results)
-        except PolicyError as exc:
-            raise PolicyError(f"{exc} (at {cfg.spec.sweep_param} = {value:.6g})") from exc
-        yield value, gs
-
-
 def sweep(cfg):
-    """Phase line over the parameter grid: the ground state of `ground_states`
-    at each value, and each label at the phase point by one call over the grid."""
-    states = [gs for _, gs in ground_states(cfg)]
+    """Phase line over the parameter grid: the ground state of the stacked solve
+    `models.ground_states` at each value, and each label at the phase point by one
+    call over the grid."""
+    states = list(models.ground_states(cfg.spec, cfg.params, cfg.policy))
     values = {label: equal_angle_values([gs.state for gs in states], label, cfg.theta,
                                         cfg.phi)[:, 0] for label in cfg.labels}
     return PhaseLine(config=cfg, params=cfg.params, values=values,

@@ -21,13 +21,12 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import ConfigError, NumericalError, SpinPhaseError
-from .models import (ModelSpec, ground_state, ti_classical_energy, ti_classical_mx,
-                     ti_classical_mz, ti_thermo_energy, ti_thermo_mx, ti_thermo_mz,
-                     xy_factorization_angle, xy_factorization_point)
+from .models import (ModelSpec, ground_state, ground_states, ti_classical_energy,
+                     ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
+                     ti_thermo_mz, xy_factorization_angle, xy_factorization_point)
 from .qcore import label_name, parse_label, validate_labels
 from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema,
-                       find_sector_crossings, first_derivative, grid_values, ground_states,
-                       sweep)
+                       find_sector_crossings, first_derivative, grid_values, sweep)
 from .wigner import SphereGrid, sphere_field
 
 EXIT_OK = 0
@@ -350,13 +349,12 @@ def cmd_sphere(cfg):
 def cmd_animate(cfg):
     sweep_cfg = _sweep_config(cfg)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
-    files, params = [], []
-    for idx, (value, gs) in enumerate(ground_states(sweep_cfg)):
+    files, params = [], sweep_cfg.params
+    for idx, gs in enumerate(ground_states(sweep_cfg.spec, params, sweep_cfg.policy)):
         frame_dir = os.path.join(cfg["out"], f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
         files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid,
                                          sweep_cfg.spec.n))
-        params.append(value)
     files.append(os.path.join(cfg["out"], "frames.csv"))
     write_csv(files[-1], {"frame": list(map(str, range(len(params)))),
                           "param": list(map(fmt, params))})

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PolicyError
+from .errors import ConfigError, PolicyError
 from .qcore import CHUNK_BYTES, all_up_vector, herm_eig
 
 FAMILIES = ("ti", "xy", "xxz")
@@ -38,8 +38,6 @@ POLICIES = ("symmetric", "mixture", "aligned_up")
 # two energies within TIE_TOL_FACTOR x max(spectral range, 1) count as equal: the
 # one rule for degenerate ground levels, sector ties and exact crossing hits
 TIE_TOL_FACTOR = 1e-12
-QUAD_ABS_TOL = 1e-10
-QUAD_LIMIT = 200
 _ALIGNED_OVERLAP_ATOL = 1e-8
 # Largest chain whose ground-space vectors come from the complex solve of the
 # full H. Their rounding is pinned by every recorded n <= 6 output; longer
@@ -113,10 +111,6 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _bond_pairs(n):
-    return [(i, i % n + 1) for i in range(1, n + 1)]
-
-
 def _z_signs(n):
     """Row i - 1 holds the sigma_z eigenvalue of site i on every basis index:
     site i is bit n - i, set (-1) for a down spin."""
@@ -145,7 +139,8 @@ def _build(spec, values, z):
     values = np.asarray(values, dtype=float)[:, None]
     H = np.zeros((len(values), 2**n, 2**n))
     diag = np.zeros((len(values), 2**n))
-    for i, j in _bond_pairs(n):
+    for i in range(1, n + 1):  # bond (i, j), j = i + 1 on the ring
+        j = i % n + 1
         cols = rows ^ (1 << (n - i) | 1 << (n - j))
         zz = z[i - 1] * z[j - 1]
         if spec.family == "ti":
@@ -298,7 +293,8 @@ def ground_states(spec, values, policy="symmetric"):
     it, with the same float operations as a one-point solve, so every result
     equals that point's own `ground_state` bit for bit. A chunk's arrays are
     released before the next chunk is built. A policy failure is raised at its
-    own point, after the points before it are yielded.
+    own point, after the points before it are yielded, and names that point's
+    parameter value, e.g. "(at lambda = 0.05)".
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
@@ -318,7 +314,7 @@ def _chunk_ground_states(spec, values, policy, basis):
     counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1) for w, _ in eigs],
                       axis=1)
     full = herm_eig(H)[1] if spec.n <= FULL_SOLVE_MAX_N else None  # vectors the 6-site outputs pin
-    for p, (w, level, count) in enumerate(zip(spectra, levels, counts.tolist())):
+    for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
         g = sum(count)
         if full is not None:
             V = full[p][:, :g]
@@ -335,7 +331,8 @@ def _chunk_ground_states(spec, values, policy, basis):
             overlap = float(np.linalg.norm(V[0]))  # basis index 0 is the all-up state
             if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
                 raise PolicyError(f"aligned_up policy: all-up state not in the ground space "
-                                  f"(projection norm {overlap:.6f})")
+                                  f"(projection norm {overlap:.6f}) "
+                                  f"(at {spec.sweep_param} = {value:.6g})")
             state = all_up_vector(spec.n)[:, None]
             held = [basis.up]
         else:
@@ -353,60 +350,78 @@ def _chunk_ground_states(spec, values, policy, basis):
 # transverse-Ising analytic references (classical and thermodynamic limit)
 
 
+def _check_coupling(lam):
+    """The domain of every ti formula: lam finite and >= 0, else ValueError."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
+
+
 def ti_classical_energy(lam):
     """Classical ground-state energy per spin; breakpoint at lam = 1/2."""
-    if lam >= 0.5:
-        return -(1 + 4 * lam**2) / (4 * lam)
-    return -1.0
+    _check_coupling(lam)
+    return -(1 + 4 * lam**2) / (4 * lam) if lam >= 0.5 else -1.0
 
 
 def ti_classical_mx(lam):
-    if lam >= 0.5:
-        return 0.5 * math.sqrt(1 - 1 / (4 * lam**2))
-    return 0.0
+    _check_coupling(lam)
+    return 0.5 * math.sqrt(1 - 1 / (4 * lam**2)) if lam >= 0.5 else 0.0
 
 
 def ti_classical_mz(lam):
-    if lam >= 0.5:
-        return 1 / (4 * lam)
-    return 0.5
+    _check_coupling(lam)
+    return 1 / (4 * lam) if lam >= 0.5 else 0.5
 
 
-def _quad(f, lo, hi, what):
-    from scipy.integrate import quad  # here, so only the formulas pay for its import
+def _carlson_rd(x, y, z):
+    """Carlson's R_D(x, y, z), x, y >= 0 (at most one zero) and z > 0, by duplication
+    (DLMF 19.36(i); Carlson, Numer. Algorithms 10, 13 (1995))."""
+    a = (x + y + 3 * z) / 5
+    q = max(abs(a - x), abs(a - y), abs(a - z)) * (math.ulp(1.0) / 4) ** (-1 / 6)
+    total, scale = 0.0, 1.0
+    while scale * q >= a:  # until the fifth-order series about the mean a is exact
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        total += 3 * scale / (sz * (z + lam))
+        scale /= 4
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+    X, Y, Z = 1 - x / a, 1 - y / a, 1 - z / a
+    e2, e3 = X * Y - 6 * Z**2, (3 * X * Y - 8 * Z**2) * Z
+    e4, e5 = 3 * (X * Y - Z**2) * Z**2, X * Y * Z**3
+    return total + scale * a**-1.5 * (1 - 3 * e2 / 14 + e3 / 6 + 9 * e2**2 / 88 - 3 * e4 / 22
+                                      - 9 * e2 * e3 / 52 + 3 * e5 / 26)
 
-    value, err = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=0.0, limit=QUAD_LIMIT)
-    if err > 10 * QUAD_ABS_TOL:
-        raise NumericalError(f"{what}: quadrature error estimate {err:.3e} exceeds tolerance")
-    return value, err
+
+def _ti_elliptic(lam):
+    """(mu, k'^2, B, D): mu = min(lam, 1/lam), k'^2 = (1 - mu)(1 + mu), B = k'^2 R_D(0, 1, k'^2)/3
+    and D = R_D(0, k'^2, 1)/3, so E(mu^2) = B + k'^2 D and K(mu^2) = B + D (DLMF 19.25.1)."""
+    if lam == 1:  # E(1) = B = 1 and k'^2 D -> 0
+        return 1.0, 0.0, 1.0, 0.0
+    mu = lam if lam < 1 else 1 / lam
+    kp2 = (1 - mu) * (1 + mu)
+    return mu, kp2, kp2 * _carlson_rd(0.0, 1.0, kp2) / 3, _carlson_rd(0.0, kp2, 1.0) / 3
 
 
 def ti_thermo_energy(lam):
-    """Infinite-chain ground-state energy per spin (adaptive quadrature)."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    value, _ = _quad(lambda k: math.sqrt(1 + 2 * lam * math.cos(k) + lam**2),
-                     0.0, math.pi, "ti_thermo_energy")
-    return -value / math.pi
+    """Infinite-chain ground-state energy per spin, -(1/pi) int_0^pi sqrt(1 + 2 lam cos k +
+    lam^2) dk (Pfeuty 1970), in closed form: -(2/pi) max(1, lam) [2E - k'^2 K] (`_ti_elliptic`)."""
+    _check_coupling(lam)
+    mu, kp2, b, d = _ti_elliptic(lam)
+    return -2 / math.pi * max(1.0, lam) * ((1 + mu**2) * b + kp2 * d)
 
 
 def ti_thermo_mx(lam):
     """Infinite-chain magnetization along the coupling axis (closed form)."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if lam < 1.0:
-        return 0.0
-    return 0.5 * (1 - 1 / lam**2) ** 0.125
+    _check_coupling(lam)
+    return 0.0 if lam < 1.0 else 0.5 * (1 - 1 / lam**2) ** 0.125
 
 
 def ti_thermo_mz(lam):
-    """Infinite-chain magnetization along the field axis (adaptive quadrature)."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    value, _ = _quad(
-        lambda k: (1 + lam * math.cos(k)) / math.sqrt(1 + 2 * lam * math.cos(k) + lam**2),
-        0.0, math.pi, "ti_thermo_mz")
-    return value / (2 * math.pi)
+    """Infinite-chain magnetization along the field axis, (1/2pi) int_0^pi (1 + lam cos k) /
+    sqrt(1 + 2 lam cos k + lam^2) dk, in closed form: E/pi up to lam = 1, B/(pi lam) above it
+    (`_ti_elliptic`), where [(1 + lam) E(m) + (1 - lam) K(m)]/2pi, m = 4 lam/(1 + lam)^2, cancels."""
+    _check_coupling(lam)
+    _, kp2, b, d = _ti_elliptic(lam)
+    return (b + kp2 * d) / math.pi if lam <= 1 else b / (math.pi * lam)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spinphase import analysis
+from spinphase import analysis, models
 from spinphase.analysis import (CANONICAL_LABELS_6, CROSSING_BRACKET, SweepConfig,
                                 canonical_labels, count_sign_changes, factorization_value_check,
                                 find_derivative_extrema, find_sector_crossings,
@@ -105,14 +105,14 @@ class TestSweep:
 
     def test_ground_states_walk_the_grid_and_name_a_failing_point(self):
         cfg = ti_cfg(0.0, 0.3, 0.1)
-        walked = list(analysis.ground_states(cfg))
-        assert [p for p, _ in walked] == list(cfg.params)
-        assert walked[0][1].energy == pytest.approx(-6.0, abs=1e-12)
+        walked = list(models.ground_states(cfg.spec, cfg.params, cfg.policy))
+        assert len(walked) == len(cfg.params) == 4
+        assert walked[0].energy == pytest.approx(-6.0, abs=1e-12)
         # at h = 0 the all-up state leaves the ground space once lambda > 0
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=4, h=0.0), start=1.0, stop=1.1,
                           step=0.05, labels=((1,),), policy="aligned_up")
         with pytest.raises(PolicyError, match=r"\(at lambda = 1\)$"):
-            next(analysis.ground_states(cfg))
+            next(models.ground_states(cfg.spec, cfg.params, cfg.policy))
         with pytest.raises(PolicyError, match=r"\(at lambda = 1\)$"):
             sweep(cfg)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinphase import acceptance, analysis
+from spinphase import acceptance, models
 from spinphase.analysis import SweepConfig, first_derivative, sweep
 from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, main
 from spinphase.models import ModelSpec, ground_state
@@ -237,6 +237,14 @@ class TestFormulas:
         stdout = capsys.readouterr().out
         assert "energy_thermo" in stdout
 
+    def test_ti_strong_coupling(self, tmp_path):
+        # far from lambda = 1 the energy is -lambda and mz is 1/(4 lambda) to leading order
+        out = tmp_path / "f"
+        assert run_cli(["formulas", "--model", "ti", "--values", "1e5", "--out", str(out)]) == 0
+        row = read_csv(out / "formulas.csv")[0]
+        assert float(row["energy_thermo"]) == pytest.approx(-1e5, rel=1e-9)
+        assert float(row["mz_thermo"]) == pytest.approx(2.5e-6, rel=1e-9)
+
     def test_xy_factorization_table(self, tmp_path):
         out = tmp_path / "f"
         args = ["formulas", "--model", "xy", "--values", "0.3,0.5,0.8", "--out", str(out)]
@@ -297,8 +305,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("point", [["--phase-theta", "4"], ["--phase-phi", "nan"]])
     def test_bad_phase_point_exits_2_before_any_solve(self, point, monkeypatch, tmp_path):
         solves = []
-        real = analysis.models.ground_states  # the stacked solve every sweep walks
-        monkeypatch.setattr(analysis.models, "ground_states",
+        real = models.ground_states  # the stacked solve every sweep walks
+        monkeypatch.setattr(models, "ground_states",
                             lambda *args, **kwargs: solves.append(args) or real(*args, **kwargs))
         argv = ["phaseline", "--model", "ti", "--param-start", "0", "--param-stop", "1",
                 "--param-step", "0.1", *point, "--out", str(tmp_path / "x")]

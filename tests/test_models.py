@@ -635,15 +635,26 @@ class TestClassicalForms:
         assert ti_classical_mz(0.5) == 0.5
 
 
+def thermo_by_quadrature(lam):
+    """The two Pfeuty integrals by adaptive quadrature at a tight relative tolerance."""
+    from scipy.integrate import quad
+
+    root = lambda k: math.sqrt(1 + 2 * lam * math.cos(k) + lam**2)
+    energy = quad(root, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    mz = quad(lambda k: (1 + lam * math.cos(k)) / root(k), 0.0, math.pi, epsabs=0.0,
+              epsrel=1e-13, limit=200)[0]
+    return -energy / math.pi, mz / (2 * math.pi)
+
+
 class TestThermodynamicForms:
     def test_energy_at_critical_coupling(self):
-        assert ti_thermo_energy(1.0) == pytest.approx(-4 / math.pi, abs=1e-8)
+        assert ti_thermo_energy(1.0) == -4 / math.pi
 
     def test_mz_at_critical_coupling(self):
-        assert ti_thermo_mz(1.0) == pytest.approx(1 / math.pi, abs=1e-8)
+        assert ti_thermo_mz(1.0) == 1 / math.pi
 
     def test_energy_at_zero(self):
-        assert ti_thermo_energy(0.0) == pytest.approx(-1.0, abs=1e-10)
+        assert ti_thermo_energy(0.0) == -1.0
 
     def test_mx_branches(self):
         assert ti_thermo_mx(0.5) == 0.0
@@ -651,12 +662,50 @@ class TestThermodynamicForms:
         assert ti_thermo_mx(2.0) == pytest.approx(0.4823393149801547, abs=1e-15)
 
     def test_mz_limits(self):
-        assert ti_thermo_mz(0.0) == pytest.approx(0.5, abs=1e-10)
+        assert ti_thermo_mz(0.0) == 0.5
         assert ti_thermo_mz(50.0) < 0.02
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 5.0, 50.0, 1e3])
+    def test_closed_forms_match_the_quadrature(self, lam):
+        energy, mz = thermo_by_quadrature(lam)
+        assert ti_thermo_energy(lam) == pytest.approx(energy, rel=1e-13, abs=0)
+        assert ti_thermo_mz(lam) == pytest.approx(mz, rel=1e-13, abs=0)
+
+    def test_closed_forms_match_a_40_digit_truth(self):
+        # E0 = -2 (1 + lam) E(m)/pi and mz = [(1 + lam) E(m) + (1 - lam) K(m)]/2pi with
+        # m = 4 lam/(1 + lam)^2, evaluated in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for lam in [0.0, 1e-6, 0.3, 0.9, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 1.1,
+                        3.0, 1e2, 1e5, 1e6]:
+                x = mpmath.mpf(lam)
+                m = 4 * x / (1 + x) ** 2
+                energy = -2 * (1 + x) * mpmath.ellipe(m) / mpmath.pi
+                mz = ((1 + x) * mpmath.ellipe(m) + (1 - x) * mpmath.ellipk(m)) / (2 * mpmath.pi)
+                worst = max(worst, float(abs(ti_thermo_energy(lam) / energy - 1)),
+                            float(abs(ti_thermo_mz(lam) / mz - 1)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("lam", [1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6, 2.0])
+    def test_energy_obeys_the_kramers_wannier_duality(self, lam):
+        assert ti_thermo_energy(lam) == pytest.approx(lam * ti_thermo_energy(1 / lam),
+                                                      rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("lam", [1e5, 1e6])
+    def test_strong_coupling_is_finite(self, lam):
+        # the energy tends to -lam and mz to 1/(4 lam)
+        assert ti_thermo_energy(lam) == pytest.approx(-lam, rel=1e-9)
+        assert ti_thermo_mz(lam) == pytest.approx(1 / (4 * lam), rel=1e-9)
+
     def test_negative_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            ti_thermo_energy(-0.1)
+        # one domain for all six ti formulas: a finite lam >= 0
+        formulas = (ti_classical_energy, ti_classical_mx, ti_classical_mz,
+                    ti_thermo_energy, ti_thermo_mx, ti_thermo_mz)
+        for formula, lam in itertools.product(formulas, [-0.1, math.nan, math.inf]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                formula(lam)
 
 
 class TestFactorization:

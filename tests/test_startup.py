@@ -1,4 +1,5 @@
-"""What a CLI run imports: scipy and numpy.ma only where a command uses them.
+"""What a CLI run imports: no command loads scipy, which only the tests use, and
+none loads numpy.ma.
 
 Each case runs in a fresh interpreter, since pytest has scipy loaded already."""
 
@@ -47,9 +48,12 @@ def test_importing_the_cli_loads_neither():
     ["animate", "--model", "xy", "--gamma", "0.5", "--n", "4", "--param-start", "1.1",
      "--param-stop", "1.2", "--param-step", "0.05", "--labels", "tot", "--grid-theta", "5",
      "--grid-phi", "8"],
-], ids=["sphere", "animate"])
+    ["formulas", "--model", "ti", "--values", "0,1,2"],
+    ["verify"],
+], ids=["sphere", "animate", "formulas", "verify"])
 def test_a_run_loads_neither(tmp_path, argv):
-    assert loaded_after(*argv, "--out", str(tmp_path)) == []
+    out = [] if argv == ["verify"] else ["--out", str(tmp_path)]  # verify writes no files
+    assert loaded_after(*argv, *out) == []
 
 
 def test_a_phase_line_through_a_root_search_loads_neither(tmp_path):
@@ -62,8 +66,3 @@ def test_a_phase_line_through_a_root_search_loads_neither(tmp_path):
     assert len(crossings) == 1 and abs(crossings[0] + 1.0) <= 1e-8
     assert crossings[0] not in [-1.513 + k * 0.05 for k in range(21)]
 
-
-def test_ti_formulas_load_the_quadrature(tmp_path):
-    loaded = loaded_after("formulas", "--model", "ti", "--values", "0,1,2", "--out",
-                          str(tmp_path))
-    assert "scipy.integrate" in loaded

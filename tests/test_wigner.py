@@ -4,7 +4,8 @@ import pytest
 from dense_oracles import (density, kernel_multi, kron_all, partial_trace, pauli_contract,
                            pauli_expectations)
 
-from spinphase.analysis import SweepConfig, ground_states, sweep
+from spinphase import models
+from spinphase.analysis import SweepConfig, sweep
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
 from spinphase.qcore import SIGMA_Z, basis_vector, reduced_factor
@@ -331,7 +332,7 @@ class TestPauliEvaluator:
 
 def sweep_oracle(cfg):
     """Per-point rotated-parity values of every label along a sweep."""
-    states = [gs.state for _, gs in ground_states(cfg)]
+    states = [gs.state for gs in models.ground_states(cfg.spec, cfg.params, cfg.policy)]
     point = [(cfg.theta, cfg.phi)]
     return states, {sites: np.array([oracle_value(s, point * len(sites), sites) for s in states])
                     for sites in cfg.labels}
