@@ -8,18 +8,23 @@ Implemented families (periodic boundary, sigma_{N+1} = sigma_1):
 The xy family reduces to ti at gamma = 1; the xxz spectrum depends only on
 the relative sign of J and delta (staggered-flip similarity).
 
-H is a real dense matrix on the basis index. Its symmetry (spin parity for
-ti/xy, total S_z for xxz) is held as a diagonal, and each block of it is
-solved by one real `eigh`, which gives the sector levels and the whole
-spectrum at every n. Up to FULL_SOLVE_MAX_N sites the ground-space vectors
-come from the complex solve of the full H, whose rounding the recorded 6-site
-outputs pin; longer chains take them from the blocks too.
+`build_hamiltonian` gives H as a real dense matrix on the basis index. Its
+symmetry (spin parity for ti/xy, total S_z for xxz) is held as a diagonal.
+The solver splits each symmetry sector again by the momentum k = 2 pi m / n of
+the ring's translations (Sandvik, arXiv:1101.3281, sec. 4): each basis index
+has an orbit representative, and each (k, sector) block is built straight from
+the representatives, real at k = 0 and pi and complex Hermitian otherwise, with
+no 2^n x 2^n array. The blocks' spectra give the sector levels (the lowest
+over a sector's blocks) and the whole spectrum at every n. Up to
+FULL_SOLVE_MAX_N sites the ground-space vectors come from the complex solve of
+the full H, whose rounding the recorded 6-site outputs pin; longer chains take
+them from the blocks, embedded in 2^n rows.
 
-A sweep is one stacked solve: `ground_states` builds a chunk of grid points'
-Hamiltonians as one (p, 2^n, 2^n) stack, with chunks of
-max(1, CHUNK_BYTES // (32 x 4^n)) points, and solves every block over the
-stack in one call. `ground_state`, `sector_energies` and `build_hamiltonian`
-are its one-point case, so there is one solver path.
+A sweep is one stacked solve: `ground_states` solves a chunk of
+max(1, CHUNK_BYTES // (32 x 4^n)) grid points at once, each group of blocks
+of one width and dtype by one `eigh` over the stack of its blocks at every
+point of the chunk. `ground_state` and `sector_energies` are its one-point
+case, so there is one solver path.
 """
 
 import math
@@ -41,7 +46,7 @@ TIE_TOL_FACTOR = 1e-12
 _ALIGNED_OVERLAP_ATOL = 1e-8
 # Largest chain whose ground-space vectors come from the complex solve of the
 # full H. Their rounding is pinned by every recorded n <= 6 output; longer
-# chains take them from their real symmetry blocks, as every chain its spectrum.
+# chains take them from their momentum blocks, as every chain its spectrum.
 FULL_SOLVE_MAX_N = 6
 _LIBRARY_BUFFERS = 16 * 2**20
 
@@ -88,14 +93,19 @@ class ModelSpec:
 
 
 def dense_working_set(n):
-    """Bytes held while an n-site ground state is solved from its symmetry
-    blocks, in units of 4^n bytes summed as if nothing were freed (the
-    allocator may keep freed blocks): the real H (8), every block's
-    eigenvectors (4; no block has over half the rows), one block's `eigh` as its
-    slice, LAPACK's copy, workspace and result (10), and the ground-space factor
-    and the state built from it (16 when every level is a ground level); plus an
-    allowance for the BLAS and LAPACK buffers, which also holds the complex full
-    solve of at most FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB).
+    """An upper bound on the bytes held while an n-site ground state is solved,
+    in units of 4^n bytes summed as if nothing were freed (the allocator may
+    keep freed blocks). It was sized for the symmetry-block solve that the
+    momentum blocks replaced: the real H (8), every block's eigenvectors (4),
+    one block's `eigh` as its slice, LAPACK's copy, workspace and result (10),
+    and the ground-space factor and the state built from it (16 when every
+    level is a ground level); plus an allowance for the BLAS and LAPACK
+    buffers, which also holds the complex full solve of at most
+    FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB). The momentum blocks form
+    no 2^n x 2^n matrix but the complex ground-space factor and the state built
+    from it (at most 32 x 4^n, when every level is a ground level), and their
+    matrices and eigenvectors are about n times narrower than the sector blocks
+    were. The bound is kept as it is until the size guard is raised.
 
     A sweep's chunk of p > 1 points (`ground_states`) never exceeds it: p > 1
     only while p x 32 x 4^n <= CHUNK_BYTES (n <= 7), so the whole chunk's
@@ -200,51 +210,191 @@ class GroundStateResult:
     levels: tuple  # (sectors, energies, tol) of `sector_energies`
 
 
+def _orbits(n):
+    """Per basis index, its translation orbit: the representative (the smallest
+    index reached by rotating the sites), the number of one-site translations
+    that take the index to it, and the orbit's period R.
+
+    A translation moves the spin on site i to site i + 1 (site n to site 1),
+    which shifts every bit one place down and bit 0 up to bit n - 1."""
+    states = np.arange(2**n)
+    rep, shift, period = states.copy(), np.zeros_like(states), np.full_like(states, n)
+    moved = states
+    for l in range(1, n):
+        moved = (moved >> 1) | ((moved & 1) << (n - 1))
+        smaller = moved < rep
+        rep[smaller], shift[smaller] = moved[smaller], l
+        period[(moved == states) & (period == n)] = l
+    return rep, shift, period
+
+
+def _phases(m, n, l):
+    """exp(-2 pi i m l / n) for integer momenta m and shifts l: exactly +-1 where
+    k = 2 pi m / n is 0 or pi."""
+    t = m * l % n
+    return np.where(2 * m % n == 0, np.where(t == 0, 1.0, -1.0), np.exp(-2j * np.pi * t / n))
+
+
+def _bond_entries(spec, z, reps):
+    """Every nonzero element of H on the representatives `reps`, as (column, image,
+    h0, h1): representative reps[column] goes to basis index `image` with amplitude
+    h0 + v h1 at sweep value v. The diagonal comes first, then bond (i, i + 1) for
+    i = 1..n in turn. Site i is bit n - i, set for a down spin; bond (i, j) flips
+    bits n - i and n - j, where sigma_x sigma_x is +1 and sigma_y sigma_y is -1 on
+    equal bits and +1 on different ones."""
+    n, cols = spec.n, np.arange(len(reps))
+    zr = z[:, reps]
+    zz = [zr[i] * zr[(i + 1) % n] for i in range(n)]
+    if spec.family == "xxz":
+        diag = (np.zeros(len(reps)), spec.j / 4 * np.sum(zz, axis=0))
+    else:
+        diag = (-spec.h * np.sum(zr, axis=0), np.zeros(len(reps)))
+    entries = [(cols, reps, *diag)]
+    for i in range(1, n + 1):
+        image = reps ^ (1 << (n - i) | 1 << (n - i % n - 1))
+        if spec.family == "ti":
+            h0, h1 = np.zeros(len(reps)), np.full(len(reps), -1.0)
+        elif spec.family == "xy":
+            h0, h1 = np.zeros(len(reps)), -(1 + spec.gamma) / 2 + (1 - spec.gamma) / 2 * zz[i - 1]
+        else:
+            h0, h1 = spec.j / 4 * (1.0 - zz[i - 1]), np.zeros(len(reps))
+        entries.append((cols, image, h0, h1))
+    col, image, h0, h1 = (np.concatenate(e) for e in zip(*entries))
+    keep = (h0 != 0) | (h1 != 0)
+    return col[keep], image[keep], h0[keep], h1[keep]
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One (momentum, symmetry sector) block of H and the representatives it is
+    spanned by, in increasing order."""
+
+    sector: int  # position in _Basis.sectors
+    m: int  # momentum k = 2 pi m / n
+    reps: np.ndarray
+
+
 @dataclass(frozen=True)
 class _Basis:
     """What a sweep computes once: the z signs, the values of
     `symmetry_diagonal` in increasing order (the sectors), each sector's basis
-    indices and spin parity, and the position of the all-up state's sector."""
+    indices and spin parity, the position of the all-up state's sector, the
+    translation orbits (`_orbits`), the momentum x sector blocks, and their
+    value-independent matrices, stacked in groups of one width and dtype: a
+    group (h0, h1) holds the next blocks in order, each block's Hamiltonian at
+    sweep value v being h0[i] + v h1[i]."""
 
     z: np.ndarray
     sectors: tuple
     index: list
     parity: list
     up: int
+    orbits: tuple
+    blocks: list
+    groups: list
 
     @classmethod
     def of(cls, spec):
-        z = _z_signs(spec.n)
+        n = spec.n
+        z = _z_signs(n)
         parity = np.prod(z, axis=0)  # spin_parity_diagonal
         sym = np.sum(z, axis=0) / 2 if spec.family == "xxz" else parity  # symmetry_diagonal
         sectors = sorted(set(sym.tolist()))  # np.unique, without its numpy.ma import
         index = [np.flatnonzero(sym == s) for s in sectors]
+        orbits = _orbits(n)
+        blocks, groups = _momentum_blocks(spec, z, sym, sectors, orbits)
         return cls(z, tuple(sectors), index, [int(parity[i[0]]) for i in index],
-                   sectors.index(sym[0]))
+                   sectors.index(sym[0]), orbits, blocks, groups)
 
 
-def _solve(spec, values, basis):
-    """The stacked H at `values` and the real `eigh` (w, v) of each symmetry
-    block, one call per block over the stack."""
-    H = _build(spec, values, basis.z)
-    return H, [np.linalg.eigh(H[:, i[:, None], i]) for i in basis.index]
+def _momentum_blocks(spec, z, sym, sectors, orbits):
+    """The momentum x sector blocks of `spec` (`_Block`), ordered by group, and the
+    groups: the (h0, h1) stacks of the blocks of one width and dtype, whose
+    Hamiltonian at sweep value v is h0 + v h1.
+
+    A basis index's representative a spans the momentum state
+    |a(k)> = sum_l exp(-ikl) T^l |a> / norm, when its period R carries k (m R = 0
+    mod n). A bond takes a to basis index b, whose representative is r = T^l b;
+    the element <r(k)|H|a(k)> gains h sqrt(R_a / R_r) exp(-ikl) (Sandvik,
+    arXiv:1101.3281, sec. 4)."""
+    n = spec.n
+    rep, shift, period = orbits
+    reps = np.flatnonzero(rep == np.arange(2**n))
+    # block key s n + m (sector s, momentum m) holds the representatives of sector s
+    # whose period carries k, in increasing order
+    sector = np.searchsorted(sectors, sym[reps])
+    ms, rs = np.nonzero(np.arange(n)[:, None] * period[reps] % n == 0)
+    key = sector[rs] * n + ms
+    order = np.argsort(key, kind="stable")
+    size = np.bincount(key, minlength=len(sectors) * n)
+    at = np.full((n, len(reps)), -1)  # position in its block, -1 if k is not carried
+    at[ms[order], rs[order]] = np.arange(len(key)) - (np.cumsum(size) - size)[key[order]]
+    col, image, h0, h1 = _bond_entries(spec, z, reps)
+    row, l = np.searchsorted(reps, rep[image]), shift[image]
+    em, e = np.nonzero((at[:, col] >= 0) & (at[:, row] >= 0))  # entry e in momentum em
+    ekey = sector[col[e]] * n + em
+    offset = np.cumsum(size**2) - size**2
+    flat = offset[ekey] + at[em, row[e]] * size[ekey] + at[em, col[e]]
+    weight = np.sqrt(period[reps][col[e]] / period[reps][row[e]]) * _phases(em, n, l[e])
+    h0, h1 = (_accumulate(flat, h[e] * weight, int(np.sum(size**2))) for h in (h0, h1))
+    members = np.split(reps[rs[order]], np.cumsum(size)[:-1])
+    found = {}  # (width, real) -> the blocks of that width and dtype
+    for b in np.flatnonzero(size):  # block key b
+        d, m = int(size[b]), int(b % n)
+        mats = [h[offset[b]:offset[b] + d * d].reshape(d, d) for h in (h0, h1)]
+        real = 2 * m % n == 0  # k = 0 or pi, where every phase is +-1
+        found.setdefault((d, real), []).append(
+            (_Block(int(b // n), m, members[b]), [x.real if real else x for x in mats]))
+    blocks, groups = [], []
+    for group in found.values():
+        blocks += [block for block, _ in group]
+        groups.append(tuple(np.stack([mats[k] for _, mats in group]) for k in (0, 1)))
+    return blocks, groups
+
+
+def _accumulate(flat, values, size):
+    """The flat array of `size` with `values` summed at the positions `flat`, in order."""
+    return np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
+
+
+def _solve(basis, values):
+    """Per group of blocks, the `eigh` (w, v) of the stack of its blocks'
+    Hamiltonians at `values`, shaped (points, blocks, ...): one call per group."""
+    v = np.asarray(values, dtype=float)[:, None, None, None]
+    return [np.linalg.eigh(h0 + v * h1) for h0, h1 in basis.groups]
 
 
 def _levels(basis, eigs):
-    """Per point of a stacked solve, the (sectors, energies, tol) of `sector_energies`."""
-    lows = np.stack([w[:, 0] for w, _ in eigs], axis=1)
-    spread = np.max([w[:, -1] for w, _ in eigs], axis=0) - lows.min(axis=1)
+    """Per point of a stacked solve, the (sectors, energies, tol) of `sector_energies`:
+    a sector's energy is the lowest level of its momentum blocks."""
+    block_lows = np.concatenate([w[:, :, 0] for w, _ in eigs], axis=1)
+    sector = np.array([b.sector for b in basis.blocks])
+    lows = np.stack([block_lows[:, sector == k].min(axis=1) for k in range(len(basis.sectors))],
+                    axis=1)
+    spread = np.max([w[:, :, -1].max(axis=1) for w, _ in eigs], axis=0) - lows.min(axis=1)
     tols = TIE_TOL_FACTOR * np.maximum(spread, 1.0)
     return [(basis.sectors, low, float(tol)) for low, tol in zip(lows, tols)]
 
 
+def _embed(basis, block, c):
+    """The columns of `block`'s eigenvectors c (d, r) as 2^n-row states: basis index s
+    in the orbit of representative a gets c_a exp(ik shift(s)) / sqrt(R_a)."""
+    rep, shift, period = basis.orbits
+    rows = basis.index[block.sector]
+    at = np.searchsorted(block.reps, rep[rows])
+    inside = block.reps[np.minimum(at, len(block.reps) - 1)] == rep[rows]
+    rows, at = rows[inside], at[inside]
+    amp = _phases(block.m, len(basis.z), -shift[rows]) / np.sqrt(period[rows])
+    return rows, amp[:, None] * c[at]
+
+
 def sector_energies(spec):
-    """Lowest energy of each block of `symmetry_diagonal(spec)` (spin parity for
-    ti/xy, total S_z for xxz) and the tie tolerance TIE_TOL_FACTOR x
-    max(spectral range, 1). Returns (sectors, energies, tol) with the sector
-    values in increasing order."""
+    """Lowest energy of each sector of `symmetry_diagonal(spec)` (spin parity for
+    ti/xy, total S_z for xxz), the lowest over the sector's momentum blocks, and
+    the tie tolerance TIE_TOL_FACTOR x max(spectral range, 1). Returns (sectors,
+    energies, tol) with the sector values in increasing order."""
     basis = _Basis.of(spec)
-    return _levels(basis, _solve(spec, [_sweep_value(spec)], basis)[1])[0]
+    return _levels(basis, _solve(basis, [_sweep_value(spec)]))[0]
 
 
 def pick_sector(sectors, energies, tol):
@@ -263,15 +413,17 @@ def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy:
     the one-point case of `ground_states`.
 
-    H is built once and each of its real symmetry blocks is solved once; their
-    lowest levels are `levels`, the triple of `sector_energies`, and the sorted
-    union of their spectra is the spectrum w that gives `energy` and `gap`.
+    Each momentum x sector block is solved once; the lowest level of each
+    sector's blocks is `levels`, the triple of `sector_energies`, and the sorted
+    union of the block spectra is the spectrum w that gives `energy` and `gap`.
     A level within the tie tolerance `levels[2]` of the lowest is a ground level,
     the rule `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly
     when `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors are
     the first g columns of the complex solve of the full H up to
     FULL_SOLVE_MAX_N sites, and above that each block's ground columns,
-    embedded in 2^n rows. A unique ground state is V. Inside a degenerate space:
+    embedded in 2^n rows (a momentum state's amplitude on basis index s is its
+    representative's, times exp(ik shift(s)) / sqrt(R)), which need no full H.
+    A unique ground state is V. Inside a degenerate space:
       symmetric  -- the uniform mixture of the r ground states in the
                     `pick_sector(*levels)` sector: V with the rows outside the
                     sector zeroed, over its Frobenius norm (g columns of rank r),
@@ -287,11 +439,13 @@ def ground_states(spec, values, policy="symmetric"):
     """Yield the `ground_state` of `spec` with its sweep parameter (lam, or delta
     for xxz) at each of `values`, in order, each result as it is reached.
 
-    The grid is built and solved in chunks of max(1, CHUNK_BYTES // (32 x 4^n))
-    points (8 at n = 6, 1 from n = 8 up): one stacked H, one `eigh` per symmetry
-    block over the stack and, up to FULL_SOLVE_MAX_N sites, one `herm_eig` over
-    it, with the same float operations as a one-point solve, so every result
-    equals that point's own `ground_state` bit for bit. A chunk's arrays are
+    The grid is solved in chunks of max(1, CHUNK_BYTES // (32 x 4^n)) points
+    (8 at n = 6, 1 from n = 8 up): one `eigh` per group of equal-width blocks
+    over the stack of their matrices at every point of the chunk and, up to
+    FULL_SOLVE_MAX_N sites, one `herm_eig` over the chunk's stacked full H, with
+    the same float operations as a one-point solve, so every result equals that
+    point's own `ground_state` bit for bit. The basis and the blocks' matrices
+    (`_Basis`) are built once per sweep. A chunk's arrays are
     released before the next chunk is built. A policy failure is raised at its
     own point, after the points before it are yielded, and names that point's
     parameter value, e.g. "(at lambda = 0.05)".
@@ -307,26 +461,33 @@ def ground_states(spec, values, policy="symmetric"):
 
 def _chunk_ground_states(spec, values, policy, basis):
     """`ground_states` of one chunk; its arrays die with this generator."""
-    H, eigs = _solve(spec, values, basis)
-    spectra = np.sort(np.concatenate([w for w, _ in eigs], axis=1), axis=1)
-    levels = _levels(basis, eigs)
-    tols = np.array([level[2] for level in levels])[:, None]
-    counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1) for w, _ in eigs],
+    eigs = _solve(basis, values)
+    spectra = np.sort(np.concatenate([w.reshape(len(values), -1) for w, _ in eigs], axis=1),
                       axis=1)
-    full = herm_eig(H)[1] if spec.n <= FULL_SOLVE_MAX_N else None  # vectors the 6-site outputs pin
+    levels = _levels(basis, eigs)
+    tols = np.array([level[2] for level in levels])[:, None, None]
+    counts = np.concatenate([np.count_nonzero(w - spectra[:, :1, None] <= tols, axis=2)
+                             for w, _ in eigs], axis=1)  # ground levels per block
+    full = vectors = None
+    if spec.n <= FULL_SOLVE_MAX_N:  # vectors the 6-site outputs pin
+        full = herm_eig(_build(spec, values, basis.z))[1]
+    else:  # per block, its (points, d, d) eigenvectors
+        vectors = [v[:, i] for _, v in eigs for i in range(v.shape[1])]
     for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
         g = sum(count)
         if full is not None:
             V = full[p][:, :g]
-        else:  # each sector's ground columns, embedded
-            V, c = np.zeros((H.shape[1], g)), 0
-            for rows, r, (_, vb) in zip(basis.index, count, eigs):
-                V[rows, c:c + r] = vb[p][:, :r]
-                c += r
+        else:  # each block's ground columns, embedded
+            V, c = np.zeros((len(w), g), dtype=complex), 0
+            for block, r, vb in zip(basis.blocks, count, vectors):
+                if r:
+                    rows, columns = _embed(basis, block, vb[p][:, :r])
+                    V[rows, c:c + r] = columns
+                    c += r
+        held = {b.sector for b, r in zip(basis.blocks, count) if r}
 
         if g == 1 or policy == "mixture":
             state = V / np.sqrt(g)
-            held = [b for b, r in enumerate(count) if r]
         elif policy == "aligned_up":
             overlap = float(np.linalg.norm(V[0]))  # basis index 0 is the all-up state
             if overlap < 1.0 - _ALIGNED_OVERLAP_ATOL:
@@ -421,7 +582,10 @@ def ti_thermo_mz(lam):
     (`_ti_elliptic`), where [(1 + lam) E(m) + (1 - lam) K(m)]/2pi, m = 4 lam/(1 + lam)^2, cancels."""
     _check_coupling(lam)
     _, kp2, b, d = _ti_elliptic(lam)
-    return (b + kp2 * d) / math.pi if lam <= 1 else b / (math.pi * lam)
+    if lam <= 1:
+        return (b + kp2 * d) / math.pi
+    # pi lam overflows above lam ~ 5.7e307, where b / pi / lam is still about 1/(4 lam)
+    return b / (math.pi * lam) if math.isfinite(math.pi * lam) else b / math.pi / lam
 
 
 # ---------------------------------------------------------------------------

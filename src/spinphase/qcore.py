@@ -3,16 +3,16 @@
 Conventions used throughout the package:
   * site indices are 1-based; site 1 is the leftmost tensor factor,
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
-  * the Pauli matrices are complex 2 x 2 arrays; the chain Hamiltonians are
-    real dense arrays of dimension 2^n and a symmetry is its diagonal (see
-    `models`); `herm_eig` solves a complex Hermitian matrix or a stack of
-    them, which `models` does only for the ground vectors of a short chain's
-    full H,
+  * the Pauli matrices are complex 2 x 2 arrays; a chain Hamiltonian is a
+    real dense array of dimension 2^n, a symmetry is its diagonal, and the
+    solver works on its momentum x sector blocks (see `models`); `herm_eig`
+    solves a complex Hermitian matrix or a stack of them, which `models` does
+    only for the ground vectors of a short chain's full H,
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger, and
     n is read off its rows: a pure state is one column (a 1-D vector is the
     r = 1 case), a mixture one column per weighted component,
-  * stacked work (a sweep's Hamiltonians and solves in `models`, a chunk's
-    densities in `wigner`) is sized in chunks from the one budget CHUNK_BYTES.
+  * stacked work (a sweep's block solves in `models`, a chunk's densities in
+    `wigner`) is sized in chunks from the one budget CHUNK_BYTES.
 """
 
 import numpy as np

@@ -8,7 +8,9 @@ which went through the 4^k Pauli expectations of a reduced density.
 `symmetric_by_rotation` is the former `symmetric` policy, which rotated the
 full degenerate ground space instead of solving the sector block.
 `state_parity` is the former parity of a ground state, measured on the state
-instead of read off the symmetry sectors it lies in.
+instead of read off the symmetry sectors it lies in. `sector_block_ground_state`
+is the former solver, which split H by its symmetry diagonal alone, without
+translation: one real `eigh` per parity or S_z block of the full matrix.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from spinphase.errors import NumericalError
 from spinphase.models import (TIE_TOL_FACTOR, build_hamiltonian, pick_sector,
                               spin_parity_diagonal, symmetry_diagonal)
-from spinphase.qcore import IDENTITY_2, herm_eig, n_sites, validate_label
+from spinphase.qcore import IDENTITY_2, all_up_vector, herm_eig, n_sites, validate_label
 from spinphase.wigner import PAULI_BASIS, kernels
 
 IMAG_RESIDUE_ATOL = 1e-12
@@ -98,6 +100,48 @@ def symmetric_by_rotation(spec):
     sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
     energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]
     return vecs[pick_sector(sectors, energies, tol)][:, None]
+
+
+def sector_block_ground_state(spec, policy):
+    """The ground state of `spec` under `policy` from the real `eigh` of each block of
+    `symmetry_diagonal(spec)` in `build_hamiltonian(spec)`, by the rules of
+    `models.ground_state`. Returns a dict of the block spectra `spectra`, the
+    `levels` triple (sectors, lowest level per sector, tol), the ground-level
+    `counts` per sector, `energy`, `gap`, `degeneracy`, the picked sector
+    `picked`, the ground-space projector `projector`, `parity` and the state
+    factor `state` (None where `aligned_up` raises PolicyError)."""
+    H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
+    sectors = tuple(np.unique(sym).tolist())
+    index = [np.flatnonzero(sym == s) for s in sectors]
+    parity = [int(spin_parity_diagonal(spec.n)[i[0]]) for i in index]
+    eigs = [np.linalg.eigh(H[np.ix_(i, i)]) for i in index]
+    w = np.sort(np.concatenate([wb for wb, _ in eigs]))
+    tol = TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
+    lows = np.array([wb[0] for wb, _ in eigs])
+    counts = [int(np.sum(wb - w[0] <= tol)) for wb, _ in eigs]
+    g = sum(counts)
+    V = np.zeros((2**spec.n, g))
+    c = 0
+    for rows, r, (_, vb) in zip(index, counts, eigs):
+        V[rows, c:c + r] = vb[:, :r]
+        c += r
+    picked = pick_sector(sectors, lows, tol)
+    held = [b for b, r in enumerate(counts) if r]
+    if g == 1 or policy == "mixture":
+        state = V / np.sqrt(g)
+    elif policy == "aligned_up":
+        up = all_up_vector(spec.n)
+        state = up[:, None] if np.linalg.norm(V[0]) >= 1.0 - 1e-8 else None
+        held = [sectors.index(sym[0])]
+    else:
+        held = [picked]
+        state = np.where(np.isin(np.arange(2**spec.n), index[picked])[:, None], V, 0.0)
+        state /= np.linalg.norm(state)
+    held_parity = {parity[b] for b in held}
+    return dict(spectra=[wb for wb, _ in eigs], levels=(sectors, lows, tol), counts=counts,
+                energy=float(w[0]), gap=float(w[1] - w[0]), degeneracy=g, picked=picked,
+                projector=V @ V.T, state=state,
+                parity=held_parity.pop() if len(held_parity) == 1 else None)
 
 
 def state_parity(state, n):

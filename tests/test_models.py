@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import density, embed, kron_all, state_parity, symmetric_by_rotation
+from dense_oracles import (density, embed, kron_all, sector_block_ground_state, state_parity,
+                           symmetric_by_rotation)
 
 from spinphase import models
 from spinphase.analysis import grid_values
@@ -30,6 +31,22 @@ SQ3 = math.sqrt(3.0)
 
 def max_norm(a):
     return float(np.max(np.abs(a)))
+
+
+def block_hamiltonians(basis, value):
+    """The Hamiltonian of each momentum x sector block at sweep value `value`, in
+    the order of `basis.blocks`, which runs through the groups in turn."""
+    return [h0[i] + value * h1[i] for h0, h1 in basis.groups for i in range(len(h0))]
+
+
+def block_spectra(basis, value):
+    """The levels of each momentum x sector block, each by its own `eigh`."""
+    return [np.linalg.eigh(h)[0] for h in block_hamiltonians(basis, value)]
+
+
+def group_shapes(basis):
+    """(dtype, (blocks, width, width)) of each stacked `eigh` that solves `basis`."""
+    return [(h0.dtype, h0.shape) for h0, _ in basis.groups]
 
 
 def kron_hamiltonian(spec):
@@ -338,8 +355,9 @@ class TestSymmetricPolicy:
         assert compared >= 50
 
     def test_one_full_eigensolve(self, monkeypatch):
-        # one real eigh per symmetry block, and the complex full solve only up to
-        # FULL_SOLVE_MAX_N sites; above, no eigh sees a 2^n-row matrix
+        # one eigh per group of equal-width momentum x sector blocks, real at k = 0
+        # and pi, and the complex full solve only up to FULL_SOLVE_MAX_N sites;
+        # above, no eigh sees 2^n rows
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -348,7 +366,12 @@ class TestSymmetricPolicy:
             (ModelSpec(family="xxz", n=8, delta=-2.0), 2, 1),  # the two aligned states
         ]
         for spec, degeneracy, rank in cases:
-            dim, blocks = 2**spec.n, spec.n + 1
+            dim, basis = 2**spec.n, models._Basis.of(spec)
+            groups = group_shapes(basis)
+            assert sum(g * d for _, (g, d, _) in groups) == dim
+            assert all(h.dtype == (np.float64 if 2 * b.m % spec.n == 0 else np.complex128)
+                       and h.shape == (len(b.reps),) * 2 and len(b.reps) < dim
+                       for b, h in zip(basis.blocks, block_hamiltonians(basis, 0.0)))
             full = spec.n <= models.FULL_SOLVE_MAX_N
             for policy in models.POLICIES:
                 calls.clear()
@@ -363,10 +386,9 @@ class TestSymmetricPolicy:
                         assert np.linalg.matrix_rank(gs.state) == (
                             rank if policy == "symmetric" else degeneracy)
                 # a stacked input's first axis counts points: its last is the matrix size
-                real = [a for a in calls if a.dtype == np.float64 and a.shape[-1] < dim]
                 solved = [a for a in calls if a.dtype == complex and a.shape[-2:] == (dim, dim)]
-                assert len(real) == blocks and sum(a.shape[-1] for a in real) == dim, policy
-                assert len(solved) == full and len(calls) == blocks + full, policy
+                assert [(a.dtype, a.shape[-3:]) for a in calls[:len(groups)]] == groups, policy
+                assert len(solved) == full and len(calls) == len(groups) + full, policy
 
     def test_zero_hamiltonian_is_the_parity_even_mixture(self):
         gs = ground_state(ModelSpec(family="xy", n=4, lam=0.0, h=0.0, gamma=0.5))
@@ -376,9 +398,10 @@ class TestSymmetricPolicy:
 
 
 class TestOneSpectrum:
-    """Every scalar of `ground_state` comes from the one real `eigh` per symmetry
-    block, at every n: the energy is the lowest sector level and the gap is
-    read off the sorted union of the block spectra, bit for bit."""
+    """Every scalar of `ground_state` comes from the one `eigh` per momentum x
+    sector block, at every n: a sector's level is the lowest of its blocks, the
+    energy is the lowest sector level and the gap is read off the sorted union of
+    the block spectra, bit for bit."""
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("family, params", [
@@ -388,17 +411,20 @@ class TestOneSpectrum:
     ], ids=["ti", "xy", "xxz"])
     def test_scalars_come_from_the_block_spectra(self, n, family, params):
         for spec in (ModelSpec(family=family, n=n, **p) for p in params):
-            H, sym = build_hamiltonian(spec), symmetry_diagonal(spec)
-            blocks = [np.linalg.eigh(H[np.ix_(sym == s, sym == s)])[0] for s in np.unique(sym)]
+            basis, value = models._Basis.of(spec), models._sweep_value(spec)
+            blocks = block_spectra(basis, value)
             w = np.sort(np.concatenate(blocks))
             tol = models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
             g = sum(int(np.sum(wb - w[0] <= tol)) for wb in blocks)
+            lows = [min(wb[0] for b, wb in zip(basis.blocks, blocks) if b.sector == k)
+                    for k in range(len(basis.sectors))]
             for policy in models.POLICIES:
                 try:
                     gs = ground_state(spec, policy)
                 except PolicyError:
                     assert policy == "aligned_up", spec
                     continue
+                assert gs.levels[1].tolist() == lows and gs.levels[2] == tol, (spec, policy)
                 assert gs.energy == min(gs.levels[1]), (spec, policy)
                 assert gs.gap == w[1] - w[0], (spec, policy)
                 assert gs.degeneracy == g, (spec, policy)
@@ -458,8 +484,8 @@ def spec_id(spec):
 
 
 class TestBlockSolve:
-    """Above FULL_SOLVE_MAX_N sites the ground state comes from the real symmetry
-    blocks alone; the complex full solve of H is the oracle."""
+    """Above FULL_SOLVE_MAX_N sites the ground state comes from the momentum x
+    sector blocks alone; the complex full solve of H is the oracle."""
 
     LABELS = ((1,), (1, 2))
     POINTS = ((0.0, 0.0), (0.7, 1.1))
@@ -504,7 +530,10 @@ class TestBlockSolve:
                 for theta, phi in self.POINTS:
                     ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
-        assert all(a.dtype == np.float64 and a.shape[-1] < dim for a in eighs)  # last axis: size
+        # one eigh per group of equal-width blocks and policy, none of 2^n rows
+        groups = group_shapes(models._Basis.of(spec))
+        assert max(shape[-1] for _, shape in groups) < dim
+        assert [(a.dtype, a.shape[-3:]) for a in eighs] == groups * (len(eighs) // len(groups))
 
 
 def assert_same_result(got, want):
@@ -554,14 +583,29 @@ class TestStackedSolve:
 
     def test_chunk_sizes(self, monkeypatch):
         sizes = []
-        build = models._build
-        monkeypatch.setattr(models, "_build", lambda spec, values, z: sizes.append(len(values))
-                            or build(spec, values, z))
+        solve = models._solve
+        monkeypatch.setattr(models, "_solve", lambda basis, values: sizes.append(len(values))
+                            or solve(basis, values))
         for n, chunks in ((6, [8, 8, 4]), (7, [2] * 10), (8, [1] * 20)):
             sizes.clear()
             assert len(list(models.ground_states(ModelSpec(family="ti", n=n),
                                                  np.linspace(0.5, 1.5, 20)))) == 20
             assert sizes == chunks, n
+
+    @pytest.mark.parametrize("spec", [ModelSpec(family="ti", n=8), ModelSpec(family="xxz", n=8),
+                                      ModelSpec(family="xy", n=9, gamma=0.5)], ids=spec_id)
+    def test_long_chains_form_no_full_matrix(self, spec, monkeypatch):
+        # from n = 8 up a sweep builds no 2^n x 2^n H and solves nothing wider than a block
+        widest = max(len(b.reps) for b in models._Basis.of(spec).blocks)
+        widths = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(models, "_build", lambda *a: pytest.fail("full H built"))
+        monkeypatch.setattr(models, "herm_eig", lambda a: pytest.fail("complex full solve"))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: widths.append(a.shape[-1]) or eigh(a))
+        grid = [-1.0, 0.5, 1.0, 1.5]
+        for policy in ("symmetric", "mixture"):
+            assert len(list(models.ground_states(spec, grid, policy))) == len(grid)
+        assert widths and max(widths) == widest < 2**spec.n / 4
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
@@ -597,6 +641,86 @@ class TestStackedSolve:
         assert next(results).degeneracy == 16
         with pytest.raises(PolicyError, match="all-up state not in the ground space"):
             next(results)
+
+
+def differential_specs():
+    """Chains for the momentum-block differential test, n = 2..10: each family at a
+    generic point; the degenerate points ti without a field, xxz at the
+    ferromagnetic point Delta = -1 and xy at its factorization point; and xxz at
+    Delta = 0 on the odd rings, whose ground levels are +-k pairs."""
+    lam_f = xy_factorization_point(0.5)
+    for n in range(2, 11):
+        yield ModelSpec(family="ti", n=n, lam=0.7)
+        yield ModelSpec(family="xy", n=n, lam=1.3, gamma=0.5)
+        yield ModelSpec(family="xxz", n=n, delta=0.5)
+        yield ModelSpec(family="ti", n=n, lam=1.0, h=0.0)
+        yield ModelSpec(family="xy", n=n, lam=lam_f, gamma=0.5)
+        yield ModelSpec(family="xxz", n=n, delta=-1.0)
+        if n % 2:
+            yield ModelSpec(family="xxz", n=n, delta=0.0)
+
+
+class TestMomentumBlocks:
+    """The momentum x sector blocks against the sector-block solve they replace
+    (`sector_block_ground_state`): the same spectrum, sector levels, ground counts,
+    picked sector, parity and ground space, under every policy."""
+
+    LABELS = ((1,), (1, 2))
+    POINTS = ((0.0, 0.0), (0.7, 1.1))
+
+    @pytest.mark.parametrize("spec", differential_specs(), ids=spec_id)
+    def test_matches_the_sector_blocks(self, spec):
+        n, value = spec.n, models._sweep_value(spec)
+        basis = models._Basis.of(spec)
+        for h in block_hamiltonians(basis, value):
+            assert np.max(np.abs(h - h.conj().T), initial=0.0) <= 1e-14 * max(np.max(np.abs(h)), 1)
+        spectra = block_spectra(basis, value)
+        union = np.sort(np.concatenate(spectra))
+        assert len(union) == 2**n
+        for policy in models.POLICIES:
+            want = sector_block_ground_state(spec, policy)
+            tol = models.TIE_TOL_FACTOR * max(float(np.ptp(union)), 1.0)
+            assert np.max(np.abs(union - np.sort(np.concatenate(want["spectra"])))) <= tol
+            try:
+                gs = ground_state(spec, policy)
+            except PolicyError:
+                assert policy == "aligned_up" and want["state"] is None, spec
+                continue
+            assert gs.levels[0] == want["levels"][0]
+            assert np.max(np.abs(gs.levels[1] - want["levels"][1])) <= tol
+            assert abs(gs.energy - want["energy"]) <= tol and abs(gs.gap - want["gap"]) <= tol
+            counts = [0] * len(basis.sectors)
+            for b, w in zip(basis.blocks, spectra):
+                counts[b.sector] += int(np.sum(w - union[0] <= gs.levels[2]))
+            assert counts == want["counts"], policy
+            assert (gs.degeneracy, gs.parity) == (want["degeneracy"], want["parity"]), policy
+            assert pick_sector(*gs.levels) == want["picked"]
+            if policy == "mixture":
+                projector = gs.degeneracy * density(gs.state)
+                assert max_norm(projector - want["projector"]) <= 1e-12, spec
+            assert max_norm(density(gs.state) - density(want["state"])) <= 1e-12, policy
+            for sites in (*self.LABELS, tuple(range(1, n + 1))):
+                if max(sites) > n:
+                    continue
+                for theta, phi in self.POINTS:
+                    ours, theirs = equal_angle_values([gs.state, want["state"]], sites, theta, phi)
+                    assert abs(ours[0] - theirs[0]) <= 1e-12, (policy, sites)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_xx_ring_ground_levels_are_a_momentum_pair(self, n):
+        # xxz at Delta = 0: each S_z = +-1/2 sector's ground level sits at k and -k
+        spec = ModelSpec(family="xxz", n=n, delta=0.0)
+        basis = models._Basis.of(spec)
+        spectra = block_spectra(basis, 0.0)
+        low = min(w[0] for w in spectra)
+        tol = models.TIE_TOL_FACTOR * max(max(w[-1] for w in spectra) - low, 1.0)
+        ground = sorted((basis.sectors[b.sector], b.m) for b, w in zip(basis.blocks, spectra)
+                        if w[0] - low <= tol)
+        assert len(ground) == 4 and all(m != 0 for _, m in ground)
+        for sector in (-0.5, 0.5):
+            ms = [m for s, m in ground if s == sector]
+            assert len(ms) == 2 and sum(ms) == n
+        assert ground_state(spec, "mixture").degeneracy == 4
 
 
 class TestParity:
@@ -698,6 +822,18 @@ class TestThermodynamicForms:
         # the energy tends to -lam and mz to 1/(4 lam)
         assert ti_thermo_energy(lam) == pytest.approx(-lam, rel=1e-9)
         assert ti_thermo_mz(lam) == pytest.approx(1 / (4 * lam), rel=1e-9)
+
+    def test_mz_beyond_the_overflow_of_pi_lam(self):
+        # pi lam overflows above lam ~ 5.7e307; mz is still about 1/(4 lam), a subnormal
+        lam = 1.7e308
+        assert math.isinf(math.pi * lam)
+        assert ti_thermo_mz(lam) == pytest.approx(0.25 / lam, rel=1e-12)
+
+    def test_mz_keeps_its_bits_where_pi_lam_is_finite(self):
+        # b / (pi lam), as before the overflow branch, at a spread of lam in (1, 1e300]
+        for lam in np.geomspace(1 + 1e-12, 1e300, 97).tolist() + [1.5, 2.0, 1e300]:
+            _, _, b, _ = models._ti_elliptic(lam)
+            assert ti_thermo_mz(lam) == b / (math.pi * lam), lam
 
     def test_negative_coupling_rejected(self):
         # one domain for all six ti formulas: a finite lam >= 0
