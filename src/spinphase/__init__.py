@@ -10,7 +10,7 @@ the jumps across them.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, PolicyError, SpinPhaseError
-from .qcore import herm_eig, label_name, parse_label, reduced_factor, validate_label
+from .qcore import label_name, parse_label, reduced_factor, validate_label
 from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_state,
                      spin_parity_diagonal, staggered_flip_diagonal, ti_classical_energy,
                      ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
@@ -26,7 +26,7 @@ from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
 __all__ = [
     "__version__",
     "ConfigError", "NumericalError", "PolicyError", "SpinPhaseError",
-    "herm_eig", "reduced_factor",
+    "reduced_factor",
     "validate_label", "label_name", "parse_label",
     "ModelSpec", "GroundStateResult", "build_hamiltonian", "ground_state",
     "spin_parity_diagonal", "staggered_flip_diagonal", "total_sz_diagonal",

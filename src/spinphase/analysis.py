@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from . import models
-from .models import (ModelSpec, pick_sector, sector_energies, xy_factorization_angle,
+from .models import (ModelSpec, pick_sector, sector_levels, xy_factorization_angle,
                      xy_factorization_point)
 from .qcore import label_name, validate_label, validate_labels
 from .wigner import SQRT3, check_angles, equal_angle_values
@@ -239,11 +239,12 @@ def find_sector_crossings(line):
 
     At each grid point `pick_sector` names the ground sector from the sweep's
     `line.levels`. Where it changes, the crossing is the root of the two
-    sectors' level difference E_b - E_a, found from `sector_energies` by Brent's
-    method (`_brent_root`) to CROSSING_BRACKET. If the two sectors tie
-    within the tie tolerance at either end of the bracket, that end is an exact
-    hit, located at the grid point without a root search, so the sign of
-    rounding noise cannot move it. Each crossing gives a
+    sectors' level difference E_b - E_a, found by Brent's method (`_brent_root`)
+    to CROSSING_BRACKET from the level function `sector_levels`, which the first
+    root search builds and the others reuse. If the two sectors tie within the
+    tie tolerance at either end of the bracket, that end is an exact hit,
+    located at the grid point without a root search, so the sign of rounding
+    noise cannot move it. Each crossing gives a
     `sector_crossing` point (label "global", detail "<from> -> <to>",
     magnitude the |slope| of the two sectors' energy difference over the
     bracket). Each label whose value steps across the crossing by more than
@@ -254,7 +255,7 @@ def find_sector_crossings(line):
     spec, x, levels = line.config.spec, line.params, line.levels
     sectors = levels[0][0]
     picked = [pick_sector(*level) for level in levels]
-    out = []
+    levels_at, out = None, []
     for i in range(len(x) - 1):
         a, b = picked[i], picked[i + 1]
         if a == b:
@@ -266,9 +267,9 @@ def find_sector_crossings(line):
         else:  # a is picked at x_i, b at x_{i+1} and neither end ties, so E_b - E_a is > tol
             # at x_i and < -tol at x_{i+1}; at those two ends the root search reads the sweep's levels
             ends = {x[i]: levels[i][1], x[i + 1]: levels[i + 1][1]}
+            levels_at = levels_at or sector_levels(spec)
             def gap(value):
-                energies = (ends[value] if value in ends
-                            else sector_energies(spec.with_param(value))[1])
+                energies = ends[value] if value in ends else levels_at(value)[1]
                 return energies[b] - energies[a]
             loc, lo, hi = _brent_root(gap, x[i], x[i + 1]), i, i + 1
         out.append(CriticalPoint(kind="sector_crossing", location=float(loc),

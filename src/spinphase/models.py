@@ -16,15 +16,17 @@ has an orbit representative, and each (k, sector) block is built straight from
 the representatives, real at k = 0 and pi and complex Hermitian otherwise, with
 no 2^n x 2^n array. The blocks' spectra give the sector levels (the lowest
 over a sector's blocks) and the whole spectrum at every n. Up to
-FULL_SOLVE_MAX_N sites the ground-space vectors come from the complex solve of
+FULL_SOLVE_MAX_N sites the ground-space vectors come from the complex `eigh` of
 the full H, whose rounding the recorded 6-site outputs pin; longer chains take
-them from the blocks, embedded in 2^n rows.
+them from the blocks, embedded in 2^n rows. Every solve is a bare `eigh`: a
+column's phase cancels in rho = A A^dagger, so none is fixed.
 
 A sweep is one stacked solve: `ground_states` solves a chunk of
 max(1, CHUNK_BYTES // (32 x 4^n)) grid points at once, each group of blocks
 of one width and dtype by one `eigh` over the stack of its blocks at every
 point of the chunk. `ground_state` and `sector_energies` are its one-point
-case, so there is one solver path.
+case, so there is one solver path; `sector_levels` gives the levels at any
+sweep value over one basis.
 """
 
 import math
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, PolicyError
-from .qcore import CHUNK_BYTES, all_up_vector, herm_eig
+from .qcore import CHUNK_BYTES, all_up_vector
 
 FAMILIES = ("ti", "xy", "xxz")
 POLICIES = ("symmetric", "mixture", "aligned_up")
@@ -44,7 +46,7 @@ POLICIES = ("symmetric", "mixture", "aligned_up")
 # one rule for degenerate ground levels, sector ties and exact crossing hits
 TIE_TOL_FACTOR = 1e-12
 _ALIGNED_OVERLAP_ATOL = 1e-8
-# Largest chain whose ground-space vectors come from the complex solve of the
+# Largest chain whose ground-space vectors come from the complex `eigh` of the
 # full H. Their rounding is pinned by every recorded n <= 6 output; longer
 # chains take them from their momentum blocks, as every chain its spectrum.
 FULL_SOLVE_MAX_N = 6
@@ -93,19 +95,14 @@ class ModelSpec:
 
 
 def dense_working_set(n):
-    """An upper bound on the bytes held while an n-site ground state is solved,
-    in units of 4^n bytes summed as if nothing were freed (the allocator may
-    keep freed blocks). It was sized for the symmetry-block solve that the
-    momentum blocks replaced: the real H (8), every block's eigenvectors (4),
-    one block's `eigh` as its slice, LAPACK's copy, workspace and result (10),
-    and the ground-space factor and the state built from it (16 when every
-    level is a ground level); plus an allowance for the BLAS and LAPACK
-    buffers, which also holds the complex full solve of at most
-    FULL_SOLVE_MAX_N sites (88 x 4^6 bytes, 0.34 MiB). The momentum blocks form
-    no 2^n x 2^n matrix but the complex ground-space factor and the state built
-    from it (at most 32 x 4^n, when every level is a ground level), and their
-    matrices and eigenvectors are about n times narrower than the sector blocks
-    were. The bound is kept as it is until the size guard is raised.
+    """An upper bound on the bytes held while an n-site ground state is solved:
+    38 x 4^n bytes, summed as if nothing were freed (the allocator may keep
+    freed blocks), plus 16 MiB for the BLAS and LAPACK buffers. The largest
+    arrays are the complex ground-space factor and the state built from it (at
+    most 32 x 4^n, when every level is a ground level); the momentum blocks'
+    matrices and eigenvectors are about n times narrower, and up to
+    FULL_SOLVE_MAX_N sites the complex `eigh` of the full H (88 x 4^6 bytes,
+    0.34 MiB) fits in the 16 MiB.
 
     A sweep's chunk of p > 1 points (`ground_states`) never exceeds it: p > 1
     only while p x 32 x 4^n <= CHUNK_BYTES (n <= 7), so the whole chunk's
@@ -295,13 +292,11 @@ class _Basis:
 
     @classmethod
     def of(cls, spec):
-        n = spec.n
-        z = _z_signs(n)
-        parity = np.prod(z, axis=0)  # spin_parity_diagonal
-        sym = np.sum(z, axis=0) / 2 if spec.family == "xxz" else parity  # symmetry_diagonal
+        z = _z_signs(spec.n)
+        parity, sym = spin_parity_diagonal(spec.n), symmetry_diagonal(spec)
         sectors = sorted(set(sym.tolist()))  # np.unique, without its numpy.ma import
         index = [np.flatnonzero(sym == s) for s in sectors]
-        orbits = _orbits(n)
+        orbits = _orbits(spec.n)
         blocks, groups = _momentum_blocks(spec, z, sym, sectors, orbits)
         return cls(z, tuple(sectors), index, [int(parity[i[0]]) for i in index],
                    sectors.index(sym[0]), orbits, blocks, groups)
@@ -388,13 +383,19 @@ def _embed(basis, block, c):
     return rows, amp[:, None] * c[at]
 
 
+def sector_levels(spec):
+    """The function v -> `sector_energies` of `spec` with its sweep parameter (lam,
+    or delta for xxz) at v, over one `_Basis` built here, as a sweep's is."""
+    basis = _Basis.of(spec)
+    return lambda value: _levels(basis, _solve(basis, [value]))[0]
+
+
 def sector_energies(spec):
     """Lowest energy of each sector of `symmetry_diagonal(spec)` (spin parity for
     ti/xy, total S_z for xxz), the lowest over the sector's momentum blocks, and
     the tie tolerance TIE_TOL_FACTOR x max(spectral range, 1). Returns (sectors,
     energies, tol) with the sector values in increasing order."""
-    basis = _Basis.of(spec)
-    return _levels(basis, _solve(basis, [_sweep_value(spec)]))[0]
+    return sector_levels(spec)(_sweep_value(spec))
 
 
 def pick_sector(sectors, energies, tol):
@@ -419,7 +420,7 @@ def ground_state(spec, policy="symmetric"):
     A level within the tie tolerance `levels[2]` of the lowest is a ground level,
     the rule `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly
     when `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors are
-    the first g columns of the complex solve of the full H up to
+    the first g columns of the complex `eigh` of the full H up to
     FULL_SOLVE_MAX_N sites, and above that each block's ground columns,
     embedded in 2^n rows (a momentum state's amplitude on basis index s is its
     representative's, times exp(ik shift(s)) / sqrt(R)), which need no full H.
@@ -442,7 +443,7 @@ def ground_states(spec, values, policy="symmetric"):
     The grid is solved in chunks of max(1, CHUNK_BYTES // (32 x 4^n)) points
     (8 at n = 6, 1 from n = 8 up): one `eigh` per group of equal-width blocks
     over the stack of their matrices at every point of the chunk and, up to
-    FULL_SOLVE_MAX_N sites, one `herm_eig` over the chunk's stacked full H, with
+    FULL_SOLVE_MAX_N sites, one complex `eigh` over the chunk's stacked full H, with
     the same float operations as a one-point solve, so every result equals that
     point's own `ground_state` bit for bit. The basis and the blocks' matrices
     (`_Basis`) are built once per sweep. A chunk's arrays are
@@ -470,7 +471,7 @@ def _chunk_ground_states(spec, values, policy, basis):
                              for w, _ in eigs], axis=1)  # ground levels per block
     full = vectors = None
     if spec.n <= FULL_SOLVE_MAX_N:  # vectors the 6-site outputs pin
-        full = herm_eig(_build(spec, values, basis.z))[1]
+        full = np.linalg.eigh(np.asarray(_build(spec, values, basis.z), dtype=complex))[1]
     else:  # per block, its (points, d, d) eigenvectors
         vectors = [v[:, i] for _, v in eigs for i in range(v.shape[1])]
     for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
@@ -615,7 +616,7 @@ def xy_factorization_angle(gamma):
 __all__ = [
     "FAMILIES", "POLICIES", "ModelSpec", "GroundStateResult", "build_hamiltonian",
     "spin_parity_diagonal", "staggered_flip_diagonal", "total_sz_diagonal", "symmetry_diagonal",
-    "sector_energies", "pick_sector", "ground_state", "ground_states",
+    "sector_levels", "sector_energies", "pick_sector", "ground_state", "ground_states",
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz", "ti_thermo_energy",
     "ti_thermo_mx", "ti_thermo_mz", "xy_factorization_point", "xy_factorization_angle",
     "TIE_TOL_FACTOR", "dense_working_set", "physical_memory",

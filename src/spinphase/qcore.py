@@ -5,9 +5,8 @@ Conventions used throughout the package:
   * |up> = (1, 0) is the +1 eigenvector of sigma_z,
   * the Pauli matrices are complex 2 x 2 arrays; a chain Hamiltonian is a
     real dense array of dimension 2^n, a symmetry is its diagonal, and the
-    solver works on its momentum x sector blocks (see `models`); `herm_eig`
-    solves a complex Hermitian matrix or a stack of them, which `models` does
-    only for the ground vectors of a short chain's full H,
+    solver works on its momentum x sector blocks (see `models`), each solved by
+    a plain `np.linalg.eigh`,
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger, and
     n is read off its rows: a pure state is one column (a 1-D vector is the
     r = 1 case), a mixture one column per weighted component,
@@ -33,25 +32,6 @@ def n_sites(dim):
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
     return n
-
-
-def herm_eig(a):
-    """Eigendecomposition of a Hermitian matrix, or of each of a stack (..., m, m).
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and the
-    eigenvector columns orthonormal. Each column's phase is fixed by making
-    its largest-magnitude component positive and real up to rounding (an
-    imaginary part of about 1e-17 can remain), so results are deterministic
-    across runs; a stack gives, matrix by matrix, what each
-    matrix alone gives. Hermiticity is not checked: `eigh` reads only the
-    lower triangle.
-    """
-    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
-    ph = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    mag = np.hypot(ph.real, ph.imag)  # as abs() of one scalar; np.abs on arrays rounds otherwise
-    keep = mag > 0
-    np.multiply(v, ph.conj() / np.where(keep, mag, 1.0), out=v, where=keep)
-    return w, v
 
 
 def basis_vector(bits):

@@ -18,7 +18,7 @@ import numpy as np
 from spinphase.errors import NumericalError
 from spinphase.models import (TIE_TOL_FACTOR, build_hamiltonian, pick_sector,
                               spin_parity_diagonal, symmetry_diagonal)
-from spinphase.qcore import IDENTITY_2, all_up_vector, herm_eig, n_sites, validate_label
+from spinphase.qcore import IDENTITY_2, all_up_vector, n_sites, validate_label
 from spinphase.wigner import PAULI_BASIS, kernels
 
 IMAG_RESIDUE_ATOL = 1e-12
@@ -84,18 +84,18 @@ def kernel_multi(points, n=None):
 def symmetric_by_rotation(spec):
     """The `symmetric` ground state by rotating the degenerate ground space.
 
-    Solves the full complex H, diagonalizes the symmetry diagonal inside the
+    Solves the full H, diagonalizes the symmetry diagonal inside the
     ground space, and returns the rotated vector that `pick_sector` picks from
     the Rayleigh quotients of the symmetry and of H, as a one-column factor.
     """
     H = build_hamiltonian(spec)
-    w, v = herm_eig(H)
+    w, v = np.linalg.eigh(H)
     tol = TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
     g = int(np.sum(w - w[0] <= tol))
     V = v[:, :g]
     sym = symmetry_diagonal(spec)
     block = V.conj().T @ (sym[:, None] * V)
-    _, rot = herm_eig(0.5 * (block + block.conj().T))
+    _, rot = np.linalg.eigh(0.5 * (block + block.conj().T))
     vecs = [V @ rot[:, k] for k in range(g)]
     sectors = [float(np.real(np.vdot(vec, sym * vec))) for vec in vecs]
     energies = [float(np.real(np.vdot(vec, H @ vec))) for vec in vecs]

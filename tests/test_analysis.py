@@ -12,7 +12,7 @@ from spinphase.analysis import (CANONICAL_LABELS_6, CROSSING_BRACKET, SweepConfi
                                 first_derivative, sweep)
 from spinphase.errors import ConfigError, NumericalError, PolicyError
 from spinphase.models import (ModelSpec, ground_state, pick_sector, sector_energies,
-                              total_sz_diagonal)
+                              sector_levels, total_sz_diagonal)
 from spinphase.qcore import label_name
 
 SQ3 = math.sqrt(3.0)
@@ -222,6 +222,14 @@ class TestJumps:
         assert find_sector_crossings(line) == []
 
 
+def counted_levels(calls):
+    """`sector_levels` that appends each sweep value it is evaluated at to `calls`."""
+    def levels(spec):
+        at = sector_levels(spec)
+        return lambda value: calls.append(value) or at(value)
+    return levels
+
+
 def crossings_of(line):
     return of_kind(find_sector_crossings(line), "sector_crossing")
 
@@ -287,8 +295,7 @@ class TestParityCrossings:
     def test_grid_points_reuse_the_sweep_levels(self, monkeypatch):
         line = sweep(SweepConfig(**self.XXZ_HIT))
         calls = []
-        monkeypatch.setattr(analysis, "sector_energies",
-                            lambda spec: calls.append(spec) or sector_energies(spec))
+        monkeypatch.setattr(analysis, "sector_levels", counted_levels(calls))
         assert [p.location for p in crossings_of(line)] == [-1.0]
         assert calls == []
 
@@ -298,12 +305,22 @@ class TestParityCrossings:
         line = sweep(SweepConfig(spec=ModelSpec(family="xy", n=6, lam=1.0, gamma=0.5),
                                  start=1.0, stop=1.3, step=0.01, labels=((1,),)))
         calls = []
-        monkeypatch.setattr(analysis, "sector_energies",
-                            lambda spec: calls.append(spec.lam) or sector_energies(spec))
+        monkeypatch.setattr(analysis, "sector_levels", counted_levels(calls))
         assert [p.location for p in crossings_of(line)] == [pytest.approx(2 / SQ3,
                                                                           abs=CROSSING_BRACKET)]
         assert not set(calls) & set(line.params.tolist())
         assert 0 < len(calls) <= 4
+
+    def test_the_root_searches_share_one_basis(self, xy_line, monkeypatch):
+        # two bracketed crossings, each a Brent search over several sweep values, and one
+        # basis for all of them; the sweep's own levels need none
+        builds = []
+        of = models._Basis.of
+        monkeypatch.setattr(models._Basis, "of",
+                            classmethod(lambda cls, spec: builds.append(spec) or of(spec)))
+        points = crossings_of(xy_line)
+        assert [p.detail for p in points] == ["1 -> -1", "-1 -> 1"]
+        assert len(builds) == 1
 
     def test_ti_has_no_crossing(self):
         cfg = SweepConfig(spec=ModelSpec(family="ti", n=6, lam=0.0),

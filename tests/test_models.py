@@ -22,9 +22,8 @@ from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, g
                               ti_classical_mx, ti_classical_mz,
                               ti_thermo_energy, ti_thermo_mx, ti_thermo_mz, total_sz_diagonal,
                               xy_factorization_angle, xy_factorization_point)
-from spinphase.qcore import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector,
-                             herm_eig)
-from spinphase.wigner import equal_angle_values
+from spinphase.qcore import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector
+from spinphase.wigner import SphereGrid, equal_angle_values, sphere_field
 
 SQ3 = math.sqrt(3.0)
 
@@ -83,7 +82,7 @@ def assert_matches_kron_bitwise(spec):
     assert h.dtype == np.float64
     assert np.array_equal(h, oracle.real)
     assert not oracle.imag.any()
-    # the complex matrix that herm_eig solves is the oracle, signed zeros included
+    # the complex matrix of the n <= 6 full solve is the oracle, signed zeros included
     assert np.asarray(h, dtype=complex).tobytes() == oracle.tobytes()
 
 
@@ -485,7 +484,7 @@ def spec_id(spec):
 
 class TestBlockSolve:
     """Above FULL_SOLVE_MAX_N sites the ground state comes from the momentum x
-    sector blocks alone; the complex full solve of H is the oracle."""
+    sector blocks alone; the `eigh` of the full H is the oracle."""
 
     LABELS = ((1,), (1, 2))
     POINTS = ((0.0, 0.0), (0.7, 1.1))
@@ -494,7 +493,7 @@ class TestBlockSolve:
     def test_matches_the_full_solve(self, spec, monkeypatch):
         n, dim = spec.n, 2**spec.n
         assert n > models.FULL_SOLVE_MAX_N
-        w, v = herm_eig(build_hamiltonian(spec))
+        w, v = np.linalg.eigh(build_hamiltonian(spec))
         g = int(np.sum(w - w[0] <= models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)))
         up = all_up_vector(n)
         up_in_space = np.linalg.norm(v[:, :g].conj().T @ up) >= 1.0 - 1e-8
@@ -502,7 +501,6 @@ class TestBlockSolve:
         eigh = np.linalg.eigh
         for policy in models.POLICIES:
             with monkeypatch.context() as m:
-                m.setattr(models, "herm_eig", lambda a: pytest.fail("complex full solve"))
                 m.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
                 try:
                     gs = ground_state(spec, policy)
@@ -530,7 +528,8 @@ class TestBlockSolve:
                 for theta, phi in self.POINTS:
                     ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
-        # one eigh per group of equal-width blocks and policy, none of 2^n rows
+        # one eigh per group of equal-width blocks and policy, none complex and 2^n wide
+        assert not [a for a in eighs if a.dtype == complex and a.shape[-1] == dim]
         groups = group_shapes(models._Basis.of(spec))
         assert max(shape[-1] for _, shape in groups) < dim
         assert [(a.dtype, a.shape[-3:]) for a in eighs] == groups * (len(eighs) // len(groups))
@@ -597,15 +596,15 @@ class TestStackedSolve:
     def test_long_chains_form_no_full_matrix(self, spec, monkeypatch):
         # from n = 8 up a sweep builds no 2^n x 2^n H and solves nothing wider than a block
         widest = max(len(b.reps) for b in models._Basis.of(spec).blocks)
-        widths = []
+        solves = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(models, "_build", lambda *a: pytest.fail("full H built"))
-        monkeypatch.setattr(models, "herm_eig", lambda a: pytest.fail("complex full solve"))
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: widths.append(a.shape[-1]) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
         grid = [-1.0, 0.5, 1.0, 1.5]
         for policy in ("symmetric", "mixture"):
             assert len(list(models.ground_states(spec, grid, policy))) == len(grid)
-        assert widths and max(widths) == widest < 2**spec.n / 4
+        assert not [a for a in solves if a.dtype == complex and a.shape[-1] == 2**spec.n]
+        assert solves and max(a.shape[-1] for a in solves) == widest < 2**spec.n / 4
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
@@ -619,19 +618,17 @@ class TestStackedSolve:
             assert h.tobytes() == build_hamiltonian(one).tobytes()
             assert np.asarray(h, dtype=complex).tobytes() == kron_hamiltonian(one).tobytes()
 
-    def test_stacked_herm_eig_matches_each_matrix(self):
-        rng = np.random.default_rng(19)
-        a = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+    def test_stacked_full_solve_matches_each_matrix(self):
+        # the n <= 6 ground vectors: the complex eigh of a chunk's stacked full H gives,
+        # matrix by matrix, what each point's own solve gives
         spec = ModelSpec(family="xxz")  # degenerate levels at delta = -1
-        for stack in (a + a.conj().swapaxes(1, 2),
-                      np.array([build_hamiltonian(spec.with_param(d)) for d in (-2, -1, 0.5, 1)])):
-            w, v = herm_eig(stack)
-            for k, matrix in enumerate(stack):
-                wk, vk = herm_eig(matrix)
-                assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
-            # the phase fix: each column's largest-magnitude entry is real and positive
-            top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None, :], axis=1)
-            assert max_norm(top.imag) < 1e-15 and np.all(top.real > 0)
+        values = [-2.0, -1.0, 0.5, 1.0]
+        w, v = np.linalg.eigh(np.asarray(models._build(spec, values, models._z_signs(6)),
+                                         dtype=complex))
+        for k, value in enumerate(values):
+            wk, vk = np.linalg.eigh(np.asarray(build_hamiltonian(spec.with_param(value)),
+                                               dtype=complex))
+            assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
 
     def test_policy_failure_is_raised_at_its_own_point(self):
         # at h = 0 the all-up state leaves the ground space once lambda > 0; the
@@ -641,6 +638,81 @@ class TestStackedSolve:
         assert next(results).degeneracy == 16
         with pytest.raises(PolicyError, match="all-up state not in the ground space"):
             next(results)
+
+
+PHASE_SPECS = {  # a unique ground state, and three degenerate spaces
+    "xy-n6-unique": ModelSpec(family="xy", lam=1.3, gamma=0.5),
+    "xxz-n6-ferromagnetic": ModelSpec(family="xxz", delta=-1.0),
+    "xy-n6-factorization": ModelSpec(family="xy", lam=xy_factorization_point(0.5), gamma=0.5),
+    "ti-n6-h0": ModelSpec(family="ti", lam=1.0, h=0.0),
+}
+
+
+class TestPhaseIndependence:
+    """Up to six sites the ground factor is columns of the complex `eigh` of the full
+    H, whose phases are LAPACK's choice; they cancel in rho = A A^dagger. With each
+    column multiplied by a random unit phase, every value moves by rounding alone."""
+
+    LABELS = ((1,), (1, 2), (1, 3), tuple(range(1, 7)))
+
+    @staticmethod
+    def phased_ground_state(spec, policy, rng, monkeypatch):
+        """`ground_state`, or the PolicyError it raises, with every column of the
+        complex 2^n-wide solve multiplied by a random unit phase."""
+        eigh, phased = np.linalg.eigh, []
+
+        def phased_eigh(a):
+            w, v = eigh(a)
+            if v.dtype == complex and v.shape[-1] == 2**spec.n:
+                phased.append(v.shape)
+                v = v * np.exp(2j * np.pi * rng.random(v.shape[:-2] + (1, v.shape[-1])))
+            return w, v
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", phased_eigh)
+            try:
+                result = ground_state(spec, policy)
+            except PolicyError as error:
+                result = error
+        assert len(phased) == 1
+        return result
+
+    @pytest.mark.parametrize("name", PHASE_SPECS)
+    def test_column_phases_move_no_value(self, name, monkeypatch):
+        spec, rng, grid = PHASE_SPECS[name], np.random.default_rng(29), SphereGrid(7, 12)
+        thetas, phis = [0.0, 0.7, 2.0], [0.0, 1.1, 4.0]
+        for policy in ("symmetric", "mixture"):
+            want = ground_state(spec, policy)
+            for _ in range(3):
+                got = self.phased_ground_state(spec, policy, rng, monkeypatch)
+                assert got.state.tobytes() != want.state.tobytes(), policy
+                assert (got.degeneracy, got.parity) == (want.degeneracy, want.parity)
+                for sites in self.LABELS:
+                    values = equal_angle_values([got.state, want.state], sites, thetas, phis)
+                    assert max_norm(values[0] - values[1]) <= 1e-14, (policy, sites)
+                    assert max_norm(sphere_field(got.state, sites, grid)
+                                    - sphere_field(want.state, sites, grid)) <= 1e-14, sites
+                if policy == "mixture":  # the all-up overlap, |P up| = sqrt(g) |A[0]|
+                    assert abs(np.linalg.norm(got.state[0]) - np.linalg.norm(want.state[0])) \
+                        <= 1e-14 / math.sqrt(want.degeneracy)
+
+    @pytest.mark.parametrize("name", PHASE_SPECS)
+    def test_column_phases_keep_the_aligned_up_outcome(self, name, monkeypatch):
+        # a unique state is kept as it is; all up lies in the xxz space at Delta = -1 and
+        # in neither other degenerate space, whose errors name the projection norm
+        spec, rng = PHASE_SPECS[name], np.random.default_rng(31)
+        try:
+            want = ground_state(spec, "aligned_up")
+        except PolicyError as error:
+            want = error
+        assert isinstance(want, PolicyError) == (name in ("xy-n6-factorization", "ti-n6-h0"))
+        for _ in range(3):
+            got = self.phased_ground_state(spec, "aligned_up", rng, monkeypatch)
+            if isinstance(want, PolicyError):
+                assert isinstance(got, PolicyError) and str(got) == str(want)
+            else:
+                assert (got.degeneracy, got.parity) == (want.degeneracy, want.parity)
+                assert max_norm(density(got.state) - density(want.state)) <= 1e-14
 
 
 def differential_specs():

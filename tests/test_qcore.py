@@ -5,8 +5,8 @@ import pytest
 
 from dense_oracles import density, embed, kron_all, partial_trace
 
-from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, herm_eig,
-                             label_name, n_sites, parse_label, reduced_factor, validate_label)
+from spinphase.qcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector, basis_vector, label_name,
+                             n_sites, parse_label, reduced_factor, validate_label)
 
 SQ3 = np.sqrt(3.0)
 
@@ -59,75 +59,6 @@ class TestEmbed:
         ab = embed(a, 2, 4) @ embed(b, 4, 4)
         ba = embed(b, 4, 4) @ embed(a, 2, 4)
         assert np.max(np.abs(ab - ba)) < 1e-12
-
-
-class TestHermEig:
-    def test_sigma_z_spectrum(self):
-        w, _ = herm_eig(SIGMA_Z)
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_sigma_x_eigenvectors_up_to_phase(self):
-        w, v = herm_eig(SIGMA_X)
-        assert np.allclose(w, [-1.0, 1.0])
-        minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert min(np.linalg.norm(v[:, 0] - minus), np.linalg.norm(v[:, 0] + minus)) < 1e-12
-        assert min(np.linalg.norm(v[:, 1] - plus), np.linalg.norm(v[:, 1] + plus)) < 1e-12
-
-    def test_reconstruction_on_random_matrices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            a = rand_hermitian(rng, 64)
-            w, v = herm_eig(a)
-            scale = np.max(np.abs(a))
-            assert np.max(np.abs((v * w) @ v.conj().T - a)) < 1e-9 * scale
-            assert np.max(np.abs(v.conj().T @ v - np.eye(64))) < 1e-10
-            assert np.all(np.diff(w) >= 0)
-
-    def test_eigenpair_residual(self):
-        rng = np.random.default_rng(6)
-        a = rand_hermitian(rng, 32)
-        w, v = herm_eig(a)
-        norm = np.linalg.norm(a, 2)
-        for k in (0, 7, 31):
-            assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) < 1e-10 * norm
-
-    def test_phase_fixing_deterministic(self):
-        rng = np.random.default_rng(7)
-        a = rand_hermitian(rng, 16)
-        _, v1 = herm_eig(a)
-        _, v2 = herm_eig(a.copy())
-        assert np.array_equal(v1, v2)
-        for k in range(16):
-            idx = np.argmax(np.abs(v1[:, k]))
-            assert v1[idx, k].imag == pytest.approx(0.0, abs=1e-14)
-            assert v1[idx, k].real > 0
-
-    @staticmethod
-    def phase_fixed_by_loop(a):
-        """Reference: fix each eigenvector column's phase one column at a time."""
-        w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
-        for k in range(v.shape[1]):
-            col = v[:, k]
-            idx = int(np.argmax(np.abs(col)))
-            ph = col[idx]
-            if abs(ph) > 0:
-                v[:, k] = col * (ph.conjugate() / abs(ph))
-        return w, v
-
-    def test_phase_fix_matches_column_loop_bitwise(self):
-        rng = np.random.default_rng(11)
-        mats = [rand_hermitian(rng, dim) for dim in (2, 16, 64, 200)]
-        for dim in (8, 64):  # four-fold degenerate levels, and the identity
-            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            mats.append((q * np.repeat(np.arange(dim // 4.0), 4)) @ q.conj().T)
-            mats.append(np.eye(dim))
-        for a in mats:
-            a = (a + a.conj().T) / 2
-            w, v = herm_eig(a)
-            w_ref, v_ref = self.phase_fixed_by_loop(a)
-            assert w.tobytes() == w_ref.tobytes()
-            assert v.tobytes() == v_ref.tobytes()
 
 
 class TestPartialTrace:
