@@ -5,10 +5,13 @@ K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
 cos theta); `bloch_factors` gives its Pauli components and `kernels` builds K
 for a batch of points. A state is a factor A, rho = A A^dagger, whose 2^n rows give n.
 Every Wigner value W = Tr[rho K_1 x ... x K_k] comes from one evaluator,
-`wigner_values`: it forms the reduced density M M^dagger of the reduced factor
-M (`qcore.reduced_factor`) and contracts each site's kernel into it, one site
-at a time, batched over states or phase points; `equal_angle_values` puts
-every site at one point. There is no scalar form: one value is the [0, 0]
+`wigner_values`, in one of two contraction orders of the reduced factor M
+(`qcore.reduced_factor`, 2^k x c): it forms the reduced density M M^dagger and
+contracts each site's kernel into it, one site at a time, batched over states
+or phase points; or, once that 4^k density outgrows one chunk and it is the
+cheaper order, it applies each site's kernel to M's row axis and sums
+conj(M) (K_1 x ... x K_k) M, batched over phase points. `equal_angle_values`
+puts every site at one point. There is no scalar form: one value is the [0, 0]
 entry of a call with one state and one point. Angles are checked in one
 place, `check_angles`, which `bloch_factors` runs on every angle it is given,
 so a bad angle raises ValueError on every path from angles to values. The
@@ -79,12 +82,15 @@ def wigner_values(states, sites, site_kernels):
     `states` reduced to `sites`, for every row of the per-site kernel stacks
     `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape (len(states), p).
 
-    rho = M M^dagger of the reduced factor is laid out with each site's (row,
-    column) index pair adjacent, so one matmul per site sums that pair against
-    the site's transposed kernel. The densities, and the rest the first site
-    leaves of them, are formed in chunks of about CHUNK_BYTES; a chunk's
-    consecutive same-shape states are reduced as one stack of at most
-    CHUNK_BYTES, by one transpose and one batched matmul.
+    By default rho = M M^dagger of the reduced factor is laid out with each
+    site's (row, column) index pair adjacent, so one matmul per site sums that
+    pair against the site's transposed kernel. The densities, and the rest the
+    first site leaves of them, are formed in chunks of about CHUNK_BYTES; a
+    chunk's consecutive same-shape states are reduced as one stack of at most
+    CHUNK_BYTES, by one transpose and one batched matmul. A state whose 4^k
+    density does not fit in one chunk (k >= 9) is instead contracted on its
+    factor, sum conj(M) (K_1 x ... x K_k) M, when `_factor_order` finds that
+    order the cheaper one for its c columns and the p points (`_factor_values`).
     """
     sites, site_kernels = tuple(sites), list(map(np.asarray, site_kernels))
     states = [np.asarray(state).reshape(len(state), -1) for state in states]  # 1-D: one column
@@ -103,6 +109,9 @@ def wigner_values(states, sites, site_kernels):
     values = np.empty((len(states), len(kts[0])))
     for s0 in range(0, len(states), per_stack):
         chunk = states[s0:s0 + per_stack]
+        if _factor_order(k, chunk[0].size >> k, values.shape[1]):  # so per_stack is 1
+            values[s0] = _factor_values(reduced_factor(chunk[0], sites), kts)
+            continue
         rho = np.empty((len(chunk),) + (2,) * (2 * k), dtype=complex)
         for a, b in _same_shape_runs(chunk):
             m = reduced_factor(np.array(chunk[a:b], dtype=complex), sites)
@@ -114,6 +123,40 @@ def wigner_values(states, sites, site_kernels):
             for kt in kts:
                 out = (kt[p0:p0 + step] @ out.reshape(*out.shape[:2], 4, -1))[..., 0, :]
             values[s0:s0 + len(chunk), p0:p0 + step] = out[..., 0].real
+    return values
+
+
+def _factor_order(k, columns, points):
+    """Whether a k-site label of a reduced factor with c = `columns` columns is
+    contracted on the factor at p = `points` phase points: only when its
+    16 x 4^k-byte density does not fit in one chunk, and when the factor
+    order, k kernels applied to the 2^k x c factor at each point (p k 2^k c
+    units of about 4.6 ns), costs no more than the density order: M M^dagger
+    (4^k c units of about 0.12 ns, one BLAS-3 product), laying out rho (4^k
+    of about 21 ns) and contracting it at each point (4^k p of about 1.4 ns).
+    The weights are those costs relative to the first density term, fitted to
+    both orders timed at k = 9, 10 (2 cores, OpenBLAS); 2^k cancels."""
+    return (16 * 4**k > CHUNK_BYTES
+            and 40 * points * k * columns <= 2**k * (columns + 180 + 12 * points))
+
+
+def _factor_values(m, kts):
+    """sum conj(M) (K_1 x ... x K_k) M of one reduced factor M (2^k, c) at every
+    point of the transposed kernel rows `kts`, in chunks of points of about
+    CHUNK_BYTES (at least one point, whose K M is the size of M).
+
+    Each site's kernel contracts the leading row axis of the work array by one
+    batched matmul and appends its output axis last, so after k sites the axes
+    are (point, column, site 1, ..., site k): the layout of M^T, which one
+    matrix-vector product sums against conj(M^T)."""
+    step = max(1, CHUNK_BYTES // (16 * m.size))
+    mh = m.T.conj().ravel()
+    values = np.empty(len(kts[0]))
+    for p0 in range(0, len(values), step):
+        t = m[None]
+        for kt in kts:
+            t = np.swapaxes(t.reshape(len(t), 2, -1), 1, 2) @ kt[p0:p0 + step].reshape(-1, 2, 2)
+        values[p0:p0 + step] = (t.reshape(len(t), -1) @ mh).real
     return values
 
 

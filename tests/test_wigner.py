@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dense_oracles import (density, kernel_multi, kron_all, partial_trace, pauli_contract,
                            pauli_expectations)
 
-from spinphase import models
+from spinphase import models, wigner
 from spinphase.analysis import SweepConfig, sweep
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
@@ -44,7 +46,7 @@ def oracle_value(state, points, sites=None):
     points = iter(points)
     ops = [rotated_parity(*next(points)) if i in sites else np.eye(2)
            for i in range(1, n + 1)]
-    return float(np.real(np.trace(rho @ kron_all(ops))))
+    return float(np.real(np.einsum("ij,ji->", rho, kron_all(ops))))
 
 
 def rand_point(rng):
@@ -382,6 +384,105 @@ class TestBatchedEvaluator:
         assert ranks[0] == rank and ranks[-1] < rank
         for sites in cfg.labels:
             assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
+
+
+class TestFactorOrder:
+    """The factor-side contraction sum conj(M) (K_1 x ... x K_k) M against the
+    density order and the rotated-parity oracle. Below nine sites it runs only
+    under a chunk budget rebound just below one k-site density, and at many
+    points only with the cost rule forced."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        """The reduced-factor shapes `wigner_values` contracts on the factor side."""
+        calls, inner = [], wigner._factor_values
+
+        def spy(m, kts):
+            calls.append(m.shape)
+            return inner(m, kts)
+
+        monkeypatch.setattr(wigner, "_factor_values", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_one_point_distinct_kernel_per_site(self, k, monkeypatch, factor_calls):
+        rng = np.random.default_rng(130 + k)
+        states = [rand_mixed(rng, 2**k, rank) for rank in (1, 2, 2**k)]
+        pts = [rand_point(rng) for _ in range(k)]
+        site_kernels = [kernels(t, p) for t, p in pts]
+        sites = tuple(range(1, k + 1))
+        by_density = wigner_values(states, sites, site_kernels)
+        assert not factor_calls
+        monkeypatch.setattr(wigner, "CHUNK_BYTES", 16 * 4**k - 16)
+        by_factor = wigner_values(states, sites, site_kernels)
+        assert factor_calls == [s.shape for s in states]
+        oracle = [[oracle_value(s, pts)] for s in states]
+        assert np.max(np.abs(by_factor - by_density)) < 1e-13
+        assert np.max(np.abs(by_factor - oracle)) < 1e-13
+
+    @pytest.mark.parametrize("rank,traced", [(1, 1), (2, 0)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_sphere_grid_across_point_chunks(self, k, rank, traced, monkeypatch, factor_calls):
+        # a pure state with one site traced out, or a rank-2 one with none: two
+        # columns either way. The cost rule keeps so few sites at this many
+        # points on the density, so the factor order is forced, and the budget
+        # rebound to split its points into chunks.
+        rng = np.random.default_rng(140 + k)
+        state = rand_mixed(rng, 2**(k + traced), rank)
+        sites, grid = tuple(range(1 + traced, k + 1 + traced)), SphereGrid(7, 5)
+        columns, budget = 2, 16 * 4**k - 16
+        assert max(1, budget // (16 * 2**k * columns)) < grid.n_theta * (2 * k + 1)
+        by_density = sphere_field(state, sites, grid)
+        monkeypatch.setattr(wigner, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(wigner, "_factor_order", lambda k, columns, points: True)
+        by_factor = sphere_field(state, sites, grid)
+        assert factor_calls == [(2**k, columns)]
+        oracle = [[oracle_value(state, [(t, p)] * k, sites) for p in grid.phis]
+                  for t in grid.thetas]
+        assert np.max(np.abs(by_factor - by_density)) < 1e-13
+        assert np.max(np.abs(by_factor - oracle)) < 1e-13
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_default_budget_from_nine_sites(self, k, factor_calls):
+        rng = np.random.default_rng(150 + k)
+        state = rand_pure(rng, 2**10)
+        sites = tuple(range(11 - k, 11))
+        samples = [[rand_point(rng) for _ in range(k)] for _ in range(3)]
+        got = wigner_values([state], sites, [kernels(*np.transpose([pts[i] for pts in samples]))
+                                             for i in range(k)])[0]
+        assert factor_calls == [(2**k, 2**(10 - k))]
+        oracle = [oracle_value(state, pts, sites) for pts in samples]
+        assert np.max(np.abs(got - oracle)) < 1e-13
+
+    def test_order_choice(self):
+        # eight sites: the 1 MiB density fits one chunk, whatever the shapes
+        assert not any(wigner._factor_order(k, 1, 1) for k in range(1, 9))
+        assert wigner._factor_order(9, 1, 1)
+        # a 10-site tot on a 5 x 12 or a 7 x 12 sphere (5 or 7 x 21 phi nodes):
+        # full rank takes the density, a pure state the factor at any count
+        for points in (5 * 21, 7 * 21):
+            assert not wigner._factor_order(10, 1024, points)
+            assert wigner._factor_order(10, 1, points)
+        assert wigner._factor_order(10, 1, 10**6)
+        # one point of full rank takes the factor
+        assert wigner._factor_order(10, 1024, 1)
+        # 64 columns: the factor at 10 points, the density at 100
+        assert wigner._factor_order(10, 64, 10)
+        assert not wigner._factor_order(10, 64, 100)
+
+    def test_pure_n12_tot_memory(self):
+        # the 4^12 density alone would be 256 MiB; 40 points are three point chunks
+        rng = np.random.default_rng(160)
+        state = rand_pure(rng, 2**12)
+        thetas, phis = rng.uniform(0, np.pi, 40), rng.uniform(0, 2 * np.pi, 40)
+        tracemalloc.start()
+        try:
+            values = equal_angle_values([state], range(1, 13), thetas, phis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (1, 40)
+        assert peak < 4 * CHUNK_BYTES + state.nbytes
 
 
 class TestSphereField:
