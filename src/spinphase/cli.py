@@ -2,8 +2,10 @@
 analytic formula tables and the acceptance-check runner.
 
 Each file-writing subcommand (`phaseline`, `sphere`, `animate`, `formulas`)
-computes its data and hands every table to `write_csv` as columns of cells;
-floats are serialized with 17 significant digits so reruns with the same
+computes its data and hands every table to `write_csv` as columns of cells,
+which it joins into the file text at once. A float column becomes cells by
+`fmt_column`, which formats each distinct double once with 17 significant
+digits, exactly as `fmt` formats each value, so reruns with the same
 configuration are byte-identical. `main` creates the output directory, writes
 the subcommand's plot stub and writes manifest.json last (atomically), with
 the resolved configuration and sha256 checksums of the emitted files. `verify`
@@ -19,12 +21,14 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, NumericalError, SpinPhaseError
 from .models import (ModelSpec, ground_state, ground_states, ti_classical_energy,
                      ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
                      ti_thermo_mz, xy_factorization_angle, xy_factorization_point)
-from .qcore import label_name, parse_label, validate_labels
+from .qcore import label_name, n_sites, parse_label, validate_labels
 from .analysis import (SweepConfig, canonical_labels, find_derivative_extrema,
                        find_sector_crossings, first_derivative, grid_values, sweep)
 from .wigner import SphereGrid, sphere_field
@@ -38,6 +42,25 @@ EXIT_IO = 4
 def fmt(x):
     """17-significant-digit decimal form; round-trips double precision."""
     return f"{float(x):.17g}"
+
+
+def fmt_column(values):
+    """`[fmt(x) for x in values]` for the doubles of an array (raveled in C
+    order), formatting each distinct double once.
+
+    Doubles are told apart by their bits, so 0.0 and -0.0 stay apart, as they
+    would not by `==` or as float dict keys; `np.unique` is avoided because it
+    loads numpy.ma."""
+    bits = np.asarray(values, dtype=float).ravel().view(np.uint64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(len(bits), dtype=bool)  # first of its run of equal bits
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = list(map("%.17g".__mod__, ordered[first].view(float).tolist()))
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return np.array(distinct, dtype=object)[inverse].tolist()
 
 
 def _atomic_write(path, data: bytes):
@@ -54,9 +77,17 @@ def _atomic_write(path, data: bytes):
 
 
 def write_csv(path, columns):
-    """Write `{header: cells}` as CSV, row i holding cell i of every column."""
-    lines = [",".join(columns), *map(",".join, zip(*columns.values(), strict=True))]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """Write `{header: cells}` as CSV, row i holding cell i of every column.
+
+    The cells and their separators are laid out in one list and joined once,
+    with no string built per row; columns of unequal length raise ValueError."""
+    cols = list(columns.values())
+    rows, stride = len(cols[0]), 2 * len(cols)
+    parts = [""] * (stride * rows)
+    for k, cells in enumerate(cols):
+        parts[2 * k::stride] = cells
+        parts[2 * k + 1::stride] = ("," if k + 1 < len(cols) else "\n",) * rows
+    _atomic_write(path, (",".join(columns) + "\n" + "".join(parts)).encode("utf-8"))
 
 
 def write_json(path, payload):
@@ -297,24 +328,22 @@ def cmd_phaseline(cfg):
     line = sweep(sweep_cfg)
     labels = sweep_cfg.labels
 
-    def per_point(cells):  # rows are point-major and label-minor
-        return [cell for cell in cells for _ in labels]
+    def per_point(values):  # rows are point-major and label-minor
+        return np.repeat(values, len(labels))
 
-    def per_label(series):
-        return [fmt(v) for row in zip(*(values.tolist() for values in series)) for v in row]
-
-    keys = {"param": per_point(map(fmt, line.params.tolist())),
+    keys = {"param": fmt_column(per_point(line.params)),
             "label": [label_name(sites, sweep_cfg.spec.n) for sites in labels] * len(line.params)}
     phaseline_path = os.path.join(cfg["out"], "phaseline.csv")
     write_csv(phaseline_path, {
-        **keys, "value": per_label([line.values[sites] for sites in labels]),
-        "energy": per_point(map(fmt, line.energy.tolist())),
-        "degeneracy": per_point(map(str, line.degeneracy.tolist())),
-        "parity": per_point("" if math.isnan(p) else fmt(p) for p in line.parity.tolist()),
-        "gap": per_point(map(fmt, line.gap.tolist()))})
+        **keys, "value": fmt_column(np.stack([line.values[sites] for sites in labels], axis=1)),
+        "energy": fmt_column(per_point(line.energy)),
+        "degeneracy": list(map(str, per_point(line.degeneracy).tolist())),
+        # an indefinite parity is NaN, and an empty cell
+        "parity": ["" if cell == "nan" else cell for cell in fmt_column(per_point(line.parity))],
+        "gap": fmt_column(per_point(line.gap))})
     derivative_path = os.path.join(cfg["out"], "derivative.csv")
-    write_csv(derivative_path,
-              {**keys, "dvalue": per_label([first_derivative(line, sites) for sites in labels])})
+    dvalues = np.stack([first_derivative(line, sites) for sites in labels], axis=1)
+    write_csv(derivative_path, {**keys, "dvalue": fmt_column(dvalues)})
 
     points = []
     if len(line.params) >= 5:  # extremum refinement needs interior points
@@ -326,14 +355,19 @@ def cmd_phaseline(cfg):
     return [phaseline_path, derivative_path, critical_path]
 
 
-def _write_sphere_files(outdir, state, labels, grid, n):
-    thetas, phis = (list(map(fmt, axis.tolist())) for axis in (grid.thetas, grid.phis))
-    angles = {"theta": [theta for theta in thetas for _ in phis], "phi": phis * len(thetas)}
+def _sphere_angles(grid):
+    """The theta and phi cells of every sphere row, theta-major."""
+    thetas, phis = fmt_column(grid.thetas), fmt_column(grid.phis)
+    return {"theta": [theta for theta in thetas for _ in phis], "phi": phis * len(thetas)}
+
+
+def _write_sphere_files(outdir, state, labels, grid, angles):
+    """One sphere_<label>.csv per label; `angles` is `_sphere_angles(grid)`."""
+    n = n_sites(len(state))
     files = []
     for sites in labels:
-        values = sphere_field(state, sites, grid).ravel().tolist()
         files.append(os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv"))
-        write_csv(files[-1], {**angles, "value": list(map(fmt, values))})
+        write_csv(files[-1], {**angles, "value": fmt_column(sphere_field(state, sites, grid))})
     return files
 
 
@@ -343,21 +377,21 @@ def cmd_sphere(cfg):
     spec = _model_spec(cfg, cfg["param-value"])
     labels, grid = _labels(cfg, spec.n), SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
     gs = ground_state(spec, policy=cfg["policy"])
-    return _write_sphere_files(cfg["out"], gs.state, labels, grid, spec.n)
+    return _write_sphere_files(cfg["out"], gs.state, labels, grid, _sphere_angles(grid))
 
 
 def cmd_animate(cfg):
     sweep_cfg = _sweep_config(cfg)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
+    angles = _sphere_angles(grid)
     files, params = [], sweep_cfg.params
     for idx, gs in enumerate(ground_states(sweep_cfg.spec, params, sweep_cfg.policy)):
         frame_dir = os.path.join(cfg["out"], f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
-        files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid,
-                                         sweep_cfg.spec.n))
+        files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid, angles))
     files.append(os.path.join(cfg["out"], "frames.csv"))
     write_csv(files[-1], {"frame": list(map(str, range(len(params)))),
-                          "param": list(map(fmt, params))})
+                          "param": fmt_column(params)})
     return files
 
 
@@ -390,7 +424,8 @@ def cmd_formulas(cfg):
     values = _formula_values(cfg)
     if cfg["model"] not in FORMULAS:
         raise ConfigError("formulas is defined for --model ti or xy only")
-    columns = {name: [fmt(f(v)) for v in values] for name, f in FORMULAS[cfg["model"]].items()}
+    columns = {name: fmt_column([f(v) for v in values])
+               for name, f in FORMULAS[cfg["model"]].items()}
     for row in (columns, *zip(*columns.values())):
         print("\t".join(row))
     path = os.path.join(cfg["out"], "formulas.csv")

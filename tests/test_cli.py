@@ -14,7 +14,7 @@ import pytest
 
 from spinphase import acceptance, models
 from spinphase.analysis import SweepConfig, first_derivative, sweep
-from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, main
+from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, fmt_column, main, write_csv
 from spinphase.models import ModelSpec, ground_state
 from spinphase.qcore import label_name
 from spinphase.wigner import SphereGrid, sphere_field
@@ -529,6 +529,25 @@ def render_rows(header, rows):
 
 
 class TestColumnWriter:
+    def assert_phaseline_files(self, out, line):
+        """Both files against the line rendered one `fmt` call per cell; returns
+        the phaseline.csv rows."""
+        labels, n = line.config.labels, line.config.spec.n
+        dvalues = {sites: first_derivative(line, sites) for sites in labels}
+        rows, drows = [], []
+        for i, p in enumerate(line.params):
+            parity = "" if math.isnan(line.parity[i]) else str(int(line.parity[i]))
+            for sites in labels:
+                name = label_name(sites, n)
+                rows.append((fmt(p), name, fmt(line.values[sites][i]), fmt(line.energy[i]),
+                             str(int(line.degeneracy[i])), parity, fmt(line.gap[i])))
+                drows.append((fmt(p), name, fmt(dvalues[sites][i])))
+        assert (out / "phaseline.csv").read_bytes() == render_rows(
+            ("param", "label", "value", "energy", "degeneracy", "parity", "gap"), rows)
+        assert (out / "derivative.csv").read_bytes() == render_rows(
+            ("param", "label", "dvalue"), drows)
+        return rows
+
     def test_phaseline_and_derivative_match_row_by_row_rendering(self, tmp_path):
         lam_f = 1.1547005383792517  # xy factorization point at gamma = 0.5
         out = tmp_path / "mix"
@@ -537,32 +556,52 @@ class TestColumnWriter:
                         "0.01", "--labels", "1,tot", "--out", str(out)]) == 0
         cfg = SweepConfig(spec=ModelSpec("xy", n=6, gamma=0.5), start=lam_f, stop=1.2,
                           step=0.01, labels=((1,), (1, 2, 3, 4, 5, 6)), policy="mixture")
-        line = sweep(cfg)
-        dvalues = {sites: first_derivative(line, sites) for sites in cfg.labels}
-        rows, drows = [], []
-        for i, p in enumerate(line.params):
-            parity = "" if math.isnan(line.parity[i]) else str(int(line.parity[i]))
-            for sites in cfg.labels:
-                name = label_name(sites, 6)
-                rows.append((fmt(p), name, fmt(line.values[sites][i]), fmt(line.energy[i]),
-                             str(int(line.degeneracy[i])), parity, fmt(line.gap[i])))
-                drows.append((fmt(p), name, fmt(dvalues[sites][i])))
+        rows = self.assert_phaseline_files(out, sweep(cfg))
         # the first point is the twofold factorization point, of no definite parity
         assert rows[0][4:6] == ("2", "") and rows[-1][5] != ""
-        assert (out / "phaseline.csv").read_bytes() == render_rows(
-            ("param", "label", "value", "energy", "degeneracy", "parity", "gap"), rows)
-        assert (out / "derivative.csv").read_bytes() == render_rows(
-            ("param", "label", "dvalue"), drows)
+
+    def test_flat_plateau_matches_row_by_row_rendering(self, tmp_path):
+        # below delta = -1 the all-up state is the ground state, so every label's
+        # value repeats from point to point; the line ends past the plateau
+        out = tmp_path / "plateau"
+        assert run_cli(["phaseline", "--model", "xxz", "--policy", "aligned-up",
+                        "--param-start", "-2", "--param-stop", "-0.6", "--param-step", "0.1",
+                        "--labels", "1,13,tot", "--out", str(out)]) == 0
+        cfg = SweepConfig(spec=ModelSpec("xxz"), start=-2.0, stop=-0.6, step=0.1,
+                          labels=((1,), (1, 3), (1, 2, 3, 4, 5, 6)), policy="aligned_up")
+        rows = self.assert_phaseline_files(out, sweep(cfg))
+        plateau = [row[2] for row in rows if float(row[0]) < -1.05]
+        assert len(plateau) == 30 and len(set(plateau)) == 3
+
+    def assert_sphere_files(self, out, spec, labels, grid):
+        """Each label's file against its field rendered cell by cell; returns
+        the number of distinct value cells per label."""
+        state = ground_state(spec).state
+        distinct = []
+        for sites in labels:
+            field = sphere_field(state, sites, grid)
+            rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
+                    for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
+            assert (out / f"sphere_{label_name(sites, spec.n)}.csv").read_bytes() == render_rows(
+                ("theta", "phi", "value"), rows)
+            distinct.append(len({row[2] for row in rows}))
+        return distinct
 
     def test_sphere_file_matches_row_by_row_rendering(self, tmp_path):
         out = tmp_path / "sphere"
         assert run_cli(["sphere", "--model", "ti", "--param-value", "0.7", "--labels", "12",
                         "--grid-theta", "7", "--grid-phi", "12", "--out", str(out)]) == 0
-        grid = SphereGrid(7, 12)
-        field = sphere_field(ground_state(ModelSpec("ti", lam=0.7)).state, (1, 2), grid)
-        rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
-                for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
-        assert (out / "sphere_12.csv").read_bytes() == render_rows(("theta", "phi", "value"), rows)
+        self.assert_sphere_files(out, ModelSpec("ti", lam=0.7), [(1, 2)], SphereGrid(7, 12))
+
+    def test_repeated_sphere_values_match_row_by_row_rendering(self, tmp_path):
+        # every xxz state conserves total S_z, so its field does not depend on phi,
+        # and at delta = 1 the singlet's field repeats along theta as well
+        out = tmp_path / "sphere"
+        assert run_cli(["sphere", "--model", "xxz", "--param-value", "1.0", "--labels", "12,tot",
+                        "--grid-theta", "19", "--grid-phi", "24", "--out", str(out)]) == 0
+        distinct = self.assert_sphere_files(out, ModelSpec("xxz").with_param(1.0),
+                                            [(1, 2), (1, 2, 3, 4, 5, 6)], SphereGrid(19, 24))
+        assert all(count < 19 * 24 / 10 for count in distinct)
 
     def test_frames_index_matches_row_by_row_rendering(self, tmp_path):
         out = tmp_path / "anim"
@@ -583,6 +622,31 @@ class TestSerialization:
         for _ in range(200):
             x = float(rng.normal() * 10.0 ** rng.integers(-12, 12))
             assert float(fmt(x)) == x
+
+    def test_column_formatter_matches_fmt_cell_by_cell(self):
+        ulp_pairs = [x for v in (1.0, 0.1, -2.5, 1e-300, 1e300)
+                     for x in (v, np.nextafter(v, np.inf))]
+        values = np.array([0.0, -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           1.7976931348623157e308, -1.7976931348623157e308, *ulp_pairs,
+                           *[0.3] * 6, -0.0, *ulp_pairs[::-1]])
+        assert np.signbit(values[1]) and not np.signbit(values[0])
+        cells = fmt_column(values)
+        assert cells == [fmt(x) for x in values] and cells[:2] == ["0", "-0"]
+        assert len(set(cells[11:21])) == 10  # one ulp apart, ten cells
+        assert fmt_column(values.reshape(2, -1)) == cells  # raveled in C order
+        assert fmt_column(values[::-3]) == [fmt(x) for x in values[::-3]]
+        assert fmt_column(values.tolist()) == cells
+        assert fmt_column(np.full(5, 0.1)) == ["0.10000000000000001"] * 5
+        assert fmt_column(np.array([])) == []
+
+    def test_write_csv_joins_rows_and_rejects_ragged_columns(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, {"a": ["1", "2"], "b": ["", "x"], "c": ["-0", "nan"]})
+        assert path.read_bytes() == render_rows(("a", "b", "c"), [("1", "", "-0"), ("2", "x", "nan")])
+        write_csv(path, {"a": []})
+        assert path.read_bytes() == b"a\n"
+        with pytest.raises(ValueError):
+            write_csv(path, {"a": ["1", "2"], "b": ["3"]})
 
     def test_csv_files_are_utf8_with_header(self, tmp_path):
         out = tmp_path / "run"
