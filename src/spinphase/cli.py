@@ -8,7 +8,8 @@ which it joins into the file text at once. A float column becomes cells by
 digits, exactly as `fmt` formats each value, so reruns with the same
 configuration are byte-identical. `main` creates the output directory, writes
 the subcommand's plot stub and writes manifest.json last (atomically), with
-the resolved configuration and sha256 checksums of the emitted files. `verify`
+the resolved configuration and the sha256 checksum of each emitted file,
+taken from its bytes as they are written, so no file is read back. `verify`
 writes no files."""
 
 import argparse
@@ -64,6 +65,8 @@ def fmt_column(values):
 
 
 def _atomic_write(path, data: bytes):
+    """Write `data` to `path` by way of a temporary file in the same directory;
+    returns the sha256 hex digest of `data`, which the manifest records."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -74,42 +77,39 @@ def _atomic_write(path, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_csv(path, columns):
     """Write `{header: cells}` as CSV, row i holding cell i of every column.
 
     The cells and their separators are laid out in one list and joined once,
-    with no string built per row; columns of unequal length raise ValueError."""
+    with no string built per row; columns of unequal length raise ValueError.
+    Returns the file's sha256 digest."""
     cols = list(columns.values())
     rows, stride = len(cols[0]), 2 * len(cols)
     parts = [""] * (stride * rows)
     for k, cells in enumerate(cols):
         parts[2 * k::stride] = cells
         parts[2 * k + 1::stride] = ("," if k + 1 < len(cols) else "\n",) * rows
-    _atomic_write(path, (",".join(columns) + "\n" + "".join(parts)).encode("utf-8"))
+    return _atomic_write(path, (",".join(columns) + "\n" + "".join(parts)).encode("utf-8"))
 
 
 def write_json(path, payload):
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _atomic_write(path, text.encode("utf-8"))
 
 
 def write_manifest(outdir, config, files, started=None):
+    """manifest.json in `outdir`: `files` maps each written path to the sha256
+    digest its writer returned, recorded under the path relative to `outdir`."""
     manifest = {
         "tool": "spinphase",
         "version": __version__,
         "config": config,
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "files": {os.path.relpath(p, outdir): _sha256(p) for p in files},
+        "files": {os.path.relpath(p, outdir): digest for p, digest in files.items()},
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
@@ -319,8 +319,9 @@ PLOT_STUBS = {"phaseline": ("plot_phaseline.py", PHASELINE_PLOT_STUB),
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its data files under cfg["out"] and returns their
-# paths; `main` adds the plot stub and the manifest, which names each by sha256
+# subcommands: each writes its data files under cfg["out"] and returns
+# {path: sha256 digest}; `main` adds the plot stub and the manifest, which names
+# each by its digest
 
 
 def cmd_phaseline(cfg):
@@ -333,8 +334,9 @@ def cmd_phaseline(cfg):
 
     keys = {"param": fmt_column(per_point(line.params)),
             "label": [label_name(sites, sweep_cfg.spec.n) for sites in labels] * len(line.params)}
+    files = {}
     phaseline_path = os.path.join(cfg["out"], "phaseline.csv")
-    write_csv(phaseline_path, {
+    files[phaseline_path] = write_csv(phaseline_path, {
         **keys, "value": fmt_column(np.stack([line.values[sites] for sites in labels], axis=1)),
         "energy": fmt_column(per_point(line.energy)),
         "degeneracy": list(map(str, per_point(line.degeneracy).tolist())),
@@ -343,7 +345,7 @@ def cmd_phaseline(cfg):
         "gap": fmt_column(per_point(line.gap))})
     derivative_path = os.path.join(cfg["out"], "derivative.csv")
     dvalues = np.stack([first_derivative(line, sites) for sites in labels], axis=1)
-    write_csv(derivative_path, {**keys, "dvalue": fmt_column(dvalues)})
+    files[derivative_path] = write_csv(derivative_path, {**keys, "dvalue": fmt_column(dvalues)})
 
     points = []
     if len(line.params) >= 5:  # extremum refinement needs interior points
@@ -351,8 +353,9 @@ def cmd_phaseline(cfg):
             points.extend(find_derivative_extrema(line, sites))
     points.extend(find_sector_crossings(line))
     critical_path = os.path.join(cfg["out"], "criticalpoints.json")
-    write_json(critical_path, {"critical_points": [dataclasses.asdict(p) for p in points]})
-    return [phaseline_path, derivative_path, critical_path]
+    files[critical_path] = write_json(
+        critical_path, {"critical_points": [dataclasses.asdict(p) for p in points]})
+    return files
 
 
 def _sphere_angles(grid):
@@ -364,10 +367,11 @@ def _sphere_angles(grid):
 def _write_sphere_files(outdir, state, labels, grid, angles):
     """One sphere_<label>.csv per label; `angles` is `_sphere_angles(grid)`."""
     n = n_sites(len(state))
-    files = []
+    files = {}
     for sites in labels:
-        files.append(os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv"))
-        write_csv(files[-1], {**angles, "value": fmt_column(sphere_field(state, sites, grid))})
+        path = os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv")
+        values = fmt_column(sphere_field(state, sites, grid))
+        files[path] = write_csv(path, {**angles, "value": values})
     return files
 
 
@@ -384,14 +388,14 @@ def cmd_animate(cfg):
     sweep_cfg = _sweep_config(cfg)
     grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
     angles = _sphere_angles(grid)
-    files, params = [], sweep_cfg.params
+    files, params = {}, sweep_cfg.params
     for idx, gs in enumerate(ground_states(sweep_cfg.spec, params, sweep_cfg.policy)):
         frame_dir = os.path.join(cfg["out"], f"frame_{idx:04d}")
         os.makedirs(frame_dir, exist_ok=True)
-        files.extend(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid, angles))
-    files.append(os.path.join(cfg["out"], "frames.csv"))
-    write_csv(files[-1], {"frame": list(map(str, range(len(params)))),
-                          "param": fmt_column(params)})
+        files.update(_write_sphere_files(frame_dir, gs.state, sweep_cfg.labels, grid, angles))
+    path = os.path.join(cfg["out"], "frames.csv")
+    files[path] = write_csv(path, {"frame": list(map(str, range(len(params)))),
+                                   "param": fmt_column(params)})
     return files
 
 
@@ -429,8 +433,7 @@ def cmd_formulas(cfg):
     for row in (columns, *zip(*columns.values())):
         print("\t".join(row))
     path = os.path.join(cfg["out"], "formulas.csv")
-    write_csv(path, columns)
-    return [path]
+    return {path: write_csv(path, columns)}
 
 
 def cmd_verify(cfg):
@@ -498,8 +501,8 @@ def main(argv=None):
         files = globals()[f"cmd_{args.subcommand}"](cfg)
         if args.subcommand in PLOT_STUBS:
             name, stub = PLOT_STUBS[args.subcommand]
-            files.append(os.path.join(outdir, name))
-            _atomic_write(files[-1], stub.encode("utf-8"))
+            path = os.path.join(outdir, name)
+            files[path] = _atomic_write(path, stub.encode("utf-8"))
         write_manifest(outdir, cfg, files, started=started)
         return EXIT_OK
     except (ConfigError, ValueError) as exc:

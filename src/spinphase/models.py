@@ -14,16 +14,21 @@ The solver splits each symmetry sector again by the momentum k = 2 pi m / n of
 the ring's translations (Sandvik, arXiv:1101.3281, sec. 4): each basis index
 has an orbit representative, and each (k, sector) block is built straight from
 the representatives, real at k = 0 and pi and complex Hermitian otherwise, with
-no 2^n x 2^n array. The blocks' spectra give the sector levels (the lowest
-over a sector's blocks) and the whole spectrum at every n. Up to
-FULL_SOLVE_MAX_N sites the ground-space vectors come from the complex `eigh` of
-the full H, whose rounding the recorded 6-site outputs pin; longer chains take
-them from the blocks, embedded in 2^n rows. Every solve is a bare `eigh`: a
-column's phase cancels in rho = A A^dagger, so none is fixed.
+no 2^n x 2^n array. Only the blocks of 0 <= k <= pi are built: H is real, so
+the -k block is the conjugate of the k block, with the same levels and
+conjugate eigenvectors, and each such paired block stands for both. The
+blocks' levels, by `eigvalsh`, a paired block's read twice, give the sector
+levels (the lowest over a sector's blocks), the whole spectrum and the ground
+counts at every n. Up to FULL_SOLVE_MAX_N sites the ground-space vectors come
+from the complex `eigh` of the full H, whose rounding the recorded 6-site
+outputs pin, and no block's vectors are computed; longer chains `eigh` only the
+blocks that hold a ground level and embed their ground columns in 2^n rows,
+with the conjugate columns for -k. Every solve is a bare `eigh`: a column's
+phase cancels in rho = A A^dagger, so none is fixed.
 
 A sweep is one stacked solve: `ground_states` solves a chunk of
 max(1, CHUNK_BYTES // (32 x 4^n)) grid points at once, each group of blocks
-of one width and dtype by one `eigh` over the stack of its blocks at every
+of one width and dtype by one `eigvalsh` over the stack of its blocks at every
 point of the chunk. `ground_state` and `sector_energies` are its one-point
 case, so there is one solver path; `sector_levels` gives the levels at any
 sweep value over one basis.
@@ -48,7 +53,7 @@ TIE_TOL_FACTOR = 1e-12
 _ALIGNED_OVERLAP_ATOL = 1e-8
 # Largest chain whose ground-space vectors come from the complex `eigh` of the
 # full H. Their rounding is pinned by every recorded n <= 6 output; longer
-# chains take them from their momentum blocks, as every chain its spectrum.
+# chains take them from their ground momentum blocks, as every chain its spectrum.
 FULL_SOLVE_MAX_N = 6
 _LIBRARY_BUFFERS = 16 * 2**20
 
@@ -99,10 +104,12 @@ def dense_working_set(n):
     38 x 4^n bytes, summed as if nothing were freed (the allocator may keep
     freed blocks), plus 16 MiB for the BLAS and LAPACK buffers. The largest
     arrays are the complex ground-space factor and the state built from it (at
-    most 32 x 4^n, when every level is a ground level); the momentum blocks'
-    matrices and eigenvectors are about n times narrower, and up to
-    FULL_SOLVE_MAX_N sites the complex `eigh` of the full H (88 x 4^6 bytes,
-    0.34 MiB) fits in the 16 MiB.
+    most 32 x 4^n, when every level is a ground level). The matrices of the
+    built momentum blocks (0 <= k <= pi, a little over half of the 2^n levels)
+    are about n times narrower, their levels take 8 x 2^n bytes, and
+    eigenvectors are computed only for a block that holds a ground level, one
+    block at a time. Up to FULL_SOLVE_MAX_N sites the complex `eigh` of the
+    full H (88 x 4^6 bytes, 0.34 MiB) fits in the 16 MiB.
 
     A sweep's chunk of p > 1 points (`ground_states`) never exceeds it: p > 1
     only while p x 32 x 4^n <= CHUNK_BYTES (n <= 7), so the whole chunk's
@@ -264,11 +271,15 @@ def _bond_entries(spec, z, reps):
 @dataclass(frozen=True)
 class _Block:
     """One (momentum, symmetry sector) block of H and the representatives it is
-    spanned by, in increasing order."""
+    spanned by, in increasing order. `pair` marks a block whose -k partner
+    exists (k != 0, pi) and is not built: H is real, so the partner is this
+    block's complex conjugate on the same representatives, with the same levels
+    and conjugate eigenvectors."""
 
     sector: int  # position in _Basis.sectors
-    m: int  # momentum k = 2 pi m / n
+    m: int  # momentum k = 2 pi m / n, 0 <= m <= n/2
     reps: np.ndarray
+    pair: bool
 
 
 @dataclass(frozen=True)
@@ -276,10 +287,10 @@ class _Basis:
     """What a sweep computes once: the z signs, the values of
     `symmetry_diagonal` in increasing order (the sectors), each sector's basis
     indices and spin parity, the position of the all-up state's sector, the
-    translation orbits (`_orbits`), the momentum x sector blocks, and their
-    value-independent matrices, stacked in groups of one width and dtype: a
-    group (h0, h1) holds the next blocks in order, each block's Hamiltonian at
-    sweep value v being h0[i] + v h1[i]."""
+    translation orbits (`_orbits`), the momentum x sector blocks of
+    0 <= k <= pi (`_Block`), and their value-independent matrices, stacked in
+    groups of one width and dtype: a group (h0, h1) holds the next blocks in
+    order, each block's Hamiltonian at sweep value v being h0[i] + v h1[i]."""
 
     z: np.ndarray
     sectors: tuple
@@ -303,31 +314,32 @@ class _Basis:
 
 
 def _momentum_blocks(spec, z, sym, sectors, orbits):
-    """The momentum x sector blocks of `spec` (`_Block`), ordered by group, and the
-    groups: the (h0, h1) stacks of the blocks of one width and dtype, whose
-    Hamiltonian at sweep value v is h0 + v h1.
+    """The momentum x sector blocks of `spec` (`_Block`) with 0 <= m <= n/2, ordered
+    by group, and the groups: the (h0, h1) stacks of the blocks of one width and
+    dtype, whose Hamiltonian at sweep value v is h0 + v h1. The blocks of
+    m > n/2 are not built: each is the conjugate of the block of n - m.
 
     A basis index's representative a spans the momentum state
     |a(k)> = sum_l exp(-ikl) T^l |a> / norm, when its period R carries k (m R = 0
     mod n). A bond takes a to basis index b, whose representative is r = T^l b;
     the element <r(k)|H|a(k)> gains h sqrt(R_a / R_r) exp(-ikl) (Sandvik,
     arXiv:1101.3281, sec. 4)."""
-    n = spec.n
+    n, half = spec.n, spec.n // 2 + 1  # momenta m = 0..n/2
     rep, shift, period = orbits
     reps = np.flatnonzero(rep == np.arange(2**n))
-    # block key s n + m (sector s, momentum m) holds the representatives of sector s
-    # whose period carries k, in increasing order
+    # block key s half + m (sector s, momentum m) holds the representatives of
+    # sector s whose period carries k, in increasing order
     sector = np.searchsorted(sectors, sym[reps])
-    ms, rs = np.nonzero(np.arange(n)[:, None] * period[reps] % n == 0)
-    key = sector[rs] * n + ms
+    ms, rs = np.nonzero(np.arange(half)[:, None] * period[reps] % n == 0)
+    key = sector[rs] * half + ms
     order = np.argsort(key, kind="stable")
-    size = np.bincount(key, minlength=len(sectors) * n)
-    at = np.full((n, len(reps)), -1)  # position in its block, -1 if k is not carried
+    size = np.bincount(key, minlength=len(sectors) * half)
+    at = np.full((half, len(reps)), -1)  # position in its block, -1 if k is not carried
     at[ms[order], rs[order]] = np.arange(len(key)) - (np.cumsum(size) - size)[key[order]]
     col, image, h0, h1 = _bond_entries(spec, z, reps)
     row, l = np.searchsorted(reps, rep[image]), shift[image]
     em, e = np.nonzero((at[:, col] >= 0) & (at[:, row] >= 0))  # entry e in momentum em
-    ekey = sector[col[e]] * n + em
+    ekey = sector[col[e]] * half + em
     offset = np.cumsum(size**2) - size**2
     flat = offset[ekey] + at[em, row[e]] * size[ekey] + at[em, col[e]]
     weight = np.sqrt(period[reps][col[e]] / period[reps][row[e]]) * _phases(em, n, l[e])
@@ -335,11 +347,11 @@ def _momentum_blocks(spec, z, sym, sectors, orbits):
     members = np.split(reps[rs[order]], np.cumsum(size)[:-1])
     found = {}  # (width, real) -> the blocks of that width and dtype
     for b in np.flatnonzero(size):  # block key b
-        d, m = int(size[b]), int(b % n)
+        d, m = int(size[b]), int(b % half)
         mats = [h[offset[b]:offset[b] + d * d].reshape(d, d) for h in (h0, h1)]
         real = 2 * m % n == 0  # k = 0 or pi, where every phase is +-1
-        found.setdefault((d, real), []).append(
-            (_Block(int(b // n), m, members[b]), [x.real if real else x for x in mats]))
+        block = _Block(int(b // half), m, members[b], pair=not real)
+        found.setdefault((d, real), []).append((block, [x.real if real else x for x in mats]))
     blocks, groups = [], []
     for group in found.values():
         blocks += [block for block, _ in group]
@@ -353,20 +365,20 @@ def _accumulate(flat, values, size):
 
 
 def _solve(basis, values):
-    """Per group of blocks, the `eigh` (w, v) of the stack of its blocks'
-    Hamiltonians at `values`, shaped (points, blocks, ...): one call per group."""
+    """Per group of blocks, the levels (`eigvalsh`) of the stack of its blocks'
+    Hamiltonians at `values`, shaped (points, blocks, width): one call per group."""
     v = np.asarray(values, dtype=float)[:, None, None, None]
-    return [np.linalg.eigh(h0 + v * h1) for h0, h1 in basis.groups]
+    return [np.linalg.eigvalsh(h0 + v * h1) for h0, h1 in basis.groups]
 
 
 def _levels(basis, eigs):
     """Per point of a stacked solve, the (sectors, energies, tol) of `sector_energies`:
     a sector's energy is the lowest level of its momentum blocks."""
-    block_lows = np.concatenate([w[:, :, 0] for w, _ in eigs], axis=1)
+    block_lows = np.concatenate([w[:, :, 0] for w in eigs], axis=1)
     sector = np.array([b.sector for b in basis.blocks])
     lows = np.stack([block_lows[:, sector == k].min(axis=1) for k in range(len(basis.sectors))],
                     axis=1)
-    spread = np.max([w[:, :, -1].max(axis=1) for w, _ in eigs], axis=0) - lows.min(axis=1)
+    spread = np.max([w[:, :, -1].max(axis=1) for w in eigs], axis=0) - lows.min(axis=1)
     tols = TIE_TOL_FACTOR * np.maximum(spread, 1.0)
     return [(basis.sectors, low, float(tol)) for low, tol in zip(lows, tols)]
 
@@ -414,16 +426,20 @@ def ground_state(spec, policy="symmetric"):
     """Ground state of the chain with a symmetry-respecting degeneracy policy:
     the one-point case of `ground_states`.
 
-    Each momentum x sector block is solved once; the lowest level of each
-    sector's blocks is `levels`, the triple of `sector_energies`, and the sorted
-    union of the block spectra is the spectrum w that gives `energy` and `gap`.
-    A level within the tie tolerance `levels[2]` of the lowest is a ground level,
-    the rule `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly
-    when `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors are
-    the first g columns of the complex `eigh` of the full H up to
-    FULL_SOLVE_MAX_N sites, and above that each block's ground columns,
-    embedded in 2^n rows (a momentum state's amplitude on basis index s is its
-    representative's, times exp(ik shift(s)) / sqrt(R)), which need no full H.
+    The levels of each built momentum x sector block (0 <= k <= pi) come from
+    one `eigvalsh`; the lowest level of each sector's blocks is `levels`, the
+    triple of `sector_energies`, and the sorted union of the block spectra,
+    each paired block's (k != 0, pi) twice, once for k and once for -k, is the
+    spectrum w of 2^n levels that gives `energy` and `gap`. A level within the
+    tie tolerance `levels[2]` of the lowest is a ground level, the rule
+    `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly when
+    `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors
+    are the first g columns of the complex `eigh` of the full H up to
+    FULL_SOLVE_MAX_N sites, and above that the first r columns of the `eigh`
+    of each block with r ground levels, embedded in 2^n rows (a momentum
+    state's amplitude on basis index s is its representative's, times
+    exp(ik shift(s)) / sqrt(R)), followed for a paired block by their
+    conjugates, the -k block's columns; no full H is built there.
     A unique ground state is V. Inside a degenerate space:
       symmetric  -- the uniform mixture of the r ground states in the
                     `pick_sector(*levels)` sector: V with the rows outside the
@@ -441,12 +457,13 @@ def ground_states(spec, values, policy="symmetric"):
     for xxz) at each of `values`, in order, each result as it is reached.
 
     The grid is solved in chunks of max(1, CHUNK_BYTES // (32 x 4^n)) points
-    (8 at n = 6, 1 from n = 8 up): one `eigh` per group of equal-width blocks
-    over the stack of their matrices at every point of the chunk and, up to
-    FULL_SOLVE_MAX_N sites, one complex `eigh` over the chunk's stacked full H, with
-    the same float operations as a one-point solve, so every result equals that
-    point's own `ground_state` bit for bit. The basis and the blocks' matrices
-    (`_Basis`) are built once per sweep. A chunk's arrays are
+    (8 at n = 6, 1 from n = 8 up): one `eigvalsh` per group of equal-width
+    blocks over the stack of their matrices at every point of the chunk and, up
+    to FULL_SOLVE_MAX_N sites, one complex `eigh` over the chunk's stacked full
+    H; above that, one `eigh` per point and ground block. Each is the same float
+    operations as a one-point solve, so every result equals that point's own
+    `ground_state` bit for bit. The basis and the blocks' matrices (`_Basis`)
+    are built once per sweep. A chunk's arrays are
     released before the next chunk is built. A policy failure is raised at its
     own point, after the points before it are yielded, and names that point's
     parameter value, e.g. "(at lambda = 0.05)".
@@ -463,28 +480,31 @@ def ground_states(spec, values, policy="symmetric"):
 def _chunk_ground_states(spec, values, policy, basis):
     """`ground_states` of one chunk; its arrays die with this generator."""
     eigs = _solve(basis, values)
-    spectra = np.sort(np.concatenate([w.reshape(len(values), -1) for w, _ in eigs], axis=1),
-                      axis=1)
     levels = _levels(basis, eigs)
-    tols = np.array([level[2] for level in levels])[:, None, None]
-    counts = np.concatenate([np.count_nonzero(w - spectra[:, :1, None] <= tols, axis=2)
-                             for w, _ in eigs], axis=1)  # ground levels per block
-    full = vectors = None
+    block_levels = [w[:, i] for w in eigs for i in range(w.shape[1])]  # per block, (points, d)
+    spectra = np.sort(np.concatenate([w for b, w in zip(basis.blocks, block_levels)
+                                      for _ in range(1 + b.pair)], axis=1), axis=1)
+    tols = np.array([level[2] for level in levels])[:, None]
+    counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1)
+                       for w in block_levels], axis=1)  # ground levels per built block
+    full = None
     if spec.n <= FULL_SOLVE_MAX_N:  # vectors the 6-site outputs pin
         full = np.linalg.eigh(np.asarray(_build(spec, values, basis.z), dtype=complex))[1]
-    else:  # per block, its (points, d, d) eigenvectors
-        vectors = [v[:, i] for _, v in eigs for i in range(v.shape[1])]
+    matrices = [(h0[i], h1[i]) for h0, h1 in basis.groups for i in range(len(h0))]
     for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
-        g = sum(count)
+        g = sum(r * (1 + b.pair) for b, r in zip(basis.blocks, count))
         if full is not None:
             V = full[p][:, :g]
-        else:  # each block's ground columns, embedded
+        else:  # each ground block's first r columns, embedded, and a pair's conjugates
             V, c = np.zeros((len(w), g), dtype=complex), 0
-            for block, r, vb in zip(basis.blocks, count, vectors):
+            for block, r, (h0, h1) in zip(basis.blocks, count, matrices):
                 if r:
-                    rows, columns = _embed(basis, block, vb[p][:, :r])
+                    rows, columns = _embed(basis, block, np.linalg.eigh(h0 + value * h1)[1][:, :r])
                     V[rows, c:c + r] = columns
                     c += r
+                    if block.pair:  # the -k block's embedded columns are the conjugates
+                        V[rows, c:c + r] = columns.conj()
+                        c += r
         held = {b.sector for b, r in zip(basis.blocks, count) if r}
 
         if g == 1 or policy == "mixture":

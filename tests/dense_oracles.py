@@ -11,6 +11,8 @@ full degenerate ground space instead of solving the sector block.
 instead of read off the symmetry sectors it lies in. `sector_block_ground_state`
 is the former solver, which split H by its symmetry diagonal alone, without
 translation: one real `eigh` per parity or S_z block of the full matrix.
+`momentum_block` projects the full H onto the momentum states of any k, where
+the solver builds only the blocks of 0 <= k <= pi and conjugates them for -k.
 """
 
 import numpy as np
@@ -142,6 +144,38 @@ def sector_block_ground_state(spec, policy):
                 energy=float(w[0]), gap=float(w[1] - w[0]), degeneracy=g, picked=picked,
                 projector=V @ V.T, state=state,
                 parity=held_parity.pop() if len(held_parity) == 1 else None)
+
+
+def translate(states, n):
+    """Basis indices after one translation of the n-ring, the spin on site i
+    moving to site i + 1 and site n's to site 1; site i is bit n - i."""
+    spins = np.array([(states >> (n - i)) & 1 for i in range(1, n + 1)])
+    return sum(bit << (n - i) for i, bit in enumerate(np.roll(spins, 1, axis=0), start=1))
+
+
+def momentum_block(spec, sector, m):
+    """The block of `build_hamiltonian(spec)` at momentum k = 2 pi m / n (any
+    0 <= m < n) in the sector of `symmetry_diagonal(spec)` value `sector`: the
+    dense H projected onto the states |a(k)> = sum_l exp(-ikl) T^l |a> / norm of
+    the sector's orbit representatives a (the smallest index of each
+    translation orbit) in increasing order, where the sum does not vanish.
+    Returns (representatives, block)."""
+    n, H, sym = spec.n, build_hamiltonian(spec), symmetry_diagonal(spec)
+    inside = np.flatnonzero(sym == sector)
+    orbit = [inside]
+    for _ in range(n - 1):
+        orbit.append(translate(orbit[-1], n))
+    reps = np.unique(np.min(orbit, axis=0))
+    P = np.zeros((2**n, len(reps)), dtype=complex)
+    image = reps
+    for l in range(n):
+        np.add.at(P, (image, np.arange(len(reps))), np.exp(-2j * np.pi * m * l / n))
+        image = translate(image, n)
+    norms = np.linalg.norm(P, axis=0)
+    carried = norms > 0.5  # a norm is sqrt(n^2 / R) where the period R carries k, else 0
+    P = P[:, carried] / norms[carried]
+    Pi = P[inside]
+    return reps[carried], Pi.conj().T @ H[np.ix_(inside, inside)] @ Pi
 
 
 def state_parity(state, n):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinphase import acceptance, models
+from spinphase import acceptance, cli, models
 from spinphase.analysis import SweepConfig, first_derivative, sweep
 from spinphase.cli import COMMANDS, OPTIONS, build_parser, fmt, fmt_column, main, write_csv
 from spinphase.models import ModelSpec, ground_state
@@ -615,6 +615,30 @@ class TestColumnWriter:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("args", [
+        ["sphere", "--model", "xxz", "--param-value", "1.0", "--labels", "12,tot",
+         "--grid-theta", "5", "--grid-phi", "6"],
+        ["formulas", "--model", "ti", "--values", "0,1,2"],
+    ], ids=["sphere", "formulas"])
+    def test_manifest_digests_are_the_written_bytes(self, args, tmp_path, monkeypatch):
+        # each writer returns the sha256 of the bytes it wrote; the manifest reads no
+        # output back, and its digests are those of the files on disk
+        out = tmp_path / "run"
+        write_manifest = cli.write_manifest
+
+        def without_reads(*a, **k):
+            with monkeypatch.context() as m:
+                m.setattr("builtins.open", lambda *x, **y: pytest.fail("an output was read back"))
+                return write_manifest(*a, **k)
+
+        monkeypatch.setattr(cli, "write_manifest", without_reads)
+        assert run_cli(args + ["--out", str(out)]) == 0
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert set(listed) == written
+        for name, digest in listed.items():
+            assert file_sha(out / name) == digest, name
+
     def test_seventeen_digit_round_trip(self):
         from spinphase.cli import fmt
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import (density, embed, kron_all, sector_block_ground_state, state_parity,
-                           symmetric_by_rotation)
+from dense_oracles import (density, embed, kron_all, momentum_block, sector_block_ground_state,
+                           state_parity, symmetric_by_rotation)
 
 from spinphase import models
 from spinphase.analysis import grid_values
@@ -33,19 +33,52 @@ def max_norm(a):
 
 
 def block_hamiltonians(basis, value):
-    """The Hamiltonian of each momentum x sector block at sweep value `value`, in
-    the order of `basis.blocks`, which runs through the groups in turn."""
+    """The Hamiltonian of each built momentum x sector block (0 <= m <= n/2) at
+    sweep value `value`, in the order of `basis.blocks`, which runs through the
+    groups in turn."""
     return [h0[i] + value * h1[i] for h0, h1 in basis.groups for i in range(len(h0))]
 
 
 def block_spectra(basis, value):
-    """The levels of each momentum x sector block, each by its own `eigh`."""
-    return [np.linalg.eigh(h)[0] for h in block_hamiltonians(basis, value)]
+    """The levels of each built momentum x sector block, each by its own `eigvalsh`."""
+    return [np.linalg.eigvalsh(h) for h in block_hamiltonians(basis, value)]
+
+
+def every_block_spectrum(spec, basis):
+    """(sector position, m, levels) of every momentum x sector block of `spec`, at
+    every 0 <= m < n: the built blocks' levels by `eigvalsh`, and each paired
+    block's -k partner (m' = n - m, not built) by `eigvalsh` of the projection
+    oracle `momentum_block`, which does not conjugate the k block."""
+    value, out = models._sweep_value(spec), []
+    for b, w in zip(basis.blocks, block_spectra(basis, value)):
+        out.append((b.sector, b.m, w))
+        if b.pair:
+            reps, h = momentum_block(spec, basis.sectors[b.sector], spec.n - b.m)
+            assert np.array_equal(reps, b.reps)
+            out.append((b.sector, spec.n - b.m, np.linalg.eigvalsh(h)))
+    return out
 
 
 def group_shapes(basis):
-    """(dtype, (blocks, width, width)) of each stacked `eigh` that solves `basis`."""
+    """(dtype, (blocks, width, width)) of each stacked `eigvalsh` that solves `basis`."""
     return [(h0.dtype, h0.shape) for h0, _ in basis.groups]
+
+
+def ground_blocks(basis, value):
+    """The Hamiltonians of the built blocks that hold a ground level at `value`, by
+    the tie rule on the levels of `block_spectra`, each paired block's read twice:
+    the matrices whose `eigh` gives the ground vectors above FULL_SOLVE_MAX_N sites."""
+    spectra = block_spectra(basis, value)
+    w = np.concatenate([wb for b, wb in zip(basis.blocks, spectra) for _ in range(1 + b.pair)])
+    tol = models.TIE_TOL_FACTOR * max(float(np.ptp(w)), 1.0)
+    return [h for h, wb in zip(block_hamiltonians(basis, value), spectra) if wb[0] - w.min() <= tol]
+
+
+def recorded(monkeypatch, name):
+    """Route `np.linalg.<name>` through a wrapper that appends each input to the list returned."""
+    calls, solve = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a: calls.append(a) or solve(a))
+    return calls
 
 
 def kron_hamiltonian(spec):
@@ -354,27 +387,31 @@ class TestSymmetricPolicy:
         assert compared >= 50
 
     def test_one_full_eigensolve(self, monkeypatch):
-        # one eigh per group of equal-width momentum x sector blocks, real at k = 0
-        # and pi, and the complex full solve only up to FULL_SOLVE_MAX_N sites;
-        # above, no eigh sees 2^n rows
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        # one eigvalsh per group of equal-width momentum x sector blocks with
+        # 0 <= k <= pi, real at k = 0 and pi; the complex full solve only up to
+        # FULL_SOLVE_MAX_N sites, and no block eigh there; above, one eigh per
+        # ground block and none that sees 2^n rows
+        levels, vectors = recorded(monkeypatch, "eigvalsh"), recorded(monkeypatch, "eigh")
         cases = [  # (spec, degeneracy, rank under symmetric)
             (ModelSpec(family="xxz", n=5, delta=0.0), 4, 2),  # S_z = +-1/2, each a momentum +-k tie
             (ModelSpec(family="xxz", n=8, delta=-2.0), 2, 1),  # the two aligned states
+            (ModelSpec(family="xxz", n=7, delta=0.0), 4, 2),
         ]
         for spec, degeneracy, rank in cases:
             dim, basis = 2**spec.n, models._Basis.of(spec)
             groups = group_shapes(basis)
-            assert sum(g * d for _, (g, d, _) in groups) == dim
-            assert all(h.dtype == (np.float64 if 2 * b.m % spec.n == 0 else np.complex128)
-                       and h.shape == (len(b.reps),) * 2 and len(b.reps) < dim
-                       for b, h in zip(basis.blocks, block_hamiltonians(basis, 0.0)))
+            assert sum(len(b.reps) * (1 + b.pair) for b in basis.blocks) == dim
+            for b, h in zip(basis.blocks, block_hamiltonians(basis, 0.0)):
+                real = 2 * b.m % spec.n == 0
+                assert 0 <= b.m <= spec.n / 2 and b.pair == (not real)  # no -k block is built
+                assert h.dtype == (np.float64 if real else np.complex128)
+                assert h.shape == (len(b.reps),) * 2 and len(b.reps) < dim
             full = spec.n <= models.FULL_SOLVE_MAX_N
+            ground = ground_blocks(basis, models._sweep_value(spec))
             for policy in models.POLICIES:
-                calls.clear()
-                if policy == "aligned_up" and full:
+                levels.clear()
+                vectors.clear()
+                if policy == "aligned_up" and spec.delta == 0.0:
                     with pytest.raises(PolicyError):
                         ground_state(spec, policy)
                 else:
@@ -385,9 +422,13 @@ class TestSymmetricPolicy:
                         assert np.linalg.matrix_rank(gs.state) == (
                             rank if policy == "symmetric" else degeneracy)
                 # a stacked input's first axis counts points: its last is the matrix size
-                solved = [a for a in calls if a.dtype == complex and a.shape[-2:] == (dim, dim)]
-                assert [(a.dtype, a.shape[-3:]) for a in calls[:len(groups)]] == groups, policy
-                assert len(solved) == full and len(calls) == len(groups) + full, policy
+                assert [(a.dtype, a.shape[-3:]) for a in levels] == groups, policy
+                if full:
+                    assert len(vectors) == 1 and vectors[0].dtype == complex
+                    assert vectors[0].shape[-2:] == (dim, dim), policy
+                else:
+                    assert len(vectors) == len(ground), policy
+                    assert all(a.tobytes() == h.tobytes() for a, h in zip(vectors, ground)), policy
 
     def test_zero_hamiltonian_is_the_parity_even_mixture(self):
         gs = ground_state(ModelSpec(family="xy", n=4, lam=0.0, h=0.0, gamma=0.5))
@@ -397,10 +438,11 @@ class TestSymmetricPolicy:
 
 
 class TestOneSpectrum:
-    """Every scalar of `ground_state` comes from the one `eigh` per momentum x
-    sector block, at every n: a sector's level is the lowest of its blocks, the
-    energy is the lowest sector level and the gap is read off the sorted union of
-    the block spectra, bit for bit."""
+    """Every scalar of `ground_state` comes from the one `eigvalsh` per built
+    momentum x sector block (0 <= k <= pi), at every n: a sector's level is the
+    lowest of its blocks, the energy is the lowest sector level, and the gap and
+    the degeneracy are read off the sorted union of the block spectra, each
+    paired block's (k != 0, pi) twice, for k and -k, bit for bit."""
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("family, params", [
@@ -412,9 +454,11 @@ class TestOneSpectrum:
         for spec in (ModelSpec(family=family, n=n, **p) for p in params):
             basis, value = models._Basis.of(spec), models._sweep_value(spec)
             blocks = block_spectra(basis, value)
-            w = np.sort(np.concatenate(blocks))
+            copies = [1 + b.pair for b in basis.blocks]
+            w = np.sort(np.concatenate([wb for c, wb in zip(copies, blocks) for _ in range(c)]))
+            assert len(w) == 2**n
             tol = models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)
-            g = sum(int(np.sum(wb - w[0] <= tol)) for wb in blocks)
+            g = sum(c * int(np.sum(wb - w[0] <= tol)) for c, wb in zip(copies, blocks))
             lows = [min(wb[0] for b, wb in zip(basis.blocks, blocks) if b.sector == k)
                     for k in range(len(basis.sectors))]
             for policy in models.POLICIES:
@@ -424,7 +468,7 @@ class TestOneSpectrum:
                     assert policy == "aligned_up", spec
                     continue
                 assert gs.levels[1].tolist() == lows and gs.levels[2] == tol, (spec, policy)
-                assert gs.energy == min(gs.levels[1]), (spec, policy)
+                assert gs.energy == min(gs.levels[1]) == w[0], (spec, policy)
                 assert gs.gap == w[1] - w[0], (spec, policy)
                 assert gs.degeneracy == g, (spec, policy)
 
@@ -497,16 +541,22 @@ class TestBlockSolve:
         g = int(np.sum(w - w[0] <= models.TIE_TOL_FACTOR * max(float(w[-1] - w[0]), 1.0)))
         up = all_up_vector(n)
         up_in_space = np.linalg.norm(v[:, :g].conj().T @ up) >= 1.0 - 1e-8
-        eighs = []
-        eigh = np.linalg.eigh
+        basis = models._Basis.of(spec)
+        groups, ground = group_shapes(basis), ground_blocks(basis, models._sweep_value(spec))
         for policy in models.POLICIES:
             with monkeypatch.context() as m:
-                m.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+                levels, vectors = recorded(m, "eigvalsh"), recorded(m, "eigh")
                 try:
                     gs = ground_state(spec, policy)
                 except PolicyError:
-                    assert policy == "aligned_up" and not up_in_space, spec
-                    continue
+                    gs = None
+            # one eigvalsh per group of equal-width blocks, none 2^n wide, and one
+            # eigh per block that holds a ground level, of that block alone
+            assert [(a.dtype, a.shape[-3:]) for a in levels] == groups, policy
+            assert [a.tobytes() for a in vectors] == [h.tobytes() for h in ground], policy
+            if gs is None:
+                assert policy == "aligned_up" and not up_in_space, spec
+                continue
             assert gs.energy == pytest.approx(w[0], abs=1e-12)
             assert gs.gap == pytest.approx(w[1] - w[0], abs=1e-12)
             assert gs.degeneracy == g
@@ -528,11 +578,7 @@ class TestBlockSolve:
                 for theta, phi in self.POINTS:
                     ours, theirs = equal_angle_values([gs.state, oracle], sites, theta, phi)
                     assert ours[0] == pytest.approx(theirs[0], abs=1e-12), (policy, sites)
-        # one eigh per group of equal-width blocks and policy, none complex and 2^n wide
-        assert not [a for a in eighs if a.dtype == complex and a.shape[-1] == dim]
-        groups = group_shapes(models._Basis.of(spec))
         assert max(shape[-1] for _, shape in groups) < dim
-        assert [(a.dtype, a.shape[-3:]) for a in eighs] == groups * (len(eighs) // len(groups))
 
 
 def assert_same_result(got, want):
@@ -596,15 +642,15 @@ class TestStackedSolve:
     def test_long_chains_form_no_full_matrix(self, spec, monkeypatch):
         # from n = 8 up a sweep builds no 2^n x 2^n H and solves nothing wider than a block
         widest = max(len(b.reps) for b in models._Basis.of(spec).blocks)
-        solves = []
-        eigh = np.linalg.eigh
         monkeypatch.setattr(models, "_build", lambda *a: pytest.fail("full H built"))
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
+        levels, vectors = recorded(monkeypatch, "eigvalsh"), recorded(monkeypatch, "eigh")
         grid = [-1.0, 0.5, 1.0, 1.5]
         for policy in ("symmetric", "mixture"):
             assert len(list(models.ground_states(spec, grid, policy))) == len(grid)
-        assert not [a for a in solves if a.dtype == complex and a.shape[-1] == 2**spec.n]
-        assert solves and max(a.shape[-1] for a in solves) == widest < 2**spec.n / 4
+        assert levels and max(a.shape[-1] for a in levels) == widest < 2**spec.n / 4
+        # each eigh is one block at one point
+        assert len(vectors) >= 2 * len(grid) and all(a.ndim == 2 for a in vectors)
+        assert max(a.shape[-1] for a in vectors) <= widest
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
@@ -735,10 +781,25 @@ def differential_specs():
 class TestMomentumBlocks:
     """The momentum x sector blocks against the sector-block solve they replace
     (`sector_block_ground_state`): the same spectrum, sector levels, ground counts,
-    picked sector, parity and ground space, under every policy."""
+    picked sector, parity and ground space, under every policy. The -k blocks
+    that the solver does not build come from the projection oracle
+    `momentum_block`."""
 
     LABELS = ((1,), (1, 2))
     POINTS = ((0.0, 0.0), (0.7, 1.1))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_built_blocks_match_the_projection_oracle(self, n, family):
+        # k and -k from the dense H projected onto momentum states: the built block
+        # of 0 <= k <= pi, and the conjugate of it at -k
+        spec = ModelSpec(family=family, n=n, lam=1.3, gamma=0.5, delta=0.5)
+        basis, value = models._Basis.of(spec), models._sweep_value(spec)
+        for b, h in zip(basis.blocks, block_hamiltonians(basis, value)):
+            for m, want in ((b.m, h), (n - b.m, h.conj())) if b.pair else ((b.m, h),):
+                reps, oracle = momentum_block(spec, basis.sectors[b.sector], m)
+                assert np.array_equal(reps, b.reps), (b.sector, m)
+                assert max_norm(oracle - want) <= 1e-14 * max(max_norm(h), 1), (b.sector, m)
 
     @pytest.mark.parametrize("spec", differential_specs(), ids=spec_id)
     def test_matches_the_sector_blocks(self, spec):
@@ -746,8 +807,8 @@ class TestMomentumBlocks:
         basis = models._Basis.of(spec)
         for h in block_hamiltonians(basis, value):
             assert np.max(np.abs(h - h.conj().T), initial=0.0) <= 1e-14 * max(np.max(np.abs(h)), 1)
-        spectra = block_spectra(basis, value)
-        union = np.sort(np.concatenate(spectra))
+        every = every_block_spectrum(spec, basis)
+        union = np.sort(np.concatenate([w for _, _, w in every]))
         assert len(union) == 2**n
         for policy in models.POLICIES:
             want = sector_block_ground_state(spec, policy)
@@ -762,8 +823,8 @@ class TestMomentumBlocks:
             assert np.max(np.abs(gs.levels[1] - want["levels"][1])) <= tol
             assert abs(gs.energy - want["energy"]) <= tol and abs(gs.gap - want["gap"]) <= tol
             counts = [0] * len(basis.sectors)
-            for b, w in zip(basis.blocks, spectra):
-                counts[b.sector] += int(np.sum(w - union[0] <= gs.levels[2]))
+            for sector, _, w in every:
+                counts[sector] += int(np.sum(w - union[0] <= gs.levels[2]))
             assert counts == want["counts"], policy
             assert (gs.degeneracy, gs.parity) == (want["degeneracy"], want["parity"]), policy
             assert pick_sector(*gs.levels) == want["picked"]
@@ -783,16 +844,21 @@ class TestMomentumBlocks:
         # xxz at Delta = 0: each S_z = +-1/2 sector's ground level sits at k and -k
         spec = ModelSpec(family="xxz", n=n, delta=0.0)
         basis = models._Basis.of(spec)
-        spectra = block_spectra(basis, 0.0)
-        low = min(w[0] for w in spectra)
-        tol = models.TIE_TOL_FACTOR * max(max(w[-1] for w in spectra) - low, 1.0)
-        ground = sorted((basis.sectors[b.sector], b.m) for b, w in zip(basis.blocks, spectra)
-                        if w[0] - low <= tol)
+        every = every_block_spectrum(spec, basis)
+        low = min(w[0] for _, _, w in every)
+        tol = models.TIE_TOL_FACTOR * max(max(w[-1] for _, _, w in every) - low, 1.0)
+        ground = sorted((basis.sectors[s], m) for s, m, w in every if w[0] - low <= tol)
         assert len(ground) == 4 and all(m != 0 for _, m in ground)
         for sector in (-0.5, 0.5):
             ms = [m for s, m in ground if s == sector]
             assert len(ms) == 2 and sum(ms) == n
-        assert ground_state(spec, "mixture").degeneracy == 4
+        for policy in ("mixture", "symmetric"):
+            gs, want = ground_state(spec, policy), sector_block_ground_state(spec, policy)
+            # the -k level is the k block's level read again, equal bit for bit
+            assert gs.degeneracy == 4 and gs.gap == 0.0, policy
+            if policy == "mixture":
+                assert max_norm(gs.degeneracy * density(gs.state) - want["projector"]) <= 1e-12
+            assert max_norm(density(gs.state) - density(want["state"])) <= 1e-12, policy
 
 
 class TestParity:
