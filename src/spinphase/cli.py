@@ -3,10 +3,10 @@ analytic formula tables and the acceptance-check runner.
 
 Each file-writing subcommand (`phaseline`, `sphere`, `animate`, `formulas`)
 computes its data and hands every table to `write_csv` as columns of cells,
-which it joins into the file text at once. A float column becomes cells by
-`fmt_column`, which formats each distinct double once with 17 significant
-digits, exactly as `fmt` formats each value, so reruns with the same
-configuration are byte-identical. `main` creates the output directory, writes
+which it joins, encodes, hashes and writes one batch of rows at a time. A
+float column becomes cells by `fmt_column`, which formats each distinct double
+once with 17 significant digits, exactly as `fmt` formats each value, so
+reruns with the same configuration are byte-identical. `main` creates the output directory, writes
 the subcommand's plot stub and writes manifest.json last (atomically), with
 the resolved configuration and the sha256 checksum of each emitted file,
 taken from its bytes as they are written, so no file is read back. `verify`
@@ -64,40 +64,61 @@ def fmt_column(values):
     return np.array(distinct, dtype=object)[inverse].tolist()
 
 
-def _atomic_write(path, data: bytes):
-    """Write `data` to `path` by way of a temporary file in the same directory;
-    returns the sha256 hex digest of `data`, which the manifest records."""
+def _atomic_write(path, chunks):
+    """Write the bytes `chunks` to `path` in turn, by way of a temporary file in
+    the same directory that replaces `path` once the last chunk is written;
+    returns the sha256 hex digest of the bytes, which the manifest records. An
+    exception while the chunks are made or written leaves `path` as it was and
+    removes the temporary file."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
+
+
+# rows laid out, joined and written at a time: a sphere row is about 60 bytes
+_BATCH_ROWS = 4096
 
 
 def write_csv(path, columns):
     """Write `{header: cells}` as CSV, row i holding cell i of every column.
 
-    The cells and their separators are laid out in one list and joined once,
-    with no string built per row; columns of unequal length raise ValueError.
+    Columns of unequal length raise ValueError before any file is opened. The
+    rows are written _BATCH_ROWS at a time: a batch's cells and separators are
+    laid out in one list and joined once, with no string built per row, and
+    the batch is encoded, hashed and written before the next is laid out.
     Returns the file's sha256 digest."""
     cols = list(columns.values())
     rows, stride = len(cols[0]), 2 * len(cols)
-    parts = [""] * (stride * rows)
-    for k, cells in enumerate(cols):
-        parts[2 * k::stride] = cells
-        parts[2 * k + 1::stride] = ("," if k + 1 < len(cols) else "\n",) * rows
-    return _atomic_write(path, (",".join(columns) + "\n" + "".join(parts)).encode("utf-8"))
+    if any(len(cells) != rows for cells in cols):
+        raise ValueError(f"columns of unequal length {[len(cells) for cells in cols]}")
+
+    def batches():
+        yield (",".join(columns) + "\n").encode("utf-8")
+        for start in range(0, rows, _BATCH_ROWS):
+            size = min(_BATCH_ROWS, rows - start)
+            parts = [""] * (stride * size)
+            for k, cells in enumerate(cols):
+                parts[2 * k::stride] = cells[start:start + size]
+                parts[2 * k + 1::stride] = ("," if k + 1 < len(cols) else "\n",) * size
+            yield "".join(parts).encode("utf-8")
+
+    return _atomic_write(path, batches())
 
 
 def write_json(path, payload):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return _atomic_write(path, text.encode("utf-8"))
+    return _atomic_write(path, [text.encode("utf-8")])
 
 
 def write_manifest(outdir, config, files, started=None):
@@ -502,7 +523,7 @@ def main(argv=None):
         if args.subcommand in PLOT_STUBS:
             name, stub = PLOT_STUBS[args.subcommand]
             path = os.path.join(outdir, name)
-            files[path] = _atomic_write(path, stub.encode("utf-8"))
+            files[path] = _atomic_write(path, [stub.encode("utf-8")])
         write_manifest(outdir, cfg, files, started=started)
         return EXIT_OK
     except (ConfigError, ValueError) as exc:

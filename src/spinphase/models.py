@@ -21,10 +21,12 @@ blocks' levels, by `eigvalsh`, a paired block's read twice, give the sector
 levels (the lowest over a sector's blocks), the whole spectrum and the ground
 counts at every n. Up to FULL_SOLVE_MAX_N sites the ground-space vectors come
 from the complex `eigh` of the full H, whose rounding the recorded 6-site
-outputs pin, and no block's vectors are computed; longer chains `eigh` only the
+outputs pin, with the rows outside the sectors that hold a ground level
+zeroed, and no block's vectors are computed; longer chains `eigh` only the
 blocks that hold a ground level and embed their ground columns in 2^n rows,
-with the conjugate columns for -k. Every solve is a bare `eigh`: a column's
-phase cancels in rho = A A^dagger, so none is fixed.
+with the conjugate columns for -k. Either way every ground state is exactly 0
+outside its sectors. Every solve is a bare `eigh`: a column's phase cancels
+in rho = A A^dagger, so none is fixed.
 
 A sweep is one stacked solve: `ground_states` solves a chunk of
 max(1, CHUNK_BYTES // (32 x 4^n)) grid points at once, each group of blocks
@@ -286,17 +288,19 @@ class _Block:
 class _Basis:
     """What a sweep computes once: the z signs, the values of
     `symmetry_diagonal` in increasing order (the sectors), each sector's basis
-    indices and spin parity, the position of the all-up state's sector, the
-    translation orbits (`_orbits`), the momentum x sector blocks of
-    0 <= k <= pi (`_Block`), and their value-independent matrices, stacked in
-    groups of one width and dtype: a group (h0, h1) holds the next blocks in
-    order, each block's Hamiltonian at sweep value v being h0[i] + v h1[i]."""
+    indices and spin parity, the position of the all-up state's sector and of
+    each basis index's sector, the translation orbits (`_orbits`), the
+    momentum x sector blocks of 0 <= k <= pi (`_Block`), and their
+    value-independent matrices, stacked in groups of one width and dtype: a
+    group (h0, h1) holds the next blocks in order, each block's Hamiltonian at
+    sweep value v being h0[i] + v h1[i]."""
 
     z: np.ndarray
     sectors: tuple
     index: list
     parity: list
     up: int
+    sector_of: np.ndarray
     orbits: tuple
     blocks: list
     groups: list
@@ -310,7 +314,7 @@ class _Basis:
         orbits = _orbits(spec.n)
         blocks, groups = _momentum_blocks(spec, z, sym, sectors, orbits)
         return cls(z, tuple(sectors), index, [int(parity[i[0]]) for i in index],
-                   sectors.index(sym[0]), orbits, blocks, groups)
+                   sectors.index(sym[0]), np.searchsorted(sectors, sym), orbits, blocks, groups)
 
 
 def _momentum_blocks(spec, z, sym, sectors, orbits):
@@ -435,12 +439,14 @@ def ground_state(spec, policy="symmetric"):
     `pick_sector` applies to sector ties, so `degeneracy` > 1 exactly when
     `gap` <= `levels[2]`; the g of them span the ground space V. Its vectors
     are the first g columns of the complex `eigh` of the full H up to
-    FULL_SOLVE_MAX_N sites, and above that the first r columns of the `eigh`
-    of each block with r ground levels, embedded in 2^n rows (a momentum
-    state's amplitude on basis index s is its representative's, times
-    exp(ik shift(s)) / sqrt(R)), followed for a paired block by their
-    conjugates, the -k block's columns; no full H is built there.
-    A unique ground state is V. Inside a degenerate space:
+    FULL_SOLVE_MAX_N sites, zeroed outside the sectors that hold a ground
+    level (the solve leaves rounding there), and above that the first r
+    columns of the `eigh` of each block with r ground levels, embedded in 2^n
+    rows (a momentum state's amplitude on basis index s is its
+    representative's, times exp(ik shift(s)) / sqrt(R)), followed for a paired block by their
+    conjugates, the -k block's columns; no full H is built there. So V, and
+    every state below, is exactly 0 outside the sectors that hold a ground
+    level at every n. A unique ground state is V. Inside a degenerate space:
       symmetric  -- the uniform mixture of the r ground states in the
                     `pick_sector(*levels)` sector: V with the rows outside the
                     sector zeroed, over its Frobenius norm (g columns of rank r),
@@ -460,8 +466,9 @@ def ground_states(spec, values, policy="symmetric"):
     (8 at n = 6, 1 from n = 8 up): one `eigvalsh` per group of equal-width
     blocks over the stack of their matrices at every point of the chunk and, up
     to FULL_SOLVE_MAX_N sites, one complex `eigh` over the chunk's stacked full
-    H; above that, one `eigh` per point and ground block. Each is the same float
-    operations as a one-point solve, so every result equals that point's own
+    H, whose vectors one broadcast multiply zeroes outside each point's ground
+    sectors; above that, one `eigh` per point and ground block. Each is the
+    same float operations as a one-point solve, so every result equals that point's own
     `ground_state` bit for bit. The basis and the blocks' matrices (`_Basis`)
     are built once per sweep. A chunk's arrays are
     released before the next chunk is built. A policy failure is raised at its
@@ -487,9 +494,12 @@ def _chunk_ground_states(spec, values, policy, basis):
     tols = np.array([level[2] for level in levels])[:, None]
     counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1)
                        for w in block_levels], axis=1)  # ground levels per built block
+    sector = np.array([b.sector for b in basis.blocks])
+    holds = (counts > 0) @ (sector[:, None] == np.arange(len(basis.sectors)))  # (points, sectors)
     full = None
     if spec.n <= FULL_SOLVE_MAX_N:  # vectors the 6-site outputs pin
         full = np.linalg.eigh(np.asarray(_build(spec, values, basis.z), dtype=complex))[1]
+        full *= holds[:, basis.sector_of, None]  # zero the rounding outside the ground sectors
     matrices = [(h0[i], h1[i]) for h0, h1 in basis.groups for i in range(len(h0))]
     for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
         g = sum(r * (1 + b.pair) for b, r in zip(basis.blocks, count))
@@ -505,7 +515,7 @@ def _chunk_ground_states(spec, values, policy, basis):
                     if block.pair:  # the -k block's embedded columns are the conjugates
                         V[rows, c:c + r] = columns.conj()
                         c += r
-        held = {b.sector for b, r in zip(basis.blocks, count) if r}
+        held = np.flatnonzero(holds[p]).tolist()
 
         if g == 1 or policy == "mixture":
             state = V / np.sqrt(g)

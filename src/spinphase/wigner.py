@@ -11,7 +11,9 @@ contracts each site's kernel into it, one site at a time, batched over states
 or phase points; or, once that 4^k density outgrows one chunk and it is the
 cheaper order, it applies each site's kernel to M's row axis and sums
 conj(M) (K_1 x ... x K_k) M, batched over phase points. `equal_angle_values`
-puts every site at one point. There is no scalar form: one value is the [0, 0]
+puts every site at one point, and `sphere_field` samples it on a sphere grid
+from 2b + 1 phi nodes per theta row, b the highest phi harmonic the reduced
+state carries (`_band`). There is no scalar form: one value is the [0, 0]
 entry of a call with one state and one point. Angles are checked in one
 place, `check_angles`, which `bloch_factors` runs on every angle it is given,
 so a bad angle raises ValueError on every path from angles to values. The
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .qcore import (CHUNK_BYTES, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector,
-                    basis_vector, reduced_factor)
+                    basis_vector, n_sites, reduced_factor)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -203,19 +205,36 @@ def sphere_field(state, sites, grid=SphereGrid()):
     """Sample the equal-angle reduced Wigner function on a sphere grid.
 
     Returns the (n_theta, n_phi) array of the values at (thetas[i], phis[j]).
-    Since K(theta, phi) = R_z(phi) K(theta, 0) R_z(phi)^dagger, a k-site field is
-    a trigonometric polynomial of degree k in phi. So each theta row is evaluated
-    at 2k + 1 equispaced phi nodes and mapped exactly onto the grid's phis by the
-    Dirichlet kernel D(x) = (1 + 2 sum_{m=1..k} cos(m x)) / (2k + 1).
+    Since K(theta, phi) = R_z(phi) K(theta, 0) R_z(phi)^dagger, the field holds
+    phi harmonic m only through the coherences of the reduced state between
+    configurations whose down-spin counts differ by m, so it is a trigonometric
+    polynomial in phi of degree b = `_band` of the reduced factor (at most k).
+    Each theta row is evaluated at 2b + 1 equispaced phi nodes and mapped
+    exactly onto the grid's phis by the Dirichlet kernel
+    D(x) = (1 + 2 sum_{m=1..b} cos(m x)) / (2b + 1). A state that conserves
+    total S_z has b = 0: one node per row, and each row one repeated value.
     """
     sites = tuple(sites)
-    nodes = 2 * len(sites) + 1
+    band = _band(reduced_factor(state, sites))
+    nodes = 2 * band + 1
     node_phis = np.arange(nodes) * (2 * np.pi / nodes)
     tt, pp = np.meshgrid(grid.thetas, node_phis, indexing="ij")
     rows = equal_angle_values([state], sites, tt.ravel(), pp.ravel()).reshape(-1, nodes)
     x = grid.phis - node_phis[:, None]
-    interp = 1 + 2 * sum(np.cos(m * x) for m in range(1, len(sites) + 1))
+    interp = 1 + 2 * sum((np.cos(m * x) for m in range(1, band + 1)), np.zeros_like(x))
     return rows @ (interp / nodes)
+
+
+def _band(m):
+    """The highest phi harmonic a reduced factor M (2^k, c) gives its field: the
+    largest spread in down-spin count between the nonzero rows of any one
+    column, which bounds the count difference of every nonzero entry of
+    M M^dagger (0 when M has no nonzero entry)."""
+    k = n_sites(len(m))
+    down = np.sum((np.arange(2**k)[:, None] >> np.arange(k)) & 1, axis=1)[:, None]
+    high = np.where(m != 0, down, -1).max(axis=0)
+    low = np.where(m != 0, down, k + 1).min(axis=0)
+    return int(np.max(high - low, initial=0))  # a column with no nonzero row gives < 0
 
 
 # ---------------------------------------------------------------------------

@@ -575,17 +575,18 @@ class TestColumnWriter:
 
     def assert_sphere_files(self, out, spec, labels, grid):
         """Each label's file against its field rendered cell by cell; returns
-        the number of distinct value cells per label."""
+        each label's value cells, one list per theta row."""
         state = ground_state(spec).state
-        distinct = []
+        cells = []
         for sites in labels:
             field = sphere_field(state, sites, grid)
             rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
                     for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
             assert (out / f"sphere_{label_name(sites, spec.n)}.csv").read_bytes() == render_rows(
                 ("theta", "phi", "value"), rows)
-            distinct.append(len({row[2] for row in rows}))
-        return distinct
+            values = [row[2] for row in rows]
+            cells.append([values[i:i + grid.n_phi] for i in range(0, len(values), grid.n_phi)])
+        return cells
 
     def test_sphere_file_matches_row_by_row_rendering(self, tmp_path):
         out = tmp_path / "sphere"
@@ -594,14 +595,14 @@ class TestColumnWriter:
         self.assert_sphere_files(out, ModelSpec("ti", lam=0.7), [(1, 2)], SphereGrid(7, 12))
 
     def test_repeated_sphere_values_match_row_by_row_rendering(self, tmp_path):
-        # every xxz state conserves total S_z, so its field does not depend on phi,
-        # and at delta = 1 the singlet's field repeats along theta as well
+        # every xxz state conserves total S_z, so its field does not depend on phi:
+        # each theta row is one repeated value, at most n_theta distinct per file
         out = tmp_path / "sphere"
         assert run_cli(["sphere", "--model", "xxz", "--param-value", "1.0", "--labels", "12,tot",
                         "--grid-theta", "19", "--grid-phi", "24", "--out", str(out)]) == 0
-        distinct = self.assert_sphere_files(out, ModelSpec("xxz").with_param(1.0),
-                                            [(1, 2), (1, 2, 3, 4, 5, 6)], SphereGrid(19, 24))
-        assert all(count < 19 * 24 / 10 for count in distinct)
+        for rows in self.assert_sphere_files(out, ModelSpec("xxz").with_param(1.0),
+                                             [(1, 2), (1, 2, 3, 4, 5, 6)], SphereGrid(19, 24)):
+            assert len(rows) == 19 and all(row == [row[0]] * 24 for row in rows)
 
     def test_frames_index_matches_row_by_row_rendering(self, tmp_path):
         out = tmp_path / "anim"
@@ -669,8 +670,33 @@ class TestSerialization:
         assert path.read_bytes() == render_rows(("a", "b", "c"), [("1", "", "-0"), ("2", "x", "nan")])
         write_csv(path, {"a": []})
         assert path.read_bytes() == b"a\n"
-        with pytest.raises(ValueError):
-            write_csv(path, {"a": ["1", "2"], "b": ["3"]})
+        # a shorter or a longer column, one beyond a batch too, before any file is opened
+        long = [str(i) for i in range(cli._BATCH_ROWS + 1)]
+        for columns in ({"a": ["1", "2"], "b": ["3"]}, {"a": ["1"], "b": ["2", "3"]},
+                        {"a": long[:-1], "b": long}):
+            with pytest.raises(ValueError):
+                write_csv(tmp_path / "ragged.csv", columns)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    def test_rows_over_several_batches_match_one_join(self, tmp_path):
+        rows = [(str(i), "" if i % 7 else "x", fmt(i / 3)) for i in range(2 * cli._BATCH_ROWS + 1)]
+        path = tmp_path / "table.csv"
+        digest = write_csv(path, {name: [row[k] for row in rows]
+                                  for k, name in enumerate(("i", "blank", "third"))})
+        data = path.read_bytes()
+        assert data == render_rows(("i", "blank", "third"), rows)
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_failure_mid_stream_keeps_the_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, {"a": ["old"]})
+        before = path.read_bytes()
+        # the last cell is not a string, so the third batch fails after two are written
+        cells = ["1"] * (2 * cli._BATCH_ROWS) + [1]
+        with pytest.raises(TypeError):
+            write_csv(path, {"a": cells})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
     def test_csv_files_are_utf8_with_header(self, tmp_path):
         out = tmp_path / "run"

@@ -325,6 +325,33 @@ class TestGroundState:
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
+class TestSectorExactStates:
+    """Each ground state is exactly 0 on every row outside the sectors that hold a
+    ground level, from the masked full solve up to FULL_SOLVE_MAX_N sites and
+    from the embedded block columns above it."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rows_outside_the_ground_sectors_are_zero(self, n):
+        lam_f = xy_factorization_point(0.5)
+        specs = ([ModelSpec("ti", n=n, lam=lam) for lam in (0.5, 1.0, 2.0, 1e3)]
+                 + [ModelSpec("xy", n=n, gamma=0.5, lam=lam) for lam in (0.5, lam_f, 1.5)]
+                 + [ModelSpec("xxz", n=n, delta=delta) for delta in (-2.0, 0.5, 1.0)])
+        checked = 0
+        for spec in specs:
+            sym = symmetry_diagonal(spec)
+            for policy in models.POLICIES:
+                try:
+                    gs = ground_state(spec, policy)
+                except PolicyError:  # aligned_up where the all-up state is not ground
+                    continue
+                sectors, energies, tol = gs.levels
+                held = [s for s, e in zip(sectors, energies) if e - min(energies) <= tol]
+                outside = ~np.isin(sym, held)
+                assert not np.any(gs.state[outside]), (spec, policy)
+                checked += bool(outside.any())
+        assert checked >= 20
+
+
 def translation_classes(n):
     """Every nonempty proper site subset of the n-ring, grouped by translation."""
     classes = {}

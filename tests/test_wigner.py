@@ -513,6 +513,73 @@ class TestSphereField:
         assert sphere_field(reference_state("up"), (1,)).shape == (181, 360)
 
 
+def sphere_field_every_harmonic(state, sites, grid):
+    """The sphere synthesis before the harmonic band, kept as the oracle: each
+    theta row at 2k + 1 equispaced phi nodes, mapped onto the grid's phis by the
+    degree-k Dirichlet kernel, whatever harmonics the state carries."""
+    k = len(sites)
+    node_phis = np.arange(2 * k + 1) * (2 * np.pi / (2 * k + 1))
+    tt, pp = np.meshgrid(grid.thetas, node_phis, indexing="ij")
+    rows = equal_angle_values([state], sites, tt.ravel(), pp.ravel()).reshape(-1, 2 * k + 1)
+    x = grid.phis - node_phis[:, None]
+    return rows @ ((1 + 2 * sum(np.cos(m * x) for m in range(1, k + 1))) / (2 * k + 1))
+
+
+class TestHarmonicBand:
+    GRID = SphereGrid(13, 36)
+    LABELS_6 = [(1,), (1, 2), (1, 3, 5), (1, 2, 3, 4, 5, 6)]
+
+    def assert_matches_oracle(self, state, labels):
+        for sites in labels:
+            want = sphere_field_every_harmonic(state, sites, self.GRID)
+            got = sphere_field(state, sites, self.GRID)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), sites
+
+    def test_dense_factors_carry_every_harmonic(self):
+        rng = np.random.default_rng(29)
+        for rank in (1, 3):
+            state = rand_mixed(rng, 2**4, rank)
+            labels = [(2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]
+            assert [wigner._band(reduced_factor(state, sites)) for sites in labels] == [1, 2, 3, 4]
+            self.assert_matches_oracle(state, labels)
+
+    @pytest.mark.parametrize("spec, policy, bands", [
+        (ModelSpec("ti", lam=0.7), "symmetric", [0, 2, 2, 6]),
+        # odd parity: down counts 1, 3 and 5 only
+        (ModelSpec("xy", lam=1.3, gamma=0.5), "symmetric", [0, 2, 2, 4]),
+        (ModelSpec("xy", lam=models.xy_factorization_point(0.5), gamma=0.5), "mixture",
+         [1, 2, 3, 6]),
+    ], ids=["ti", "xy", "xy-factorization-mixture"])
+    def test_parity_states_match_the_oracle(self, spec, policy, bands):
+        state = ground_state(spec, policy).state
+        assert [wigner._band(reduced_factor(state, sites)) for sites in self.LABELS_6] == bands
+        self.assert_matches_oracle(state, self.LABELS_6)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_xxz_rows_are_one_repeated_value(self, n):
+        # total S_z is conserved, so every label has band 0: one node per theta row
+        state = ground_state(ModelSpec("xxz", n=n, delta=1.0)).state
+        labels = [(1, 2), (1, 3, 5), tuple(range(1, n + 1))]
+        self.assert_matches_oracle(state, labels)
+        for sites in labels:
+            assert wigner._band(reduced_factor(state, sites)) == 0
+            fld = sphere_field(state, sites, self.GRID)
+            assert np.array_equal(fld, np.repeat(fld[:, :1], fld.shape[1], axis=1)), sites
+
+    def test_band_is_the_largest_count_difference_of_the_density(self):
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 3, 4, 5):
+            down = np.array([bin(r).count("1") for r in range(2**k)])
+            for density_of_nonzeros in (0.05, 0.2, 0.5):
+                for columns in (1, 3):
+                    m = rng.normal(size=(2**k, columns)) + 1j * rng.normal(size=(2**k, columns))
+                    m[rng.random(m.shape) > density_of_nonzeros] = 0
+                    r, s = np.nonzero(m @ m.conj().T)
+                    brute = int(np.max(np.abs(down[r] - down[s]), initial=0))
+                    assert wigner._band(m) == brute, (k, m)
+        assert wigner._band(np.zeros((8, 2))) == 0
+
+
 class TestReferenceStates:
     @pytest.mark.parametrize("kind,n", [
         ("up", None), ("up_up", None), ("up_down", None), ("bell_psi_plus", None),
