@@ -17,7 +17,8 @@ from .models import (GroundStateResult, ModelSpec, build_hamiltonian, ground_sta
                      ti_thermo_mz, total_sz_diagonal, xy_factorization_angle,
                      xy_factorization_point)
 from .wigner import (SphereGrid, bloch_factors, equal_angle_values, kernels,
-                     reconstruct_density, reference_state, sphere_field, wigner_values)
+                     phase_point_values, reconstruct_density, reference_state, sphere_field,
+                     wigner_values)
 from .analysis import (CriticalPoint, PhaseLine, SweepConfig, canonical_labels,
                        count_sign_changes, factorization_value_check,
                        find_derivative_extrema, find_sector_crossings, first_derivative,
@@ -33,7 +34,7 @@ __all__ = [
     "ti_classical_energy", "ti_classical_mx", "ti_classical_mz",
     "ti_thermo_energy", "ti_thermo_mx", "ti_thermo_mz",
     "xy_factorization_point", "xy_factorization_angle",
-    "kernels", "bloch_factors", "wigner_values", "equal_angle_values",
+    "kernels", "bloch_factors", "wigner_values", "equal_angle_values", "phase_point_values",
     "SphereGrid", "sphere_field", "reference_state", "reconstruct_density",
     "SweepConfig", "PhaseLine", "CriticalPoint", "canonical_labels", "sweep",
     "first_derivative", "find_derivative_extrema", "find_sector_crossings",

@@ -11,8 +11,8 @@ from .errors import ConfigError, NumericalError
 from . import models
 from .models import (ModelSpec, pick_sector, sector_levels, xy_factorization_angle,
                      xy_factorization_point)
-from .qcore import label_name, validate_label, validate_labels
-from .wigner import SQRT3, check_angles, equal_angle_values
+from .qcore import CHUNK_BYTES, label_name, validate_label, validate_labels
+from .wigner import SQRT3, check_angles, phase_point_values
 
 # correlation subsets explored for the 6-site ring: one representative per
 # translation/reflection class for each subset size
@@ -100,17 +100,26 @@ class CriticalPoint:
 
 def sweep(cfg):
     """Phase line over the parameter grid: the ground state of the stacked solve
-    `models.ground_states` at each value, and each label at the phase point by one
-    call over the grid."""
-    states = list(models.ground_states(cfg.spec, cfg.params, cfg.policy))
-    values = {label: equal_angle_values([gs.state for gs in states], label, cfg.theta,
-                                        cfg.phi)[:, 0] for label in cfg.labels}
-    return PhaseLine(config=cfg, params=cfg.params, values=values,
-                     energy=np.array([gs.energy for gs in states]),
-                     degeneracy=np.array([gs.degeneracy for gs in states]),
-                     parity=np.array([np.nan if gs.parity is None else gs.parity
-                                      for gs in states], dtype=float),
-                     gap=np.array([gs.gap for gs in states]), levels=[gs.levels for gs in states])
+    `models.ground_states` at each value, and every label at the phase point by
+    `phase_point_values`, one pass per batch of at most CHUNK_BYTES of states
+    (or one larger state), as the solve yields them. Per point only the label
+    values and the scalar columns are kept, not the state."""
+    states, held, values, rows = [], 0, [], []
+    for gs in models.ground_states(cfg.spec, cfg.params, cfg.policy):
+        rows.append((gs.energy, gs.degeneracy, np.nan if gs.parity is None else gs.parity,
+                     gs.gap, gs.levels))
+        if states and held + gs.state.nbytes > CHUNK_BYTES:
+            values.append(phase_point_values(states, cfg.labels, cfg.theta, cfg.phi))
+            states, held = [], 0
+        states.append(gs.state)
+        held += gs.state.nbytes
+    if states:
+        values.append(phase_point_values(states, cfg.labels, cfg.theta, cfg.phi))
+    series = np.concatenate(values).T.copy()  # one contiguous row per label
+    energy, degeneracy, parity, gap, levels = zip(*rows)
+    return PhaseLine(config=cfg, params=cfg.params, values=dict(zip(cfg.labels, series)),
+                     energy=np.array(energy), degeneracy=np.array(degeneracy),
+                     parity=np.array(parity, dtype=float), gap=np.array(gap), levels=list(levels))
 
 
 def first_derivative(line, label):

@@ -138,9 +138,13 @@ def _sweep_value(spec):
     return spec.delta if spec.family == "xxz" else spec.lam
 
 
-def _build(spec, values, z):
+def _build(spec, values, z, out=None):
     """Stack (len(values), 2^n, 2^n) of the real Hamiltonians of `spec` with its
     sweep parameter (lam, or delta for xxz) at each of `values`; `z` is `_z_signs(n)`.
+    It is a new real array, or `out`, zeroed first. A complex `out` (the n <= 6
+    solve's one buffer per sweep) is the real stack cast to complex bit for bit:
+    the same operations act on its real part (a view), and its imaginary part
+    stays +0.
 
     Built on the basis index: site i (1-based, site 1 the leftmost tensor
     factor) is bit n - i, set for a down spin. Bond (i, j) maps row b to
@@ -153,7 +157,11 @@ def _build(spec, values, z):
     n = spec.n
     rows = np.arange(2**n)
     values = np.asarray(values, dtype=float)[:, None]
-    H = np.zeros((len(values), 2**n, 2**n))
+    if out is None:
+        out = np.zeros((len(values), 2**n, 2**n))
+    else:
+        out[...] = 0
+    H = out.real  # the array itself when real
     diag = np.zeros((len(values), 2**n))
     for i in range(1, n + 1):  # bond (i, j), j = i + 1 on the ring
         j = i % n + 1
@@ -171,7 +179,7 @@ def _build(spec, values, z):
         for zi in z:
             diag -= spec.h * zi
     H[:, rows, rows] = diag
-    return H
+    return out
 
 
 def build_hamiltonian(spec):
@@ -293,7 +301,13 @@ class _Basis:
     momentum x sector blocks of 0 <= k <= pi (`_Block`), and their
     value-independent matrices, stacked in groups of one width and dtype: a
     group (h0, h1) holds the next blocks in order, each block's Hamiltonian at
-    sweep value v being h0[i] + v h1[i]."""
+    sweep value v being h0[i] + v h1[i].
+
+    A stacked solve's levels, each group's (points, blocks, width) flattened and
+    concatenated in block order, are indexed by `starts` (each block's first,
+    lowest level), `by_sector` (the blocks ordered by sector, the first of
+    sector s at `sector_starts[s]`) and `spectrum` (every level once, a paired
+    block's twice: the 2^n levels of H); `copies` is 2 for a paired block, else 1."""
 
     z: np.ndarray
     sectors: tuple
@@ -304,6 +318,11 @@ class _Basis:
     orbits: tuple
     blocks: list
     groups: list
+    starts: np.ndarray
+    by_sector: np.ndarray
+    sector_starts: np.ndarray
+    spectrum: np.ndarray
+    copies: np.ndarray
 
     @classmethod
     def of(cls, spec):
@@ -313,8 +332,15 @@ class _Basis:
         index = [np.flatnonzero(sym == s) for s in sectors]
         orbits = _orbits(spec.n)
         blocks, groups = _momentum_blocks(spec, z, sym, sectors, orbits)
+        widths = np.array([len(b.reps) for b in blocks])
+        sector = np.array([b.sector for b in blocks])
+        by_sector = np.argsort(sector, kind="stable")  # every sector has its k = 0 block
+        copies = np.array([1 + b.pair for b in blocks])
         return cls(z, tuple(sectors), index, [int(parity[i[0]]) for i in index],
-                   sectors.index(sym[0]), np.searchsorted(sectors, sym), orbits, blocks, groups)
+                   sectors.index(sym[0]), np.searchsorted(sectors, sym), orbits, blocks, groups,
+                   np.cumsum(widths) - widths, by_sector,
+                   np.searchsorted(sector[by_sector], np.arange(len(sectors))),
+                   np.repeat(np.arange(widths.sum()), np.repeat(copies, widths)), copies)
 
 
 def _momentum_blocks(spec, z, sym, sectors, orbits):
@@ -376,15 +402,16 @@ def _solve(basis, values):
 
 
 def _levels(basis, eigs):
-    """Per point of a stacked solve, the (sectors, energies, tol) of `sector_energies`:
-    a sector's energy is the lowest level of its momentum blocks."""
-    block_lows = np.concatenate([w[:, :, 0] for w in eigs], axis=1)
-    sector = np.array([b.sector for b in basis.blocks])
-    lows = np.stack([block_lows[:, sector == k].min(axis=1) for k in range(len(basis.sectors))],
-                    axis=1)
-    spread = np.max([w[:, :, -1].max(axis=1) for w in eigs], axis=0) - lows.min(axis=1)
-    tols = TIE_TOL_FACTOR * np.maximum(spread, 1.0)
-    return [(basis.sectors, low, float(tol)) for low, tol in zip(lows, tols)]
+    """The levels of a stacked solve (`_solve`) as arrays over its p points: every
+    block's levels, concatenated in block order (`_Basis`), shape (p, levels); the
+    sector energies of `sector_energies`, each the lowest level of its sector's
+    momentum blocks, (p, sectors); and the tie tolerances, (p,)."""
+    levels = np.concatenate([w.reshape(len(w), -1) for w in eigs], axis=1)
+    block_lows = levels[:, basis.starts]
+    lows = np.minimum.reduceat(block_lows[:, basis.by_sector], basis.sector_starts, axis=1)
+    highs = levels[:, np.append(basis.starts[1:], levels.shape[1]) - 1]  # each block's top
+    tols = TIE_TOL_FACTOR * np.maximum(highs.max(axis=1) - lows.min(axis=1), 1.0)
+    return levels, lows, tols
 
 
 def _embed(basis, block, c):
@@ -403,7 +430,11 @@ def sector_levels(spec):
     """The function v -> `sector_energies` of `spec` with its sweep parameter (lam,
     or delta for xxz) at v, over one `_Basis` built here, as a sweep's is."""
     basis = _Basis.of(spec)
-    return lambda value: _levels(basis, _solve(basis, [value]))[0]
+
+    def at(value):
+        _, lows, tols = _levels(basis, _solve(basis, [value]))
+        return basis.sectors, lows[0], float(tols[0])
+    return at
 
 
 def sector_energies(spec):
@@ -468,46 +499,60 @@ def ground_states(spec, values, policy="symmetric"):
     to FULL_SOLVE_MAX_N sites, one complex `eigh` over the chunk's stacked full
     H, whose vectors one broadcast multiply zeroes outside each point's ground
     sectors; above that, one `eigh` per point and ground block. Each is the
-    same float operations as a one-point solve, so every result equals that point's own
-    `ground_state` bit for bit. The basis and the blocks' matrices (`_Basis`)
-    are built once per sweep. A chunk's arrays are
-    released before the next chunk is built. A policy failure is raised at its
-    own point, after the points before it are yielded, and names that point's
-    parameter value, e.g. "(at lambda = 0.05)".
+    same float operations as a one-point solve, so every result equals that
+    point's own `ground_state` bit for bit. The basis and the blocks' matrices
+    (`_Basis`) are built once per sweep, and so is the complex buffer that each
+    chunk's full H is built into (n <= FULL_SOLVE_MAX_N), so a chunk allocates
+    only its solve's outputs; the rest of a chunk's arrays are released before
+    the next chunk is built. A policy failure is raised at its own point, after
+    the points before it are yielded, and names that point's parameter value,
+    e.g. "(at lambda = 0.05)".
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown ground-state policy {policy!r}, expected one of {POLICIES}")
     basis = _Basis.of(spec)
     values = np.asarray(values, dtype=float)
     size = max(1, CHUNK_BYTES // (32 * 4**spec.n))
+    stack = np.empty((min(size, len(values)),) + (2**spec.n,) * 2, complex) \
+        if spec.n <= FULL_SOLVE_MAX_N else None
     for start in range(0, len(values), size):
-        yield from _chunk_ground_states(spec, values[start:start + size], policy, basis)
+        yield from _chunk_ground_states(spec, values[start:start + size], policy, basis, stack)
 
 
-def _chunk_ground_states(spec, values, policy, basis):
-    """`ground_states` of one chunk; its arrays die with this generator."""
+def _chunk_ground_states(spec, values, policy, basis, stack):
+    """`ground_states` of one chunk; its arrays die with this generator, apart
+    from `stack`, the sweep's complex buffer for the full H (None above
+    FULL_SOLVE_MAX_N sites).
+
+    The bookkeeping of the chunk is a few array operations over its p points at
+    once, on the concatenated block levels of `_levels`: the lowest level e0 and
+    the next e1 of the 2^n levels (`_Basis.spectrum`), each level's test
+    E - e0 <= tol, the ground levels per block (`np.add.reduceat`), g (a paired
+    block's count twice), the sectors that hold a ground level and the parity
+    those sectors share. Only the vectors and the policy are taken point by
+    point."""
     eigs = _solve(basis, values)
-    levels = _levels(basis, eigs)
-    block_levels = [w[:, i] for w in eigs for i in range(w.shape[1])]  # per block, (points, d)
-    spectra = np.sort(np.concatenate([w for b, w in zip(basis.blocks, block_levels)
-                                      for _ in range(1 + b.pair)], axis=1), axis=1)
-    tols = np.array([level[2] for level in levels])[:, None]
-    counts = np.stack([np.count_nonzero(w - spectra[:, :1] <= tols, axis=1)
-                       for w in block_levels], axis=1)  # ground levels per built block
-    sector = np.array([b.sector for b in basis.blocks])
-    holds = (counts > 0) @ (sector[:, None] == np.arange(len(basis.sectors)))  # (points, sectors)
+    levels, lows, tols = _levels(basis, eigs)
+    e0, e1 = np.partition(levels[:, basis.spectrum], 1, axis=1)[:, :2].T
+    counts = np.add.reduceat(levels - e0[:, None] <= tols[:, None], basis.starts, axis=1,
+                             dtype=int)  # ground levels per built block, (p, blocks)
+    gs = counts @ basis.copies
+    holds = np.logical_or.reduceat(counts[:, basis.by_sector] > 0, basis.sector_starts, axis=1)
+    net = holds @ np.array(basis.parity)  # the parity the ground sectors share, else 0
+    shared = np.where(abs(net) == holds.sum(axis=1), np.sign(net), 0).tolist()
     full = None
     if spec.n <= FULL_SOLVE_MAX_N:  # vectors the 6-site outputs pin
-        full = np.linalg.eigh(np.asarray(_build(spec, values, basis.z), dtype=complex))[1]
+        full = np.linalg.eigh(_build(spec, values, basis.z, stack[:len(values)]))[1]
         full *= holds[:, basis.sector_of, None]  # zero the rounding outside the ground sectors
-    matrices = [(h0[i], h1[i]) for h0, h1 in basis.groups for i in range(len(h0))]
-    for p, (value, w, level, count) in enumerate(zip(values, spectra, levels, counts.tolist())):
-        g = sum(r * (1 + b.pair) for b, r in zip(basis.blocks, count))
+    else:
+        matrices = [(h0[i], h1[i]) for h0, h1 in basis.groups for i in range(len(h0))]
+    for p, (value, g) in enumerate(zip(values, gs.tolist())):
+        level = (basis.sectors, lows[p], float(tols[p]))
         if full is not None:
             V = full[p][:, :g]
         else:  # each ground block's first r columns, embedded, and a pair's conjugates
-            V, c = np.zeros((len(w), g), dtype=complex), 0
-            for block, r, (h0, h1) in zip(basis.blocks, count, matrices):
+            V, c = np.zeros((2**spec.n, g), dtype=complex), 0
+            for block, r, (h0, h1) in zip(basis.blocks, counts[p].tolist(), matrices):
                 if r:
                     rows, columns = _embed(basis, block, np.linalg.eigh(h0 + value * h1)[1][:, :r])
                     V[rows, c:c + r] = columns
@@ -515,7 +560,7 @@ def _chunk_ground_states(spec, values, policy, basis):
                     if block.pair:  # the -k block's embedded columns are the conjugates
                         V[rows, c:c + r] = columns.conj()
                         c += r
-        held = np.flatnonzero(holds[p]).tolist()
+        point_parity = shared[p]
 
         if g == 1 or policy == "mixture":
             state = V / np.sqrt(g)
@@ -526,16 +571,15 @@ def _chunk_ground_states(spec, values, policy, basis):
                                   f"(projection norm {overlap:.6f}) "
                                   f"(at {spec.sweep_param} = {value:.6g})")
             state = all_up_vector(spec.n)[:, None]
-            held = [basis.up]
+            point_parity = basis.parity[basis.up]
         else:
             k = pick_sector(*level)
-            held = [k]
             state = np.zeros_like(V)
             state[basis.index[k]] = V[basis.index[k]]
             state /= np.linalg.norm(state)
-        parity = {basis.parity[b] for b in held}
-        yield GroundStateResult(float(w[0]), g, state, parity.pop() if len(parity) == 1 else None,
-                                float(w[1] - w[0]), level)
+            point_parity = basis.parity[k]
+        yield GroundStateResult(float(e0[p]), g, state, point_parity or None,  # 0: none shared
+                                float(e1[p] - e0[p]), level)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Displaced-parity Wigner kernel, the one batched evaluator and sphere sampling.
+"""Displaced-parity Wigner kernel, the batched evaluators and sphere sampling.
 
 The single-qubit kernel at phase point (theta, phi) is the Bloch form
 K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
 cos theta); `bloch_factors` gives its Pauli components and `kernels` builds K
 for a batch of points. A state is a factor A, rho = A A^dagger, whose 2^n rows give n.
-Every Wigner value W = Tr[rho K_1 x ... x K_k] comes from one evaluator,
+A Wigner value W = Tr[rho K_1 x ... x K_k] at given points comes from
 `wigner_values`, in one of two contraction orders of the reduced factor M
 (`qcore.reduced_factor`, 2^k x c): it forms the reduced density M M^dagger and
 contracts each site's kernel into it, one site at a time, batched over states
@@ -13,8 +13,13 @@ cheaper order, it applies each site's kernel to M's row axis and sums
 conj(M) (K_1 x ... x K_k) M, batched over phase points. `equal_angle_values`
 puts every site at one point, and `sphere_field` samples it on a sphere grid
 from 2b + 1 phi nodes per theta row, b the highest phi harmonic the reduced
-state carries (`_band`). There is no scalar form: one value is the [0, 0]
-entry of a call with one state and one point. Angles are checked in one
+state carries (`_band`). A phase line has every label at one point, so
+`phase_point_values` takes them all from one table: K's eigenvalues
+(1 -+ sqrt(3))/2 are the same at every point, and each label is a sum of the
+state's probabilities in K's eigenbasis (from `eigh` of `kernels`, so the Bloch
+form stays the one kernel formula) weighted by products of those eigenvalues;
+`equal_angle_values` is its oracle. There is no scalar form: one value is the
+[0, 0] entry of a call with one state and one point. Angles are checked in one
 place, `check_angles`, which `bloch_factors` runs on every angle it is given,
 so a bad angle raises ValueError on every path from angles to values. The
 kernel as the rotated parity R (1 + sqrt(3) sigma_z)/2 R^dagger, and the
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .qcore import (CHUNK_BYTES, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, all_up_vector,
-                    basis_vector, n_sites, reduced_factor)
+                    basis_vector, n_sites, reduced_factor, validate_label)
 
 SQRT3 = np.sqrt(3.0)
 PAULI_BASIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -80,9 +85,10 @@ def kernels(thetas, phis):
 
 
 def wigner_values(states, sites, site_kernels):
-    """The one Wigner evaluator: Tr[rho (K_1 x ... x K_k)] of every state factor in
-    `states` reduced to `sites`, for every row of the per-site kernel stacks
-    `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape (len(states), p).
+    """The Wigner evaluator at given points: Tr[rho (K_1 x ... x K_k)] of every
+    state factor in `states` reduced to `sites`, for every row of the per-site
+    kernel stacks `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape
+    (len(states), p).
 
     By default rho = M M^dagger of the reduced factor is laid out with each
     site's (row, column) index pair adjacent, so one matmul per site sums that
@@ -179,6 +185,37 @@ def equal_angle_values(states, sites, thetas, phis):
     """Values with all k sites at one point, shape (len(states), number of points)."""
     sites = tuple(sites)
     return wigner_values(states, sites, [kernels(thetas, phis)] * len(sites))
+
+
+def phase_point_values(states, labels, theta, phi):
+    """Every label's equal-angle value at one phase point (theta, phi), shape
+    (len(states), len(labels)): the phase-point order, which gives what
+    `equal_angle_values` gives, label by label, to rounding.
+
+    K = U diag(w) U^dagger by `np.linalg.eigh` of `kernels(theta, phi)`, so
+    Tr[rho_S K^(x k)] = sum_x P(x) prod_{i in S} w[x_i], where P is the diagonal
+    of the whole state rotated into K's eigenbasis, (U^dagger)^(x n) A A^dagger
+    U^(x n): the sites outside S cancel in their partial trace. So each state is
+    rotated once, one 2 x 2 product per site, its |entries|^2 are summed over its
+    columns, and one (2^n, labels) table of eigenvalue products (a site outside
+    the label weighs 1) gives every label by one matrix product. The states (all
+    of one n) are stacked in runs of one shape (`_same_shape_runs`)."""
+    states = [np.asarray(state, dtype=complex).reshape(len(state), -1) for state in states]
+    n = n_sites(len(states[0]))
+    w, u = np.linalg.eigh(kernels(theta, phi))
+    digits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column i: site i + 1
+    site_weights = w[digits]  # eigenvector j of a site weighs w[j]
+    table = np.stack([np.prod(site_weights[:, [s - 1 for s in validate_label(label, n)]], axis=1)
+                      for label in labels], axis=1)
+    uh = u.conj().T
+    values = np.empty((len(states), len(labels)))
+    for a, b in _same_shape_runs(states):
+        m = np.stack(states[a:b])  # (states, 2^n, columns)
+        for i in range(n):  # site i + 1 is the middle axis
+            m = uh @ m.reshape((b - a) * 2**i, 2, -1)
+        m = m.reshape(b - a, 2**n, -1)
+        values[a:b] = (m.real**2 + m.imag**2).sum(axis=2) @ table
+    return values
 
 
 @dataclass(frozen=True)

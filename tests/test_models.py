@@ -14,7 +14,7 @@ from dense_oracles import (density, embed, kron_all, momentum_block, sector_bloc
                            state_parity, symmetric_by_rotation)
 
 from spinphase import models
-from spinphase.analysis import grid_values
+from spinphase.analysis import SweepConfig, grid_values, sweep
 from spinphase.errors import ConfigError, PolicyError
 from spinphase.models import (ModelSpec, build_hamiltonian, dense_working_set, ground_state,
                               pick_sector, sector_energies, spin_parity_diagonal,
@@ -711,6 +711,106 @@ class TestStackedSolve:
         assert next(results).degeneracy == 16
         with pytest.raises(PolicyError, match="all-up state not in the ground space"):
             next(results)
+
+
+LAMBDA_F = xy_factorization_point(0.5)
+ONE_RULE_GRIDS = {  # name -> (spec, grid); each grid holds its family's exact ties
+    # ti at h = 0: every level ties at lambda = 0, and the two x-aligned states above it
+    "ti-h0": (ModelSpec(family="ti", h=0.0), [0.0, 0.25, 0.5, 1.0, 1.5]),
+    "ti": (ModelSpec(family="ti"), [0.0, 0.4, 0.8, 1.0, 1.2, 1.6, 2.0]),
+    "xy": (ModelSpec(family="xy", gamma=0.5), [0.5, 1.0, LAMBDA_F, 1.3, 1.6, 2.0]),
+    # delta = -1 is the ferromagnetic tie; at delta = 0 the odd rings' ground
+    # levels are a +-k momentum pair in each of the S_z = +-1/2 sectors
+    "xxz": (ModelSpec(family="xxz"), [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+}
+
+
+def one_point(spec, value, policy):
+    """The one-point `ground_state` at `value`, or the PolicyError it raises."""
+    try:
+        return ground_state(spec.with_param(value), policy)
+    except PolicyError as exc:
+        return exc
+
+
+def swept(spec, grid, policy):
+    """The results `ground_states` yields over `grid`, then the PolicyError that
+    stops it, if one does."""
+    got = []
+    try:
+        for result in models.ground_states(spec, grid, policy):
+            got.append(result)
+    except PolicyError as exc:
+        got.append(exc)
+    return got
+
+
+class TestOneRulePerPoint:
+    """A sweep's levels are the level function's, and each of its points has one
+    result, whatever chunk the point falls in: the crossing detector mixes the
+    sweep's levels with `sector_levels`, and `ground_states` claims each result
+    is its point's own `ground_state`."""
+
+    @pytest.mark.parametrize("n", [4, 6, 7, 8])
+    @pytest.mark.parametrize("name", ONE_RULE_GRIDS)
+    def test_sweep_levels_are_the_level_function(self, name, n):
+        spec, grid = ONE_RULE_GRIDS[name]
+        spec = replace(spec, n=n)
+        levels_at = models.sector_levels(spec)
+        for policy in models.POLICIES:
+            for value, got in zip(grid, swept(spec, grid, policy)):
+                if isinstance(got, PolicyError):
+                    break
+                want = levels_at(value)
+                assert got.levels[0] == want[0] and got.levels[2] == want[2]
+                assert got.levels[1].tobytes() == want[1].tobytes()
+        # and a phase line keeps the levels it is given
+        cfg = SweepConfig(spec=spec, start=grid[0], stop=grid[-1], step=0.25, labels=((1,),),
+                          policy="mixture")
+        line = sweep(cfg)
+        for value, level in zip(line.params, line.levels):
+            want = levels_at(value)
+            assert level[0] == want[0] and level[2] == want[2]
+            assert level[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6, 7, 8])
+    @pytest.mark.parametrize("name", ONE_RULE_GRIDS)
+    def test_each_point_has_one_result(self, name, n, monkeypatch):
+        spec, grid = ONE_RULE_GRIDS[name]
+        spec = replace(spec, n=n)
+        for policy in models.POLICIES:
+            want = [one_point(spec, value, policy) for value in grid]
+            for chunk in (models.CHUNK_BYTES, 3 * 32 * 4**n):  # default; edges every 3 points
+                with monkeypatch.context() as m:
+                    m.setattr(models, "CHUNK_BYTES", chunk)
+                    got = swept(spec, grid, policy)
+                for g, w in zip(got, want):
+                    if isinstance(w, PolicyError):
+                        assert isinstance(g, PolicyError) and str(g) == str(w)
+                        break
+                    assert_same_result(g, w)
+                else:
+                    assert len(got) == len(grid)
+        if name == "xxz" and n == 7:  # the +-k pair: two sectors, two columns each
+            assert one_point(spec, 0.0, "mixture").degeneracy == 4
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_full_solve_input_is_the_real_stack_cast(self, family, n, monkeypatch):
+        # the n <= 6 ground vectors pin the rounding of the complex eigh, so its
+        # input must stay the real stack cast to complex, bit for bit
+        spec = ModelSpec(family=family, n=n, h=0.3, gamma=0.4, j=-0.7)
+        grid = np.linspace(-1.0, 2.0, 21)
+        inputs, solve = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: inputs.append(a.copy()) or solve(a))
+        assert len(list(models.ground_states(spec, grid))) == len(grid)
+        size = models.CHUNK_BYTES // (32 * 4**n)
+        chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
+        assert len(inputs) == len(chunks)
+        for a, values in zip(inputs, chunks):
+            want = np.asarray(models._build(spec, values, models._z_signs(n)), dtype=complex)
+            assert a.dtype == want.dtype and a.shape == want.shape
+            assert a.tobytes() == want.tobytes()
 
 
 PHASE_SPECS = {  # a unique ground state, and three degenerate spaces

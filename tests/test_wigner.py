@@ -6,14 +6,14 @@ import pytest
 from dense_oracles import (density, kernel_multi, kron_all, partial_trace, pauli_contract,
                            pauli_expectations)
 
-from spinphase import models, wigner
-from spinphase.analysis import SweepConfig, sweep
+from spinphase import analysis, models, wigner
+from spinphase.analysis import SweepConfig, canonical_labels, sweep
 from spinphase.errors import NumericalError
 from spinphase.models import ModelSpec, ground_state
 from spinphase.qcore import SIGMA_Z, basis_vector, reduced_factor
 from spinphase.wigner import (ANGLE_SLACK, CHUNK_BYTES, KERNEL_EIG_HI, KERNEL_EIG_LO, SphereGrid,
-                              bloch_factors, equal_angle_values, kernels, reconstruct_density,
-                              reference_state, sphere_field, wigner_values)
+                              bloch_factors, equal_angle_values, kernels, phase_point_values,
+                              reconstruct_density, reference_state, sphere_field, wigner_values)
 
 SQ3 = np.sqrt(3.0)
 HI = 0.5 * (1 + SQ3)
@@ -384,6 +384,68 @@ class TestBatchedEvaluator:
         assert ranks[0] == rank and ranks[-1] < rank
         for sites in cfg.labels:
             assert np.max(np.abs(line.values[sites] - oracle[sites])) < 1e-12
+
+
+class TestPhasePointOrder:
+    """`phase_point_values`, every label from the probabilities of the state in the
+    kernel's eigenbasis, against `equal_angle_values` label by label."""
+
+    @staticmethod
+    def factors(rng, n):
+        """A 1-D vector, and normalized factors of 1, some and 2^n columns."""
+        widths = sorted({1, int(rng.integers(1, 2**n + 1)), 2**n})
+        out = [rand_pure(rng, 2**n)[:, 0]] + [rand_mixed(rng, 2**n, rank=c) for c in widths]
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_equal_angle_values(self, n):
+        rng = np.random.default_rng(900 + n)
+        states = self.factors(rng, n)
+        thetas = np.array([0.0, np.pi, np.pi / 2, rng.uniform(0, np.pi)])  # poles, equator
+        phis = np.array([0.0, 0.0, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)])
+        labels = canonical_labels(n)
+        got = np.stack([phase_point_values(states, labels, t, p) for t, p in zip(thetas, phis)],
+                       axis=2)  # (states, labels, points)
+        for i, sites in enumerate(labels):
+            want = equal_angle_values(states, sites, thetas, phis)
+            assert np.all(np.abs(got[:, i] - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), sites
+
+    def test_pole_values_are_eigenvalue_products(self):
+        # at the north pole the eigenbasis is the z basis: |up>^n weighs ((1 + sqrt3)/2)^k
+        # and |down>^n ((1 - sqrt3)/2)^k, whatever the order eigh lists them in
+        labels = [(1,), (1, 3), (1, 2, 3)]
+        up, down = basis_vector([0, 0, 0]), basis_vector([1, 1, 1])
+        got = phase_point_values([up, down], labels, 0.0, 0.0)
+        assert np.allclose(got, [[HI, HI**2, HI**3], [LO, LO**2, LO**3]], rtol=1e-15, atol=0)
+
+    def test_rejects_bad_angles_and_labels(self):
+        state = basis_vector([0, 1])
+        with pytest.raises(ValueError):
+            phase_point_values([state], [(1,)], np.nan, 0.0)
+        with pytest.raises(ValueError):
+            phase_point_values([state], [(1, 3)], 0.0, 0.0)
+
+    def test_sweep_batches(self, monkeypatch):
+        # a sweep evaluates its labels per batch of at most CHUNK_BYTES of states (or one
+        # larger state), as they are solved; any batching gives the same values to rounding
+        cfg = SweepConfig(spec=ModelSpec("xy", n=6, gamma=0.5), start=1.0, stop=1.3, step=0.01,
+                          labels=((1,), (1, 2, 4), tuple(range(1, 7))), policy="mixture",
+                          theta=0.9, phi=2.1)
+        calls, evaluate = [], analysis.phase_point_values
+        monkeypatch.setattr(analysis, "phase_point_values", lambda states, *a: calls.append(
+            [s.nbytes for s in states]) or evaluate(states, *a))
+        line = sweep(cfg)
+        assert len(calls) == 1 and len(calls[0]) == len(cfg.params)
+        for budget in (0, 3 * 16 * 2**6):  # one state per batch; three one-column states
+            calls.clear()
+            monkeypatch.setattr(analysis, "CHUNK_BYTES", budget)
+            other = sweep(cfg)
+            assert sum(len(c) for c in calls) == len(cfg.params)
+            assert all(len(c) == 1 or sum(c) <= budget for c in calls)
+            if budget:  # each batch is closed only by a state that would not fit
+                assert all(sum(c) + d[0] > budget for c, d in zip(calls, calls[1:]))
+            for sites in cfg.labels:
+                assert np.max(np.abs(line.values[sites] - other.values[sites])) <= 1e-14
 
 
 class TestFactorOrder:
