@@ -25,17 +25,33 @@ EXTREMUM_NOISE_FLOOR = 1e-8
 CROSSING_BRACKET = 1e-8  # absolute tolerance of a sector crossing's root in the parameter
 
 
-def grid_values(start, stop, step):
-    """Sweep grid start + k * step for k = 0, 1, ... up to stop (1e-9 step slack).
+# bytes a sweep grid point holds, besides its labels: the grid, the scalar
+# columns, the sector levels, and their CSV cells; and the bytes each label
+# adds to a point: its value and derivative, and the CSV rows that hold them.
+# About twice the measured peak of a 10^5-point line: 0.8 kB a point with one
+# label, 1.3 kB with three.
+POINT_BYTES = 1024
+LABEL_BYTES = 512
+
+
+def grid_values(start, stop, step, point_bytes=POINT_BYTES):
+    """Sweep grid start + k * step for k = 0, 1, ... up to stop (1e-9 step
+    slack), as an array.
 
     The one rule for every sweep grid: start, stop and step must be finite,
-    step > 0 and stop >= start, else ConfigError.
+    step > 0 and stop >= start, else ConfigError. The points are counted before
+    any is built, and a grid whose points would hold more than physical memory
+    at `point_bytes` each raises ConfigError, naming the count and that bound.
     """
     if not np.all(np.isfinite((start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"sweep grid needs finite start <= stop and step > 0, got "
                           f"start {start}, stop {stop}, step {step}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1  # inf when the span overflows
+    limit = models.physical_memory() // point_bytes
+    if not count <= limit:
+        raise ConfigError(f"sweep grid has {count:.6g} points, above the {limit} points "
+                          f"that physical memory holds at {point_bytes} bytes a point")
+    return start + np.arange(int(count)) * step
 
 
 def canonical_labels(n):
@@ -48,7 +64,8 @@ def canonical_labels(n):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One phase-line computation: a model, a parameter grid and label set."""
+    """One phase-line computation: a model, a parameter grid and label set.
+    The grid is built once, as `params`, after its point count is checked."""
 
     spec: ModelSpec
     start: float
@@ -59,17 +76,18 @@ class SweepConfig:
     theta: float = 0.0
     phi: float = 0.0
 
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         check_angles(self.theta, self.phi)  # before any grid point is solved
-        if len(self.params) < 2:  # the derivative needs two points
-            raise ConfigError("a sweep needs at least two grid points")
         labels = validate_labels(self.labels, self.spec.n) or \
             tuple(canonical_labels(self.spec.n))
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def params(self):
-        return np.array(grid_values(self.start, self.stop, self.step))
+        params = grid_values(self.start, self.stop, self.step,
+                             POINT_BYTES + LABEL_BYTES * len(labels))
+        if len(params) < 2:  # the derivative needs two points
+            raise ConfigError("a sweep needs at least two grid points")
+        object.__setattr__(self, "params", params)
 
 
 @dataclass

@@ -2,11 +2,13 @@
 analytic formula tables and the acceptance-check runner.
 
 Each file-writing subcommand (`phaseline`, `sphere`, `animate`, `formulas`)
-computes its data and hands every table to `write_csv` as columns of cells,
-which it joins, encodes, hashes and writes one batch of rows at a time. A
-float column becomes cells by `fmt_column`, which formats each distinct double
-once with 17 significant digits, exactly as `fmt` formats each value, so
-reruns with the same configuration are byte-identical. `main` creates the output directory, writes
+computes its data and writes it one batch at a time, each batch joined,
+encoded, hashed and written before the next is laid out. A table goes to
+`write_csv` as columns of cells; a sphere field goes to `write_sphere_csv` as
+its array, one string per theta row. A float becomes its cell by
+`fmt_column`, which formats each distinct double once with 17 significant
+digits, exactly as `fmt` formats each value, so reruns with the same
+configuration are byte-identical. `main` creates the output directory, writes
 the subcommand's plot stub and writes manifest.json last (atomically), with
 the resolved configuration and the sha256 checksum of each emitted file,
 taken from its bytes as they are written, so no file is read back. `verify`
@@ -24,7 +26,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .errors import ConfigError, NumericalError, SpinPhaseError
 from .models import (ModelSpec, ground_state, ground_states, ti_classical_energy,
                      ti_classical_mx, ti_classical_mz, ti_thermo_energy, ti_thermo_mx,
@@ -86,7 +88,8 @@ def _atomic_write(path, chunks):
     return digest.hexdigest()
 
 
-# rows laid out, joined and written at a time: a sphere row is about 60 bytes
+# table rows laid out, joined and written at a time by `write_csv`; a sphere
+# file is written in whole theta rows of about as many cells
 _BATCH_ROWS = 4096
 
 
@@ -380,9 +383,79 @@ def cmd_phaseline(cfg):
 
 
 def _sphere_angles(grid):
-    """The theta and phi cells of every sphere row, theta-major."""
-    thetas, phis = fmt_column(grid.thetas), fmt_column(grid.phis)
-    return {"theta": [theta for theta in thetas for _ in phis], "phi": phis * len(thetas)}
+    """The grid's theta cells and phi cells, each formatted once and followed by
+    its comma: the first two cells of the rows of every sphere file on `grid`."""
+    return ([cell + "," for cell in fmt_column(grid.thetas)],
+            [cell + "," for cell in fmt_column(grid.phis)])
+
+
+def write_sphere_csv(path, field, angles):
+    """Write the (n_theta, n_phi) array `field` as a sphere CSV, row (i, j)
+    holding theta i, phi j and field[i, j]; `angles` is `_sphere_angles` of its
+    grid. Returns the file's sha256 digest.
+
+    Each theta row becomes one string. A row whose cells hold one double (equal
+    bits, so 0.0 and -0.0 differ) is its first cell, formatted once and joined
+    over the phi cells; any other row interleaves its own cells with them. The
+    bytes are those of one `fmt` call per cell. Whole theta rows are written
+    about _BATCH_ROWS cells at a time: a batch's cells are formatted by one
+    `fmt_column` call, and its text is encoded, hashed and written before the
+    next batch is laid out."""
+    thetas, phis = angles
+    field = np.ascontiguousarray(field, dtype=float)
+    if field.shape != (len(thetas), len(phis)):
+        raise ValueError(f"sphere field of shape {field.shape} on a "
+                         f"{len(thetas)} x {len(phis)} grid")
+    bits = field.view(np.uint64)
+    constant = np.all(bits[:, 1:] == bits[:, :1], axis=1)
+    step = max(1, _BATCH_ROWS // len(phis))
+
+    def batches():
+        yield b"theta,phi,value\n"
+        for start in range(0, len(thetas), step):
+            block, flat = field[start:start + step], constant[start:start + step]
+            take = np.ones(block.shape, dtype=bool)
+            take[flat, 1:] = False  # a constant row's first cell only
+            cells, at, rows = fmt_column(block[take]), 0, []
+            for head, one in zip(thetas[start:start + step], flat.tolist()):
+                if one:
+                    value = cells[at] + "\n"
+                    rows.append(head + (value + head).join(phis) + value)
+                    at += 1
+                else:
+                    row = map(str.__add__, phis, cells[at:at + len(phis)])
+                    rows.append(head + ("\n" + head).join(row) + "\n")
+                    at += len(phis)
+            yield "".join(rows).encode("utf-8")
+
+    return _atomic_write(path, batches())
+
+
+# bytes a sphere cell takes while its batch is written (fmt_column's index
+# arrays and its str per double, and the row text, joined and encoded; 0.3 kB
+# traced), and bytes per theta row and per phi column (the formatted angle
+# cells, and sphere_field's arrays over the 2b + 1 phi nodes of a row; 6.1 kB a
+# theta row for the six-site label at n = 6)
+_SPHERE_CELL_BYTES = 1024
+_SPHERE_LINE_BYTES = 16384
+
+
+def _sphere_grid(cfg):
+    """The configured SphereGrid. ConfigError when writing its files would hold
+    more than physical memory, counted before any array is built: the field's
+    8 bytes per cell, the formatting of one batch of whole theta rows, and
+    _SPHERE_LINE_BYTES per theta row and phi column. The message names the
+    row count and physical memory."""
+    grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
+    rows = grid.n_theta * grid.n_phi
+    need = (8 * rows + _SPHERE_CELL_BYTES * max(_BATCH_ROWS, grid.n_phi)
+            + _SPHERE_LINE_BYTES * (grid.n_theta + grid.n_phi))
+    have = models.physical_memory()
+    if need > have:
+        raise ConfigError(f"a {grid.n_theta} x {grid.n_phi} sphere grid has {rows} rows and "
+                          f"needs about {need / 2**30:.1f} GiB to write, more than the "
+                          f"{have / 2**30:.1f} GiB of physical memory")
+    return grid
 
 
 def _write_sphere_files(outdir, state, labels, grid, angles):
@@ -391,8 +464,7 @@ def _write_sphere_files(outdir, state, labels, grid, angles):
     files = {}
     for sites in labels:
         path = os.path.join(outdir, f"sphere_{label_name(sites, n)}.csv")
-        values = fmt_column(sphere_field(state, sites, grid))
-        files[path] = write_csv(path, {**angles, "value": values})
+        files[path] = write_sphere_csv(path, sphere_field(state, sites, grid), angles)
     return files
 
 
@@ -400,14 +472,14 @@ def cmd_sphere(cfg):
     if cfg["param-value"] is None:
         raise ConfigError("--param-value is required for the sphere command")
     spec = _model_spec(cfg, cfg["param-value"])
-    labels, grid = _labels(cfg, spec.n), SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
+    labels, grid = _labels(cfg, spec.n), _sphere_grid(cfg)
     gs = ground_state(spec, policy=cfg["policy"])
     return _write_sphere_files(cfg["out"], gs.state, labels, grid, _sphere_angles(grid))
 
 
 def cmd_animate(cfg):
     sweep_cfg = _sweep_config(cfg)
-    grid = SphereGrid(cfg["grid-theta"], cfg["grid-phi"])
+    grid = _sphere_grid(cfg)
     angles = _sphere_angles(grid)
     files, params = {}, sweep_cfg.params
     for idx, gs in enumerate(ground_states(sweep_cfg.spec, params, sweep_cfg.policy)):
@@ -431,7 +503,7 @@ def _formula_values(cfg):
         return values
     if cfg["param-start"] is None or cfg["param-stop"] is None:
         raise ConfigError("formulas needs --values or --param-start/--param-stop")
-    return grid_values(cfg["param-start"], cfg["param-stop"], cfg["param-step"])
+    return grid_values(cfg["param-start"], cfg["param-stop"], cfg["param-step"]).tolist()
 
 
 # closed-form columns per model, the parameter itself first

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,46 @@ class TestSweep:
             ti_cfg(0.0, 1.0, -0.1)
         with pytest.raises(ConfigError):
             ti_cfg(1.0, 0.5, 0.1)
+
+    def test_grid_is_built_once_as_the_start_plus_k_step_doubles(self, monkeypatch):
+        calls = []
+        real = analysis.grid_values
+        monkeypatch.setattr(analysis, "grid_values",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        start, stop, step = -0.3, 0.4, 0.1
+        cfg = ti_cfg(start, stop, step, labels=((1,),))
+        line = sweep(cfg)
+        want = np.array([start + k * step for k in range(8)])
+        assert cfg.params.tobytes() == want.tobytes()
+        assert line.params is cfg.params and len(calls) == 1
+
+    def test_grid_count_is_checked_before_the_grid_is_built(self, monkeypatch):
+        # 10^18 points, and a span that overflows to inf: refused with the count
+        # and the bound named, before any point is made or solved
+        monkeypatch.setattr(models, "ground_states", lambda *a, **k: pytest.fail("solved"))
+        spec = ModelSpec("ti")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"1e\+18 points, above the \d+ points"):
+                SweepConfig(spec, 0.0, 1e9, 1e-9)
+            with pytest.raises(ConfigError, match="inf points"):
+                analysis.grid_values(-1e308, 1e308, 1.0)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_bound_is_physical_memory_over_the_point_bytes(self, monkeypatch):
+        spec = ModelSpec("ti")  # before the patch: the spec has its own memory guard
+        monkeypatch.setattr(models, "physical_memory", lambda: 10 * 100 + 99)
+        assert len(analysis.grid_values(0.0, 9.0, 1.0, point_bytes=100)) == 10
+        with pytest.raises(ConfigError, match="11 points, above the 10 points"):
+            analysis.grid_values(0.0, 10.0, 1.0, point_bytes=100)
+        # a sweep's point counts its labels
+        per_point = analysis.POINT_BYTES + 2 * analysis.LABEL_BYTES
+        monkeypatch.setattr(models, "physical_memory", lambda: 5 * per_point)
+        assert len(SweepConfig(spec, 0.0, 0.4, 0.1, labels=((1,), TOT6)).params) == 5
+        with pytest.raises(ConfigError, match="6 points, above the 5 points"):
+            SweepConfig(spec, 0.0, 0.5, 0.1, labels=((1,), TOT6))
 
     def test_ti_start_value_is_product_power(self, ti_line):
         assert ti_line.values[TOT6][0] == pytest.approx(HI**6, abs=1e-10)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,42 @@ class TestConfigHandling:
         assert solves == []
         assert not (tmp_path / "x" / "phaseline.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sphere", "--param-value", "0.5"],
+        ["animate", "--param-start", "0", "--param-stop", "0.1"],
+    ], ids=["sphere", "animate"])
+    def test_oversized_sphere_grid_exits_2_before_any_solve(self, command, monkeypatch,
+                                                            tmp_path, capsys):
+        # 10^12 rows: refused with the row count and the bound named, before the
+        # ground state is solved or any array of the grid is built
+        for name in ("ground_state", "ground_states", "sphere_field"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the run started"))
+        monkeypatch.setattr(models, "physical_memory", lambda: 8 * 2**30)
+        argv = [*command, "--model", "ti", "--labels", "1", "--grid-theta", "1000000",
+                "--grid-phi", "1000000", "--out", str(tmp_path / "x")]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 2
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "has 1000000000000 rows" in err and "8.0 GiB of physical memory" in err
+        assert not any((tmp_path / "x").glob("**/*.csv"))
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(181, 360), (2, 3), (3, 2 * cli._BATCH_ROWS)])
+    def test_sphere_grid_bound_is_the_counted_bytes(self, n_theta, n_phi, monkeypatch):
+        # the field's 8 bytes a row, one batch of formatting (a theta row at least),
+        # and an allowance per theta row and phi column, against physical memory
+        need = (8 * n_theta * n_phi + cli._SPHERE_CELL_BYTES * max(cli._BATCH_ROWS, n_phi)
+                + cli._SPHERE_LINE_BYTES * (n_theta + n_phi))
+        cfg = {"grid-theta": n_theta, "grid-phi": n_phi}
+        monkeypatch.setattr(models, "physical_memory", lambda: need)
+        assert cli._sphere_grid(cfg) == SphereGrid(n_theta, n_phi)
+        monkeypatch.setattr(models, "physical_memory", lambda: need - 1)
+        with pytest.raises(cli.ConfigError, match=f"has {n_theta * n_phi} rows"):
+            cli._sphere_grid(cfg)
+
     @pytest.mark.parametrize("seed", ["-1", "-2"])
     def test_negative_seed_exits_2_before_any_criterion(self, seed, monkeypatch, capsys):
         runs = []
@@ -613,6 +650,73 @@ class TestColumnWriter:
         rows = [(str(k), fmt(p)) for k, p in enumerate(params)]
         assert len(rows) == 4
         assert (out / "frames.csv").read_bytes() == render_rows(("frame", "param"), rows)
+
+
+class TestSphereWriter:
+    """`write_sphere_csv` against its field rendered by one `fmt` call per cell."""
+
+    def assert_written(self, path, field, grid):
+        digest = cli.write_sphere_csv(path, field, cli._sphere_angles(grid))
+        rows = [(fmt(theta), fmt(phi), fmt(field[i, j]))
+                for i, theta in enumerate(grid.thetas) for j, phi in enumerate(grid.phis)]
+        data = path.read_bytes()
+        assert data == render_rows(("theta", "phi", "value"), rows)
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_constant_and_varying_rows(self, tmp_path):
+        grid = SphereGrid(7, 5)
+        ulp = np.nextafter(0.1, 1.0)
+        field = np.array([
+            [0.1] * 5,                               # constant
+            [0.1, 0.1, ulp, 0.1, 0.1],               # one cell an ulp away
+            [0.0, -0.0, 0.0, 0.0, 0.0],              # -0.0 beside 0.0
+            [-0.0] * 5,                              # constant -0.0
+            np.linspace(-1.0, 1.0, 5),               # all distinct
+            [np.nan, np.nan, np.inf, -np.inf, 5e-324],
+            [np.nan] * 5,                            # constant nan
+        ])
+        self.assert_written(tmp_path / "mixed.csv", field, grid)
+
+    def test_theta_rows_over_several_batches(self, tmp_path):
+        # two theta rows a batch, so five rows take three batches
+        grid = SphereGrid(5, cli._BATCH_ROWS // 2)
+        assert cli._BATCH_ROWS // grid.n_phi == 2
+        field = np.random.default_rng(5).normal(size=(5, grid.n_phi))
+        field[1] = field[1, 0]
+        field[4] = -0.0
+        self.assert_written(tmp_path / "batches.csv", field, grid)
+
+    def test_two_by_two_grid(self, tmp_path):
+        grid = SphereGrid(2, 2)
+        self.assert_written(tmp_path / "poles.csv", np.array([[1.5, 1.5], [0.25, -0.25]]), grid)
+
+    def test_field_off_the_grid_raises_before_any_file_is_opened(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            cli.write_sphere_csv(tmp_path / "x.csv", np.zeros((3, 4)),
+                                 cli._sphere_angles(SphereGrid(4, 3)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_stream_keeps_the_target_and_leaves_no_temporary(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "sphere.csv"
+        write_csv(path, {"a": ["old"]})
+        before = path.read_bytes()
+        grid = SphereGrid(5, cli._BATCH_ROWS // 2)
+        calls, real = [], cli.fmt_column
+
+        def fails_on_the_third_batch(values):
+            calls.append(len(values))
+            if len(calls) == 3:
+                raise RuntimeError("formatting failed")
+            return real(values)
+
+        monkeypatch.setattr(cli, "fmt_column", fails_on_the_third_batch)
+        angles = ([fmt(t) + "," for t in grid.thetas], [fmt(p) + "," for p in grid.phis])
+        with pytest.raises(RuntimeError):
+            cli.write_sphere_csv(path, np.ones((5, grid.n_phi)), angles)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sphere.csv"]
 
 
 class TestSerialization:
