@@ -10,7 +10,7 @@ Conventions used throughout the package:
   * a state is a (2^n, r) factor A of its density matrix rho = A A^dagger, and
     n is read off its rows: a pure state is one column (a 1-D vector is the
     r = 1 case), a mixture one column per weighted component,
-  * stacked work (a sweep's block solves in `models`, a chunk's densities in
+  * stacked work (a sweep's block solves in `models`, a run of states in
     `wigner`) is sized in chunks from the one budget CHUNK_BYTES.
 """
 

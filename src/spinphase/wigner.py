@@ -5,12 +5,13 @@ K = (1 + sqrt(3) n.sigma)/2 with n = (sin theta cos phi, sin theta sin phi,
 cos theta); `bloch_factors` gives its Pauli components and `kernels` builds K
 for a batch of points. A state is a factor A, rho = A A^dagger, whose 2^n rows give n.
 A Wigner value W = Tr[rho K_1 x ... x K_k] at given points comes from
-`wigner_values`, in one of two contraction orders of the reduced factor M
-(`qcore.reduced_factor`, 2^k x c): it forms the reduced density M M^dagger and
-contracts each site's kernel into it, one site at a time, batched over states
-or phase points; or, once that 4^k density outgrows one chunk and it is the
-cheaper order, it applies each site's kernel to M's row axis and sums
-conj(M) (K_1 x ... x K_k) M, batched over phase points. `equal_angle_values`
+`wigner_values`, which stacks consecutive same-shape states in runs and
+evaluates each run whole, in the one of two contraction orders of the reduced
+factors M (`qcore.reduced_factor`, 2^k x c) that `_factor_order` finds cheaper
+for k, c and the number of points: it forms the reduced densities M M^dagger
+and contracts each site's kernel into them, one site at a time; or it applies
+each site's kernel to M's row axis and sums conj(M) (K_1 x ... x K_k) M. Both
+are batched over the run's states and the phase points. `equal_angle_values`
 puts every site at one point, and `sphere_field` samples it on a sphere grid
 from 2b + 1 phi nodes per theta row, b the highest phi harmonic the reduced
 state carries (`_band`). A phase line has every label at one point, so
@@ -90,15 +91,15 @@ def wigner_values(states, sites, site_kernels):
     kernel stacks `site_kernels` ((p, 2, 2) or (2, 2) each, broadcast); shape
     (len(states), p).
 
-    By default rho = M M^dagger of the reduced factor is laid out with each
-    site's (row, column) index pair adjacent, so one matmul per site sums that
-    pair against the site's transposed kernel. The densities, and the rest the
-    first site leaves of them, are formed in chunks of about CHUNK_BYTES; a
-    chunk's consecutive same-shape states are reduced as one stack of at most
-    CHUNK_BYTES, by one transpose and one batched matmul. A state whose 4^k
-    density does not fit in one chunk (k >= 9) is instead contracted on its
-    factor, sum conj(M) (K_1 x ... x K_k) M, when `_factor_order` finds that
-    order the cheaper one for its c columns and the p points (`_factor_values`).
+    One rule for every state: consecutive same-shape states are stacked in runs
+    (`_same_shape_runs`), each run's reduced factors M (s, 2^k, c) are formed by
+    one transpose, and the run is evaluated whole in the order `_factor_order`
+    finds cheaper for its k sites, c columns and p points: on the density
+    (`_density_values`) or on the factor (`_factor_values`). A run holds at most
+    about CHUNK_BYTES of what its order keeps per state (at least one state):
+    the factor and its 16 x 4^k-byte density, or the factor and K M at each of
+    the p points, so states share a factor-order run only while all their
+    points fit one chunk.
     """
     sites, site_kernels = tuple(sites), list(map(np.asarray, site_kernels))
     states = [np.asarray(state).reshape(len(state), -1) for state in states]  # 1-D: one column
@@ -112,69 +113,79 @@ def wigner_values(states, sites, site_kernels):
             raise ValueError(f"a site's kernels must be (p, 2, 2) or (2, 2), got {kern.shape}")
     kts = np.broadcast_arrays(*(np.swapaxes(kern, -1, -2).reshape(-1, 1, 4)
                                 for kern in site_kernels))
-    order = [axis for i in range(k) for axis in (i, k + i)]
-    per_stack = max(1, CHUNK_BYTES // (16 * 4**k))
-    values = np.empty((len(states), len(kts[0])))
-    for s0 in range(0, len(states), per_stack):
-        chunk = states[s0:s0 + per_stack]
-        if _factor_order(k, chunk[0].size >> k, values.shape[1]):  # so per_stack is 1
-            values[s0] = _factor_values(reduced_factor(chunk[0], sites), kts)
-            continue
-        rho = np.empty((len(chunk),) + (2,) * (2 * k), dtype=complex)
-        for a, b in _same_shape_runs(chunk):
-            m = reduced_factor(np.array(chunk[a:b], dtype=complex), sites)
-            rho[a:b] = (m @ m.conj().swapaxes(1, 2)).reshape(rho[a:b].shape).transpose(
-                [0, *(1 + axis for axis in order)])
-        step = max(1, CHUNK_BYTES // (rho.nbytes // 4))
-        for p0 in range(0, values.shape[1], step):
-            out = rho.reshape(len(chunk), 1, -1)
-            for kt in kts:
-                out = (kt[p0:p0 + step] @ out.reshape(*out.shape[:2], 4, -1))[..., 0, :]
-            values[s0:s0 + len(chunk), p0:p0 + step] = out[..., 0].real
+    p = len(kts[0])
+    values = np.empty((len(states), p))
+    on_factor = {sh: _factor_order(k, sh[0] * sh[1] >> k, p) for sh in {s.shape for s in states}}
+    for a, b in _same_shape_runs(states, lambda state: 16 * (
+            state.size * (1 + p) if on_factor[state.shape] else state.size + 4**k)):
+        m = reduced_factor(states[a][None] if b == a + 1 else np.array(states[a:b]), sites)
+        (_factor_values if on_factor[states[a].shape] else _density_values)(m, kts, values[a:b])
     return values
 
 
 def _factor_order(k, columns, points):
-    """Whether a k-site label of a reduced factor with c = `columns` columns is
-    contracted on the factor at p = `points` phase points: only when its
-    16 x 4^k-byte density does not fit in one chunk, and when the factor
-    order, k kernels applied to the 2^k x c factor at each point (p k 2^k c
-    units of about 4.6 ns), costs no more than the density order: M M^dagger
-    (4^k c units of about 0.12 ns, one BLAS-3 product), laying out rho (4^k
-    of about 21 ns) and contracting it at each point (4^k p of about 1.4 ns).
-    The weights are those costs relative to the first density term, fitted to
-    both orders timed at k = 9, 10 (2 cores, OpenBLAS); 2^k cancels."""
-    return (16 * 4**k > CHUNK_BYTES
-            and 40 * points * k * columns <= 2**k * (columns + 180 + 12 * points))
+    """Whether a run of k-site reduced factors with c = `columns` columns is
+    contracted on the factor at p = `points` phase points: when that order,
+    k kernels applied to the 2^k x c factor at each point, with a fixed cost
+    per point and site as of 150 entries, weighs no more than the density
+    order: the product M M^dagger (4^k c), laying out rho (4^k) and
+    contracting it at each point (4^k p). The weights (56, 60 and 20 per
+    unit of the product) are fitted, by the widest margin of a right choice,
+    to both orders timed per run on the grid k = 1..10, c in {1, 2,
+    2^(k // 2), 2^k}, p in {1, 181, 181 (2k + 1)}, runs of 1 and 16 states;
+    there the choice is at most 1.12 times slower than the faster order."""
+    return 56 * points * k * (2**k * columns + 150) <= 4**k * (columns + 60 + 20 * points)
 
 
-def _factor_values(m, kts):
-    """sum conj(M) (K_1 x ... x K_k) M of one reduced factor M (2^k, c) at every
-    point of the transposed kernel rows `kts`, in chunks of points of about
-    CHUNK_BYTES (at least one point, whose K M is the size of M).
+def _density_values(m, kts, out):
+    """Tr[M M^dagger (K_1 x ... x K_k)] of a stack of reduced factors M
+    (s, 2^k, c) at every point of the transposed kernel rows `kts`, into `out`
+    (s, p): rho = M M^dagger is laid out with each site's (row, column) index
+    pair adjacent, so one batched matmul per site sums that pair against the
+    site's transposed kernel. Points go in chunks whose first-site rest, a
+    quarter of the densities per point, is about CHUNK_BYTES (at least one)."""
+    k = len(kts)
+    order = [1 + axis for i in range(k) for axis in (i, k + i)]
+    rho = (m @ m.conj().swapaxes(1, 2)).reshape((len(m),) + (2,) * (2 * k))
+    rho = rho.transpose([0, *order]).reshape(len(m), 1, -1)
+    step = max(1, CHUNK_BYTES // (rho.nbytes // 4))
+    for p0 in range(0, out.shape[1], step):
+        t = rho
+        for kt in kts:
+            t = (kt[p0:p0 + step] @ t.reshape(*t.shape[:2], 4, -1))[..., 0, :]
+        out[:, p0:p0 + step] = t[..., 0].real
+
+
+def _factor_values(m, kts, out):
+    """sum conj(M) (K_1 x ... x K_k) M of a stack of reduced factors M
+    (s, 2^k, c) at every point of the transposed kernel rows `kts`, into `out`
+    (s, p), in chunks of points of about CHUNK_BYTES (at least one point, whose
+    K M is the size of the stack).
 
     Each site's kernel contracts the leading row axis of the work array by one
     batched matmul and appends its output axis last, so after k sites the axes
-    are (point, column, site 1, ..., site k): the layout of M^T, which one
-    matrix-vector product sums against conj(M^T)."""
+    are (state, point, column, site 1, ..., site k): the layout of M^T. The
+    real part of its sum against conj(M^T) is one batched real matrix-vector
+    product over the interleaved (re, im) pairs of both."""
+    s, size = len(m), m[0].size
     step = max(1, CHUNK_BYTES // (16 * m.size))
-    mh = m.T.conj().ravel()
-    values = np.empty(len(kts[0]))
-    for p0 in range(0, len(values), step):
-        t = m[None]
+    mt = np.ascontiguousarray(m.swapaxes(1, 2)).reshape(s, size).view(float)[..., None]
+    for p0 in range(0, out.shape[1], step):
+        t = m
         for kt in kts:
-            t = np.swapaxes(t.reshape(len(t), 2, -1), 1, 2) @ kt[p0:p0 + step].reshape(-1, 2, 2)
-        values[p0:p0 + step] = (t.reshape(len(t), -1) @ mh).real
-    return values
+            t = np.swapaxes(t.reshape(s, -1, 2, size // 2), 2, 3) @ kt[p0:p0 + step].reshape(
+                -1, 2, 2)
+        out[:, p0:p0 + step] = (t.reshape(s, -1, size).view(float) @ mt)[..., 0]
 
 
-def _same_shape_runs(states):
+def _same_shape_runs(states, state_bytes=lambda state: 16 * state.size):
     """(a, b) runs of consecutive states of one 2-D shape, each of at most
-    CHUNK_BYTES as complex (at least one state)."""
+    CHUNK_BYTES by `state_bytes` of its first state (at least one state); by
+    default the states themselves, as complex."""
     a = 0
     while a < len(states):
         shape, b = states[a].shape, a + 1
-        per_run = max(1, CHUNK_BYTES // (16 * states[a].size))
+        per_run = max(1, CHUNK_BYTES // state_bytes(states[a]))
         while b < len(states) and b - a < per_run and states[b].shape == shape:
             b += 1
         yield a, b
@@ -199,10 +210,13 @@ def phase_point_values(states, labels, theta, phi):
     rotated once, one 2 x 2 product per site, its |entries|^2 are summed over its
     columns, and one (2^n, labels) table of eigenvalue products (a site outside
     the label weighs 1) gives every label by one matrix product. The states (all
-    of one n) are stacked in runs of one shape (`_same_shape_runs`)."""
+    of one n) are stacked in runs of one shape (`_same_shape_runs`); no state
+    gives a (0, len(labels)) array, once the angles pass `check_angles`."""
     states = [np.asarray(state, dtype=complex).reshape(len(state), -1) for state in states]
-    n = n_sites(len(states[0]))
     w, u = np.linalg.eigh(kernels(theta, phi))
+    if not states:
+        return np.empty((0, len(labels)))
+    n = n_sites(len(states[0]))
     digits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column i: site i + 1
     site_weights = w[digits]  # eigenvector j of a site weighs w[j]
     table = np.stack([np.prod(site_weights[:, [s - 1 for s in validate_label(label, n)]], axis=1)

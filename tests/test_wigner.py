@@ -359,10 +359,13 @@ class TestBatchedEvaluator:
             assert np.max(np.abs(fld - oracle)) < 1e-12, n_phi
 
     def test_sweep_across_chunk_boundary(self):
-        per_stack = CHUNK_BYTES // (16 * 4**6)  # six-site densities per stack
-        cfg = SweepConfig(spec=ModelSpec("ti", n=6), start=0.5, stop=0.5 + 0.01 * (per_stack + 2),
+        # the line crosses a ground_states chunk (its 6-site points per stacked
+        # solve) and a run of one-column 6-site states in phase_point_values
+        chunk = max(1, CHUNK_BYTES // (32 * 4**6))
+        run = CHUNK_BYTES // (16 * 2**6)
+        cfg = SweepConfig(spec=ModelSpec("ti", n=6), start=0.5, stop=0.5 + 0.01 * (run + 1),
                           step=0.01, labels=((1, 3), tuple(range(1, 7))), theta=0.7, phi=1.9)
-        assert len(cfg.params) > per_stack
+        assert len(cfg.params) > run > chunk
         line = sweep(cfg)
         states, oracle = sweep_oracle(cfg)
         for sites in cfg.labels:
@@ -425,6 +428,14 @@ class TestPhasePointOrder:
         with pytest.raises(ValueError):
             phase_point_values([state], [(1, 3)], 0.0, 0.0)
 
+    def test_empty_batch(self):
+        # as equal_angle_values: no state gives no row, after the angle check
+        got = phase_point_values([], [(1,), (1, 2)], 0.3, 1.2)
+        assert got.shape == (0, 2) and got.dtype == float
+        assert equal_angle_values([], (1, 2), [0.3], [1.2]).shape == (0, 1)
+        with pytest.raises(ValueError):
+            phase_point_values([], [(1,)], np.nan, 0.0)
+
     def test_sweep_batches(self, monkeypatch):
         # a sweep evaluates its labels per batch of at most CHUNK_BYTES of states (or one
         # larger state), as they are solved; any batching gives the same values to rounding
@@ -449,22 +460,60 @@ class TestPhasePointOrder:
 
 
 class TestFactorOrder:
-    """The factor-side contraction sum conj(M) (K_1 x ... x K_k) M against the
-    density order and the rotated-parity oracle. Below nine sites it runs only
-    under a chunk budget rebound just below one k-site density, and at many
-    points only with the cost rule forced."""
+    """The two contraction orders of a run of same-shape states, the density
+    M M^dagger and the factor sum conj(M) (K_1 x ... x K_k) M, each forced by
+    rebinding `_factor_order`, against each other and the rotated-parity
+    oracle; and the cost rule that picks between them."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
-        """The reduced-factor shapes `wigner_values` contracts on the factor side."""
+        """The reduced-factor stacks (s, 2^k, c) `wigner_values` contracts on the
+        factor side."""
         calls, inner = [], wigner._factor_values
 
-        def spy(m, kts):
+        def spy(m, kts, out):
             calls.append(m.shape)
-            return inner(m, kts)
+            return inner(m, kts, out)
 
         monkeypatch.setattr(wigner, "_factor_values", spy)
         return calls
+
+    @staticmethod
+    def force(monkeypatch, factor):
+        monkeypatch.setattr(wigner, "_factor_order", lambda k, columns, points: factor)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_both_orders_on_runs_of_two_shapes(self, k, monkeypatch, factor_calls):
+        # three pure states, three of two columns and one more pure one: runs of
+        # three, three and one, each of which every order must write whole
+        rng = np.random.default_rng(170 + k)
+        states = [rand_mixed(rng, 2**k, rank) for rank in (1, 1, 1, 2, 2, 2, 1)]
+        pts = [[rand_point(rng) for _ in range(k)] for _ in range(3)]
+        site_kernels = [kernels(*np.transpose([p[i] for p in pts])) for i in range(k)]
+        oracle = np.array([[oracle_value(s, p) for p in pts] for s in states])
+        got = {}
+        for factor in (False, True):
+            self.force(monkeypatch, factor)
+            got[factor] = wigner_values(states, range(1, k + 1), site_kernels)
+        assert factor_calls == [(3, 2**k, 1), (3, 2**k, 2), (1, 2**k, 1)]
+        for values in got.values():
+            assert np.max(np.abs(values - oracle)) < 1e-13
+
+    def test_density_run_is_bounded_by_its_densities(self, monkeypatch):
+        # 16 pure 8-site states at 181 points: the 1 MiB density of each, not its
+        # 4 KiB factor, sizes the density order's runs
+        rng = np.random.default_rng(180)
+        states = [rand_pure(rng, 2**8) for _ in range(16)]
+        thetas, phis = rng.uniform(0, np.pi, 181), rng.uniform(0, 2 * np.pi, 181)
+        self.force(monkeypatch, False)
+        tracemalloc.start()
+        try:
+            values = equal_angle_values(states, range(1, 9), thetas, phis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (16, 181)
+        assert peak < 4 * CHUNK_BYTES + sum(s.nbytes for s in states)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_one_point_distinct_kernel_per_site(self, k, monkeypatch, factor_calls):
@@ -473,11 +522,13 @@ class TestFactorOrder:
         pts = [rand_point(rng) for _ in range(k)]
         site_kernels = [kernels(t, p) for t, p in pts]
         sites = tuple(range(1, k + 1))
+        self.force(monkeypatch, False)
         by_density = wigner_values(states, sites, site_kernels)
         assert not factor_calls
-        monkeypatch.setattr(wigner, "CHUNK_BYTES", 16 * 4**k - 16)
+        self.force(monkeypatch, True)
         by_factor = wigner_values(states, sites, site_kernels)
-        assert factor_calls == [s.shape for s in states]
+        runs = [(1, 2**k, 1), (1, 2**k, 2), (1, 2**k, 2**k)] if k > 1 else [(1, 2, 1), (2, 2, 2)]
+        assert factor_calls == runs
         oracle = [[oracle_value(s, pts)] for s in states]
         assert np.max(np.abs(by_factor - by_density)) < 1e-13
         assert np.max(np.abs(by_factor - oracle)) < 1e-13
@@ -486,19 +537,19 @@ class TestFactorOrder:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_sphere_grid_across_point_chunks(self, k, rank, traced, monkeypatch, factor_calls):
         # a pure state with one site traced out, or a rank-2 one with none: two
-        # columns either way. The cost rule keeps so few sites at this many
-        # points on the density, so the factor order is forced, and the budget
-        # rebound to split its points into chunks.
+        # columns either way. Each order is forced, and the budget rebound to
+        # split the factor order's points into chunks.
         rng = np.random.default_rng(140 + k)
         state = rand_mixed(rng, 2**(k + traced), rank)
         sites, grid = tuple(range(1 + traced, k + 1 + traced)), SphereGrid(7, 5)
         columns, budget = 2, 16 * 4**k - 16
         assert max(1, budget // (16 * 2**k * columns)) < grid.n_theta * (2 * k + 1)
+        self.force(monkeypatch, False)
         by_density = sphere_field(state, sites, grid)
         monkeypatch.setattr(wigner, "CHUNK_BYTES", budget)
-        monkeypatch.setattr(wigner, "_factor_order", lambda k, columns, points: True)
+        self.force(monkeypatch, True)
         by_factor = sphere_field(state, sites, grid)
-        assert factor_calls == [(2**k, columns)]
+        assert factor_calls == [(1, 2**k, columns)]
         oracle = [[oracle_value(state, [(t, p)] * k, sites) for p in grid.phis]
                   for t in grid.thetas]
         assert np.max(np.abs(by_factor - by_density)) < 1e-13
@@ -512,25 +563,32 @@ class TestFactorOrder:
         samples = [[rand_point(rng) for _ in range(k)] for _ in range(3)]
         got = wigner_values([state], sites, [kernels(*np.transpose([pts[i] for pts in samples]))
                                              for i in range(k)])[0]
-        assert factor_calls == [(2**k, 2**(10 - k))]
+        assert factor_calls == [(1, 2**k, 2**(10 - k))]
         oracle = [oracle_value(state, pts, sites) for pts in samples]
         assert np.max(np.abs(got - oracle)) < 1e-13
 
     def test_order_choice(self):
-        # eight sites: the 1 MiB density fits one chunk, whatever the shapes
-        assert not any(wigner._factor_order(k, 1, 1) for k in range(1, 9))
-        assert wigner._factor_order(9, 1, 1)
-        # a 10-site tot on a 5 x 12 or a 7 x 12 sphere (5 or 7 x 21 phi nodes):
-        # full rank takes the density, a pure state the factor at any count
-        for points in (5 * 21, 7 * 21):
-            assert not wigner._factor_order(10, 1024, points)
-            assert wigner._factor_order(10, 1, points)
-        assert wigner._factor_order(10, 1, 10**6)
-        # one point of full rank takes the factor
-        assert wigner._factor_order(10, 1024, 1)
-        # 64 columns: the factor at 10 points, the density at 100
-        assert wigner._factor_order(10, 64, 10)
-        assert not wigner._factor_order(10, 64, 100)
+        # shapes of the fitting grid where, in calls of 1 or of 16 states, one order
+        # was at least 1.35 times faster in each of three timings (one BLAS thread),
+        # and that order, which the rule must pick
+        factor, density = True, False
+        for k, columns, points, order in [
+                (4, 1, 181, density), (4, 1, 1629, density), (4, 16, 1, density),
+                (5, 1, 1, factor), (5, 32, 181, density),
+                (6, 1, 181, factor), (6, 2, 2353, density), (6, 8, 1, factor),
+                (6, 64, 181, density),
+                (7, 1, 2715, factor), (7, 8, 181, density), (7, 128, 1, density),
+                (8, 1, 3077, factor), (8, 2, 181, factor), (8, 16, 1, factor),
+                (8, 16, 181, density), (8, 256, 3077, density),
+                (9, 16, 3439, factor), (9, 512, 181, density),
+                (10, 1, 3801, factor), (10, 32, 1, factor), (10, 1024, 1, factor),
+                (10, 1024, 181, density)]:
+            assert wigner._factor_order(k, columns, points) == order, (k, columns, points)
+        # every label of at most four sites keeps the density order on the grid
+        assert not any(wigner._factor_order(k, c, p) for k in range(1, 5)
+                       for c in (1, 2, 2**(k // 2), 2**k) for p in (1, 181, 181 * (2 * k + 1)))
+        # a pure label of seven or more sites takes the factor order at any count
+        assert all(wigner._factor_order(k, 1, p) for k in range(7, 13) for p in (1, 10**3, 10**6))
 
     def test_pure_n12_tot_memory(self):
         # the 4^12 density alone would be 256 MiB; 40 points are three point chunks
